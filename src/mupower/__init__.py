@@ -38,7 +38,6 @@ from .solver import (
     SolverSettings,
     compute_pu,
     kkt_residuals,
-    project_capped_simplex,
     solve_centralized,
 )
 from .utility import (
@@ -87,7 +86,6 @@ __all__ = [
     "load_channel_csv",
     "load_scenario",
     "lyapunov",
-    "project_capped_simplex",
     "random_rayleigh_channel",
     "se",
     "solve_centralized",

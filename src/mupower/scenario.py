@@ -32,9 +32,7 @@ from .solver import Scenario, SolverSettings
 _SOLVER_KEYS = {
     "solver_tol_root": "tol_root",
     "solver_tol_kkt": "tol_kkt",
-    "solver_tol_step": "tol_step",
     "solver_max_iter": "max_iter",
-    "solver_gp_step": "gp_step",
     "solver_p_floor_watts": "p_floor",
 }
 _PD_KEYS = {

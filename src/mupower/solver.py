@@ -6,10 +6,11 @@ beta is strictly decreasing), which makes the objective strictly concave
 on the shrunken box:
 
   * if the caps fit the system budget, the caps are the optimum;
-  * otherwise the optimum lies on the slice sum(p) = p_sum_max and is found
-    by projected gradient ascent, refined to machine precision by bisecting
-    the budget price lambda (each user's power is the inverse of its
-    marginal utility at that price).
+  * otherwise the optimum lies on the slice sum(p) = p_sum_max. Each user's
+    power at a budget price lambda is the inverse of its marginal utility
+    (U' = lambda, clipped to the box), and the price is the root of
+    sum(p(lambda)) = p_sum_max, found by safeguarded Newton steps with
+    dsum(p)/dlambda = sum over interior users of 1 / U''.
 
 Every solve is certified against the KKT system before it is returned.
 """
@@ -31,17 +32,14 @@ from .utility import (
     se,
     utility,
     utility_grad,
+    utility_hess,
 )
 
-# Iteration budget for the fixed-step gradient-projection phase; the dual
-# refinement that follows is exact, so this only bounds time spent in the
-# slowly-contracting fixed-step loop (contraction ~ 1 - gp_step * |U''|).
-_GP_PHASE_MAX = 500
+# Stop of the price search: |sum p - p_sum_max| relative to the budget.
+# Any leftover is spread over the interior users afterwards.
+_PRICE_TOL = 1e-12
 
-# Bisection depth for the projection multiplier; a final shift over the
-# free coordinates makes the sum exact, so this only has to pin the
-# active set.
-_PROJ_BISECT_ITER = 48
+_EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
@@ -57,17 +55,15 @@ class BudgetCase(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and step sizes for the centralized solver."""
+    """Tolerances and iteration budget for the centralized solver."""
 
     tol_root: float = 1e-12     # |beta - (1-w)| at the cap root
     tol_kkt: float = 1e-8       # max acceptable KKT residual
-    tol_step: float = 1e-10     # sup-norm stop for gradient projection
     max_iter: int = 100_000
-    gp_step: float = 1e-3       # watts per unit gradient, no line search
     p_floor: float = 1e-9       # arithmetic floor standing in for p = 0
 
     def __post_init__(self):
-        for name in ("tol_root", "tol_kkt", "tol_step", "gp_step", "p_floor"):
+        for name in ("tol_root", "tol_kkt", "p_floor"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.max_iter < 1:
@@ -94,6 +90,12 @@ class Scenario:
         if not (np.isfinite(self.p_sum_max) and self.p_sum_max > 0):
             raise ValueError(f"p_sum_max must be > 0, got {self.p_sum_max}")
         object.__setattr__(self, "users", users)
+        # parameter vectors, built once and read-only (the primal-dual
+        # step reads them on every iteration)
+        for name in ("w", "p_circuit", "p_max"):
+            arr = np.array([getattr(u, name) for u in users])
+            arr.setflags(write=False)
+            object.__setattr__(self, "_" + name, arr)
 
     @classmethod
     def from_arrays(cls, w, p_circuit, p_max, gains, p_sum_max, settings=None):
@@ -111,15 +113,15 @@ class Scenario:
 
     @property
     def w(self) -> np.ndarray:
-        return np.array([u.w for u in self.users])
+        return self._w
 
     @property
     def p_circuit(self) -> np.ndarray:
-        return np.array([u.p_circuit for u in self.users])
+        return self._p_circuit
 
     @property
     def p_max(self) -> np.ndarray:
-        return np.array([u.p_max for u in self.users])
+        return self._p_max
 
     @property
     def delta(self) -> np.ndarray:
@@ -159,7 +161,14 @@ class KktReport:
 
 @dataclass
 class Diagnostics:
-    """Per-user quality measures plus solver effort counters."""
+    """Per-user quality measures plus solver effort counters.
+
+    newton_iterations counts cap-root evaluations per user. In the
+    budget-tight case price_iterations counts the prices at which the
+    powers were evaluated and refine_evaluations the marginal-utility
+    evaluations spent inverting U' = lambda; both are 0 when the budget
+    has slack.
+    """
 
     se: np.ndarray
     ee: np.ndarray
@@ -167,7 +176,7 @@ class Diagnostics:
     total_utility: float
     kkt: KktReport
     newton_iterations: np.ndarray
-    gp_iterations: int
+    price_iterations: int
     refine_evaluations: int
 
 
@@ -188,21 +197,23 @@ class Allocation:
     diagnostics: Diagnostics | None = None
 
 
-def _bracketed_newton(f, df, lo, hi, tol_f, max_iter):
-    """Root of a strictly decreasing f with f(lo) > 0 > f(hi).
+def _bracketed_newton(fdf, lo, hi, tol_f, max_iter):
+    """Root of a strictly decreasing f, clipped to [lo, hi].
 
-    Newton steps with the analytic derivative, falling back to bisection
-    whenever a step leaves the current bracket. Returns (root, n_evals).
+    fdf(x) returns (f(x), f'(x)). Returns hi when f(hi) >= -tol_f and lo
+    when f(lo) <= 0; otherwise takes Newton steps with the analytic
+    derivative, falling back to bisection whenever a step leaves the
+    current bracket. The returned point is always the last one passed to
+    fdf. Returns (root, n_evals).
     """
-    f_lo, f_hi = f(lo), f(hi)
+    if fdf(hi)[0] >= -tol_f:
+        return hi, 1
+    if fdf(lo)[0] <= 0:
+        return lo, 2
     evals = 2
-    if f_hi >= -abs(tol_f):
-        return hi, evals
-    if f_lo <= 0:
-        raise ConvergenceError("root bracket is invalid: f(lo) <= 0")
     x = 0.5 * (lo + hi)
     for _ in range(max_iter):
-        fx = f(x)
+        fx, d = fdf(x)
         evals += 1
         if abs(fx) <= tol_f:
             return x, evals
@@ -210,14 +221,13 @@ def _bracketed_newton(f, df, lo, hi, tol_f, max_iter):
             lo = x
         else:
             hi = x
-        d = df(x)
         step_ok = d < 0
         if step_ok:
             x_new = x - fx / d
             step_ok = lo < x_new < hi
         if not step_ok:
             x_new = 0.5 * (lo + hi)
-        if x_new == x or hi - lo <= np.finfo(float).eps * max(abs(lo), abs(hi)):
+        if x_new == x or hi - lo <= _EPS * max(abs(lo), abs(hi)):
             return x, evals
         x = x_new
     raise ConvergenceError(f"root finder exhausted {max_iter} iterations")
@@ -227,11 +237,9 @@ def _compute_pu_counted(params: UserParams, delta_i: float, settings: SolverSett
     if not delta_i > 0:
         raise ValueError(f"delta must be > 0, got {delta_i}")
     target = 1.0 - params.w
-    if target < _beta_scalar(params.p_max, params.p_circuit, delta_i):
-        return params.p_max, 0
+    pc = params.p_circuit
     root, evals = _bracketed_newton(
-        lambda p: _beta_scalar(p, params.p_circuit, delta_i) - target,
-        lambda p: _beta_prime_scalar(p, params.p_circuit, delta_i),
+        lambda p: (_beta_scalar(p, pc, delta_i) - target, _beta_prime_scalar(p, pc, delta_i)),
         settings.p_floor,
         params.p_max,
         settings.tol_root,
@@ -246,153 +254,61 @@ def compute_pu(params: UserParams, delta_i: float, settings: SolverSettings) -> 
     return _compute_pu_counted(params, delta_i, settings)[0]
 
 
-def _project_with_multiplier(y, caps, total, p_floor):
-    """Euclidean projection onto {p_floor <= x <= caps, sum x = total}.
+def _price_solve(sc: Scenario, p_u: np.ndarray):
+    """Solve the budget-tight problem exactly for the price lambda.
 
-    The projection is x = clip(y - mu, p_floor, caps) for the scalar mu at
-    which the (monotone, piecewise-linear) coordinate sum equals total; mu
-    is located by bisection and the residual budget is spread over the
-    free coordinates so the sum constraint holds to machine precision.
-    """
-    y = np.asarray(y, dtype=float)
-    caps = np.broadcast_to(np.asarray(caps, dtype=float), y.shape)
-    n = y.size
-    if float(np.sum(caps)) < total:
-        raise ValueError(
-            f"projection infeasible: sum of caps {np.sum(caps):.6g} < total {total:.6g}"
-        )
-    if total < n * p_floor:
-        raise ValueError(
-            f"projection infeasible: total {total:.6g} < N * p_floor {n * p_floor:.6g}"
-        )
-    y_list = y.tolist()
-    caps_list = caps.tolist()
-    lo = min(yi - ci for yi, ci in zip(y_list, caps_list))
-    hi = max(y_list) - p_floor
-    if hi <= lo:
-        hi = lo + 1.0
-    for _ in range(_PROJ_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        s = 0.0
-        for yi, ci in zip(y_list, caps_list):
-            v = yi - mid
-            if v < p_floor:
-                v = p_floor
-            elif v > ci:
-                v = ci
-            s += v
-        if s > total:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    x = np.clip(y - mu, p_floor, caps)
-    free = (x > p_floor) & (x < caps)
-    n_free = int(np.count_nonzero(free))
-    if n_free:
-        shift = (total - float(np.sum(x))) / n_free
-        x = np.where(free, x + shift, x)
-        x = np.clip(x, p_floor, caps)
-        mu -= shift
-    return x, mu
-
-
-def project_capped_simplex(y, caps, total, p_floor=1e-9) -> np.ndarray:
-    """Projection of y onto the capped simplex (see _project_with_multiplier)."""
-    x, _ = _project_with_multiplier(y, caps, total, p_floor)
-    return x
-
-
-def _gp_phase(sc: Scenario, p_u: np.ndarray):
-    """Fixed-step projected gradient ascent on the budget-tight slice.
-
-    Starts from the projection of the caps and iterates
-    p <- project(p + gp_step * grad U(p)) until the sup-norm step drops
-    below tol_step or the phase budget runs out. Returns the last iterate,
-    iterations used, and the last projection multiplier (an estimate of
-    gp_step * lambda).
+    At price lambda each user's power is its marginal utility inverted,
+    U'(p) = lambda, clipped to [p_floor, p_u] (U' decreases there). The sum
+    of powers decreases in lambda with slope sum_interior 1 / U''(p), so
+    the root of sum p(lambda) = p_sum_max is bracketed in [0, hi] (hi found
+    by doubling) and located by _bracketed_newton. The leftover budget is
+    then spread across the strictly interior users.
+    Returns (p, lam, price evaluations, marginal-utility evaluations).
     """
     st = sc.settings
-    w, pc, delta = sc.w, sc.p_circuit, sc.delta
-    p, mu = _project_with_multiplier(p_u, p_u, sc.p_sum_max, st.p_floor)
-    budget = min(st.max_iter, _GP_PHASE_MAX)
-    iters = 0
-    for iters in range(1, budget + 1):
-        grad = utility_grad(p, w, pc, delta)
-        p_next, mu = _project_with_multiplier(
-            p + st.gp_step * grad, p_u, sc.p_sum_max, st.p_floor
-        )
-        move = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if move <= st.tol_step:
-            break
-    return p, iters, mu
-
-
-def _invert_marginal(lam, w_i, pc_i, delta_i, cap, p_floor, tol):
-    """Power at which U'(p) = lam on [p_floor, cap] (U' is decreasing there)."""
-    if _grad_scalar(cap, w_i, pc_i, delta_i) >= lam:
-        return cap, 1
-    if _grad_scalar(p_floor, w_i, pc_i, delta_i) <= lam:
-        return p_floor, 2
-    return _bracketed_newton(
-        lambda p: _grad_scalar(p, w_i, pc_i, delta_i) - lam,
-        lambda p: _hess_scalar(p, w_i, pc_i, delta_i),
-        p_floor,
-        cap,
-        tol,
-        10_000,
-    )
-
-
-def _dual_refine(sc: Scenario, p_u: np.ndarray):
-    """Solve the budget-tight problem exactly by bisecting the price lambda.
-
-    For each candidate price the per-user powers are the clipped inverses
-    of the marginal utility; the coordinate sum is decreasing in lambda,
-    so bisection pins the price, and the leftover budget is spread across
-    the strictly interior coordinates.
-    """
-    st = sc.settings
-    w, pc, delta = sc.w, sc.p_circuit, sc.delta
-    total = sc.p_sum_max
+    floor, total, n = st.p_floor, sc.p_sum_max, sc.n_users
+    w, pc, delta, caps = (a.tolist() for a in (sc.w, sc.p_circuit, sc.delta, p_u))
     inner_tol = 1e-13
     evals = 0
+    powers = [0.0] * n
 
-    def powers_at(lam):
+    def fdf(lam):
         nonlocal evals
-        p = np.empty(sc.n_users)
-        for i in range(sc.n_users):
-            p[i], used = _invert_marginal(
-                lam, w[i], pc[i], delta[i], p_u[i], st.p_floor, inner_tol
+        slope = 0.0
+        for i in range(n):
+            wi, pci, di = w[i], pc[i], delta[i]
+            powers[i], used = _bracketed_newton(
+                lambda x: (_grad_scalar(x, wi, pci, di) - lam, _hess_scalar(x, wi, pci, di)),
+                floor,
+                caps[i],
+                inner_tol,
+                10_000,
             )
             evals += used
-        return p
+            if floor < powers[i] < caps[i]:
+                slope += 1.0 / _hess_scalar(powers[i], wi, pci, di)
+        return sum(powers) - total, slope
 
     lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if float(np.sum(powers_at(hi))) <= total:
+    for n_doubling in range(1, 201):
+        if fdf(hi)[0] <= 0:
             break
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
         raise ConvergenceError("could not bracket the budget price")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(powers_at(mid))) > total:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    lam = 0.5 * (lo + hi)
-    p = powers_at(lam)
-    interior = (p > st.p_floor) & (p < p_u)
-    n_int = int(np.count_nonzero(interior))
-    if n_int:
-        p = np.where(interior, p + (total - float(np.sum(p))) / n_int, p)
-        p = np.clip(p, st.p_floor, p_u)
-        lam = float(np.mean(utility_grad(p[interior], w[interior], pc[interior], delta[interior])))
-    return p, lam, evals
+    # powers are those at lam: the root finder evaluates its answer last
+    lam, price_evals = _bracketed_newton(fdf, lo, hi, _PRICE_TOL * total, st.max_iter)
+    p = np.array(powers)
+    interior = (p > floor) & (p < p_u)
+    if interior.any():
+        # spread the leftover budget as one linearized price step,
+        # dp_i = dlam / U_i'', which keeps the interior marginals equal
+        args = (sc.w[interior], sc.p_circuit[interior], sc.delta[interior])
+        inv_hess = 1.0 / utility_hess(p[interior], *args)
+        p[interior] += (total - float(np.sum(p))) * inv_hess / float(np.sum(inv_hess))
+        p = np.clip(p, floor, p_u)
+        lam = float(np.mean(utility_grad(p[interior], *args)))
+    return p, lam, n_doubling + price_evals, evals
 
 
 def kkt_residuals(sc: Scenario, alloc: Allocation) -> KktReport:
@@ -429,10 +345,10 @@ def kkt_residuals(sc: Scenario, alloc: Allocation) -> KktReport:
 def solve_centralized(sc: Scenario) -> Allocation:
     """Optimal power allocation for a scenario, KKT-certified.
 
-    Computes the individual caps, returns them directly when the budget
-    has slack, and otherwise ascends the budget-tight slice by gradient
-    projection followed by an exact dual-bisection refinement. Raises
-    ConvergenceError if the final KKT residual exceeds settings.tol_kkt.
+    Computes the individual caps and returns them directly when the budget
+    has slack; otherwise solves for the budget price with safeguarded
+    Newton steps (see _price_solve). Raises ConvergenceError if the KKT
+    residual of the result exceeds settings.tol_kkt.
     """
     st = sc.settings
     newton_iters = np.zeros(sc.n_users, dtype=int)
@@ -440,27 +356,15 @@ def solve_centralized(sc: Scenario) -> Allocation:
     for i, (user, d) in enumerate(zip(sc.users, sc.delta)):
         p_u[i], newton_iters[i] = _compute_pu_counted(user, d, st)
 
-    gp_iters = 0
+    price_iters = 0
     refine_evals = 0
     if float(np.sum(p_u)) <= sc.p_sum_max:
         p = p_u.copy()
         lam = 0.0
         case = BudgetCase.SUM_SLACK
     else:
-        p, gp_iters, _mu = _gp_phase(sc, p_u)
-        p, lam, refine_evals = _dual_refine(sc, p_u)
+        p, lam, price_iters, refine_evals = _price_solve(sc, p_u)
         case = BudgetCase.SUM_TIGHT
-        # certify the gradient-projection fixed point at the refined allocation
-        p_again, _ = _project_with_multiplier(
-            p + st.gp_step * utility_grad(p, sc.w, sc.p_circuit, sc.delta),
-            p_u,
-            sc.p_sum_max,
-            st.p_floor,
-        )
-        if float(np.max(np.abs(p_again - p))) > st.tol_step:
-            raise ConvergenceError(
-                "refined allocation is not a gradient-projection fixed point"
-            )
 
     alloc = Allocation(p=p, p_u=p_u, lam=lam, case=case)
     report = kkt_residuals(sc, alloc)
@@ -476,7 +380,7 @@ def solve_centralized(sc: Scenario) -> Allocation:
         total_utility=float(np.sum(utilities)),
         kkt=report,
         newton_iterations=newton_iters,
-        gp_iterations=gp_iters,
+        price_iterations=price_iters,
         refine_evaluations=refine_evals,
     )
     return alloc

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's solver paths: roots are
 bisected blindly, derivatives come from central differences, optima from
-exhaustive grid search, and projections from brute-force minimization.
+exhaustive grid search, and budget prices from nested bisection.
 """
 import numpy as np
 
@@ -106,30 +106,38 @@ def grid_search_2user(sc: Scenario, pitch=1e-4, refine_pitch=1e-6):
     return refine(p1c, p2c, pitch, refine_pitch)
 
 
-def project_by_grid(y, caps, total, p_floor, pitch=1e-3, refine_pitch=1e-6):
-    """Brute-force Euclidean projection onto the 3-D capped-simplex slice.
+def tight_optimum_by_bisection(sc: Scenario, iters=80):
+    """Budget-tight optimum by blind bisection on the price lambda.
 
-    Scans (x1, x2) grids with x3 = total - x1 - x2 and keeps the feasible
-    minimizer of the distance to y, then refines once around it.
+    Caps come from pu_by_bisection. At each price every user's power is
+    found by blind bisection of U'(p) = lambda on [p_floor, cap], with
+    U'(p) = [beta(p) - (1 - w)] / (p + pc) built from beta; bisection on a
+    decreasing U' pins p to the cap (or the floor) when U' stays above (or
+    below) lambda on the whole interval. The price is then bisected on
+    sum(p) = p_sum_max. Returns (p, lambda).
     """
-    y = np.asarray(y, dtype=float)
+    w, pc, delta, floor = sc.w, sc.p_circuit, sc.delta, sc.settings.p_floor
+    caps = np.array([pu_by_bisection(*args, floor) for args in zip(w, pc, delta, sc.p_max)])
 
-    def scan(c1, c2, step):
-        a1 = np.arange(c1[0], c1[1] + step / 2, step)
-        a2 = np.arange(c2[0], c2[1] + step / 2, step)
-        x1 = a1[:, None]
-        x2 = a2[None, :]
-        x3 = total - x1 - x2
-        d2 = (x1 - y[0]) ** 2 + (x2 - y[1]) ** 2 + (x3 - y[2]) ** 2
-        feas = (x3 >= p_floor) & (x3 <= caps[2])
-        d2 = np.where(feas, d2, np.inf)
-        i, j = np.unravel_index(np.argmin(d2), d2.shape)
-        return np.array([a1[i], a2[j], total - a1[i] - a2[j]])
+    def powers_at(lam):
+        lo, hi = np.full(caps.shape, floor), caps.copy()
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            above = (beta(mid, pc, delta) - (1.0 - w)) / (mid + pc) > lam
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        return 0.5 * (lo + hi)
 
-    coarse = scan((p_floor, caps[0]), (p_floor, caps[1]), pitch)
-    lo1, hi1 = max(p_floor, coarse[0] - pitch), min(caps[0], coarse[0] + pitch)
-    lo2, hi2 = max(p_floor, coarse[1] - pitch), min(caps[1], coarse[1] + pitch)
-    return scan((lo1, hi1), (lo2, hi2), refine_pitch)
+    lam_lo, lam_hi = 0.0, 1.0
+    while powers_at(lam_hi).sum() > sc.p_sum_max:
+        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
+    for _ in range(iters):
+        mid = 0.5 * (lam_lo + lam_hi)
+        if powers_at(mid).sum() > sc.p_sum_max:
+            lam_lo = mid
+        else:
+            lam_hi = mid
+    lam = 0.5 * (lam_lo + lam_hi)
+    return powers_at(lam), lam
 
 
 def random_2user_scenario(rng) -> Scenario:

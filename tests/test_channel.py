@@ -113,3 +113,27 @@ def test_channel_csv_bad_width(tmp_path):
     path.write_text("1,2,3\n4,5,6\n")
     with pytest.raises(ValueError, match="columns"):
         load_channel_csv(path, n_users=2)
+
+
+def test_channel_csv_blank_lines_and_bad_rows(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("\n1+2j,0.5-1j\n  \n0+0.25j,2\n")
+    assert np.array_equal(load_channel_csv(path, n_users=2), [[1 + 2j, 0.5 - 1j], [0.25j, 2]])
+    for text in ("1+2j,0.5-1j\n3+1j\n", "1+2j,abc\n", "1,2,x,4\n", "\n \n"):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_channel_csv(path, n_users=2)
+
+
+def test_channel_csv_round_trips_17_digits(tmp_path):
+    h = random_rayleigh_channel(6, 3, seed=5).h
+    path = tmp_path / "h.csv"
+    path.write_text("".join(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n" for row in h))
+    assert np.array_equal(load_channel_csv(path, n_users=3), h)
+
+
+def test_effective_gains_typed_error_on_singular_gram():
+    ch = ChannelRealization(np.eye(2, dtype=complex), sigma2=1.0)
+    object.__setattr__(ch, "h", np.zeros((2, 2), dtype=complex))  # skip the constructor's check
+    with pytest.raises(SingularGramError):
+        compute_effective_gains(ch)

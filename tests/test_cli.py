@@ -72,9 +72,10 @@ def test_missing_channel_source_rejected():
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = write_scenario(tmp_path, BASE + "p_circuit: 0.2\n")
-    with pytest.raises(ValueError, match="unknown keys"):
-        load_scenario(path)
+    for line in ("p_circuit: 0.2\n", "solver_gp_step: 0.001\n"):
+        path = write_scenario(tmp_path, BASE + line)
+        with pytest.raises(ValueError, match="unknown keys"):
+            load_scenario(path)
 
 
 def test_length_mismatch_rejected(tmp_path):

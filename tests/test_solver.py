@@ -9,13 +9,12 @@ from mupower import (
     compute_pu,
     gains_from_db,
     kkt_residuals,
-    project_capped_simplex,
     solve_centralized,
 )
-from mupower.solver import Allocation, _project_with_multiplier
-from mupower.utility import beta, utility, utility_grad
+from mupower.solver import Allocation
+from mupower.utility import beta
 
-from oracles import grid_search_2user, project_by_grid, pu_by_bisection, random_2user_scenario
+from oracles import grid_search_2user, pu_by_bisection, random_2user_scenario, tight_optimum_by_bisection
 
 ST = SolverSettings()
 
@@ -55,52 +54,6 @@ def test_pu_random_draws_against_bisection():
         assert abs(float(beta(pu, pc, d)) - (1.0 - w)) <= ST.tol_root
         assert pu == pytest.approx(pu_by_bisection(w, pc, d, p_max), abs=1e-10)
         done += 1
-
-
-# ------------------------------------------------------------------ projection
-
-def test_projection_already_feasible():
-    assert np.allclose(
-        project_capped_simplex([0.5, 0.5], [1.0, 1.0], 1.0), [0.5, 0.5], atol=1e-12
-    )
-
-
-def test_projection_symmetric_shift():
-    assert np.allclose(
-        project_capped_simplex([1.0, 1.0], [1.0, 1.0], 1.5), [0.75, 0.75], atol=1e-12
-    )
-
-
-def test_projection_against_grid_oracle():
-    y = np.array([1.2, 0.2, 0.2])
-    caps = np.array([0.5, 1.0, 1.0])
-    x = project_capped_simplex(y, caps, 1.0)
-    ref = project_by_grid(y, caps, 1.0, p_floor=1e-9)
-    assert np.allclose(x, ref, atol=2e-6)
-    assert np.allclose(x, [0.5, 0.25, 0.25], atol=1e-9)
-
-
-def test_projection_constraints_and_variational_inequality():
-    rng = np.random.default_rng(43)
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        caps = rng.uniform(0.2, 1.5, n)
-        total = float(rng.uniform(n * 1e-9, caps.sum()))
-        y = rng.uniform(-0.5, 2.0, n)
-        x, mu = _project_with_multiplier(y, caps, total, 1e-9)
-        assert np.all(x >= 1e-9 - 1e-15) and np.all(x <= caps + 1e-15)
-        assert abs(x.sum() - total) <= 1e-12 * max(1.0, total)
-        # projection characterization: (x - y) . (z - x) >= 0 for feasible z
-        for _ in range(4):
-            z = project_capped_simplex(rng.uniform(-0.5, 2.0, n), caps, total)
-            assert float((x - y) @ (z - x)) >= -1e-9
-
-
-def test_projection_infeasible_inputs():
-    with pytest.raises(ValueError, match="infeasible"):
-        project_capped_simplex([0.5, 0.5], [0.4, 0.4], 1.0)
-    with pytest.raises(ValueError, match="infeasible"):
-        project_capped_simplex([0.5, 0.5], [1.0, 1.0], 1e-12)
 
 
 # ------------------------------------------------------------ solve_centralized
@@ -164,22 +117,35 @@ def test_cap_dominance_and_case_dichotomy():
         assert alloc.diagnostics.kkt.max_residual <= sc.settings.tol_kkt
 
 
-def test_gradient_projection_utility_monotone():
-    # the fixed-step ascent underlying the tight case never loses utility
-    sc = Scenario.from_arrays(
-        w=(0.85, 0.95), p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0, 20.0]), p_sum_max=1.5
-    )
-    pu = np.array([compute_pu(u, d, sc.settings) for u, d in zip(sc.users, sc.delta)])
-    p = project_capped_simplex(pu, pu, sc.p_sum_max, sc.settings.p_floor)
-    last = float(np.sum(utility(p, sc.w, sc.p_circuit, sc.delta)))
-    for _ in range(500):
-        grad = utility_grad(p, sc.w, sc.p_circuit, sc.delta)
-        p = project_capped_simplex(
-            p + sc.settings.gp_step * grad, pu, sc.p_sum_max, sc.settings.p_floor
-        )
-        now = float(np.sum(utility(p, sc.w, sc.p_circuit, sc.delta)))
-        assert now >= last - 1e-12
-        last = now
+def test_tight_case_matches_price_bisection_oracle():
+    rng = np.random.default_rng(59)
+    for n in (3, 4, 7, 12, 25, 64):
+        w = rng.uniform(0.0, 1.0, n)
+        pc = rng.uniform(0.05, 0.2, n)
+        p_max = rng.uniform(0.3, 2.0, n)
+        gains = gains_from_db(rng.uniform(-20.0, 30.0, n))
+        caps = np.array([pu_by_bisection(*args) for args in zip(w, pc, gains.delta, p_max)])
+        sc = Scenario.from_arrays(w, pc, p_max, gains, p_sum_max=float(rng.uniform(0.2, 0.9) * caps.sum()))
+        alloc = solve_centralized(sc)
+        p_ref, lam_ref = tight_optimum_by_bisection(sc)
+        assert alloc.case is BudgetCase.SUM_TIGHT
+        assert np.max(np.abs(alloc.p - p_ref)) <= 1e-9
+        assert alloc.lam == pytest.approx(lam_ref, rel=1e-9)
+        assert alloc.diagnostics.price_iterations > 0
+
+
+def test_price_effort_counters():
+    slack = solve_centralized(Scenario.from_arrays(
+        w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, gains=(5.0, 500.0), p_sum_max=10.0
+    ))
+    assert slack.diagnostics.price_iterations == slack.diagnostics.refine_evaluations == 0
+    tight = solve_centralized(Scenario.from_arrays(
+        w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=1.5
+    ))
+    d = tight.diagnostics
+    # Newton on the price: a handful of prices, each inverting both marginals
+    assert 0 < d.price_iterations <= 20
+    assert d.refine_evaluations >= 2 * d.price_iterations
 
 
 def test_single_user_scalar_path():
@@ -240,6 +206,8 @@ def test_settings_validation():
         SolverSettings(tol_root=0.0)
     with pytest.raises(ValueError):
         SolverSettings(max_iter=0)
+    with pytest.raises(TypeError):
+        SolverSettings(gp_step=1e-3)
 
 
 def test_scenario_validation():
@@ -250,3 +218,13 @@ def test_scenario_validation():
         Scenario(users, EffectiveGains([1.0]), p_sum_max=1.0)
     with pytest.raises(ValueError, match="p_sum_max"):
         Scenario.from_arrays(w=0.5, p_circuit=0.1, p_max=1.0, gains=(1.0,), p_sum_max=0.0)
+
+
+def test_scenario_vectors_cached_read_only():
+    sc = Scenario.from_arrays(w=(0.2, 0.7), p_circuit=0.1, p_max=(1.0, 2.0), gains=(1.0, 2.0), p_sum_max=1.0)
+    for name in ("w", "p_circuit", "p_max"):
+        arr = getattr(sc, name)
+        assert arr is getattr(sc, name)
+        assert np.array_equal(arr, [getattr(u, name) for u in sc.users])
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
