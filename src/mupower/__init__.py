@@ -20,8 +20,6 @@ from .metrics import FairnessReport, jain_index, summarize
 from .primal_dual import (
     PdSettings,
     Trajectory,
-    clamp_box,
-    clamp_plus,
     integrate,
     lyapunov,
     step,
@@ -41,7 +39,6 @@ from .solver import (
     solve_centralized,
 )
 from .utility import (
-    UserParams,
     beta,
     beta_prime,
     composite_u,
@@ -69,12 +66,9 @@ __all__ = [
     "SingularGramError",
     "SolverSettings",
     "Trajectory",
-    "UserParams",
     "beta",
     "beta_prime",
     "build_scenario",
-    "clamp_box",
-    "clamp_plus",
     "composite_u",
     "compute_effective_gains",
     "compute_pu",

@@ -8,7 +8,7 @@ Subcommands (all read a scenario file, see scenario.py for the format):
     primal-dual      distributed run; trajectory CSV via --out, summary to stdout
 
 CSV output uses 12 significant digits, comma delimiter, LF line endings,
-and is deterministic for a fixed scenario file and seed. Exit codes:
+and is deterministic for a fixed scenario file. Exit codes:
 0 success, 1 input error, 2 solver non-convergence (primal-dual only
 fails this way under --strict).
 """
@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
+from .channel import gains_from_db
 from .metrics import jain_index, summarize
 from .primal_dual import integrate, write_trajectory_csv
 from .scenario import LoadedScenario, load_scenario
-from .solver import BudgetCase, ConvergenceError, Scenario, solve_centralized
+from .solver import BudgetCase, ConvergenceError, solve_centralized
 
 _FAIRNESS_DELTA1_DB = (-20.0, 0.0, 20.0)
 
@@ -40,19 +42,6 @@ def _write_csv(path, header, rows):
     else:
         with open(path, "w", newline="") as f:
             f.write(text)
-
-
-def _with_overrides(sc: Scenario, w=None, delta_db=None) -> Scenario:
-    from .channel import gains_from_db
-
-    return Scenario.from_arrays(
-        w=sc.w if w is None else np.asarray(w, dtype=float),
-        p_circuit=sc.p_circuit,
-        p_max=sc.p_max,
-        gains=sc.gains if delta_db is None else gains_from_db(delta_db),
-        p_sum_max=sc.p_sum_max,
-        settings=sc.settings,
-    )
 
 
 def cmd_solve(loaded: LoadedScenario, out=None) -> int:
@@ -92,7 +81,7 @@ def cmd_sweep_diversity(loaded: LoadedScenario, out=None, grid: int = 41) -> int
     floor = sc.settings.p_floor
     for w1 in axis:
         for w2 in axis:
-            alloc = solve_centralized(_with_overrides(sc, w=(w1, w2)))
+            alloc = solve_centralized(replace(sc, w=(w1, w2)))
             d = alloc.diagnostics
             p = alloc.p
             if not (
@@ -127,7 +116,7 @@ def cmd_sweep_fairness(
     rows = []
     for d1 in delta1_db_list:
         for d2 in delta2_db_range:
-            alloc = solve_centralized(_with_overrides(sc, delta_db=(d1, d2)))
+            alloc = solve_centralized(replace(sc, gains=gains_from_db((d1, d2))))
             u = alloc.diagnostics.utilities
             jain = jain_index(u)
             if not (1.0 / sc.n_users - 1e-12 <= jain <= 1.0 + 1e-12):
@@ -171,15 +160,14 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        p.add_argument("--grid", type=int, default=41, help="sweep points per axis")
-        p.add_argument("--strict", action="store_true", help="nonzero exit on non-convergence")
-        p.add_argument("--seed", type=int, default=None, help="override scenario RNG seed")
+        if name.startswith("sweep-"):
+            p.add_argument("--grid", type=int, default=41, help="sweep points per axis")
+        if name == "primal-dual":
+            p.add_argument("--strict", action="store_true", help="nonzero exit on non-convergence")
     args = parser.parse_args(argv)
 
     try:
         loaded = load_scenario(args.scenario)
-        if args.seed is not None:
-            loaded.seed = args.seed
         if args.command == "solve":
             return cmd_solve(loaded, out=args.out)
         if args.command == "sweep-diversity":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import Allocation, Scenario
-from .utility import ee, se, utility
+from .utility import utility
 
 
 @dataclass
@@ -46,8 +46,3 @@ def summarize(sc: Scenario, alloc: Allocation) -> FairnessReport:
         total_utility=float(np.sum(utilities)),
     )
 
-
-def allocation_quality(sc: Scenario, alloc: Allocation):
-    """Per-user (SE, EE, U) triple at an allocation, for reporting."""
-    p = np.asarray(alloc.p, dtype=float)
-    return se(p, sc.delta), ee(p, sc.p_circuit, sc.delta), utility(p, sc.w, sc.p_circuit, sc.delta)

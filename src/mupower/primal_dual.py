@@ -6,9 +6,10 @@ price, while the receiver raises the price with the budget violation:
     dP_i/dt    = k_i * [U_i'(P_i) - lambda]  clamped to keep P_i in [0, p_u_i]
     dlambda/dt = g   * [sum(P) - p_sum_max]  clamped to keep lambda >= 0
 
-integrated here with explicit Euler steps of unit virtual time, so k_i
-and g are the literal per-iteration gains. The only signalling is one
-price broadcast down and one power report per user up, per step.
+integrated here with explicit Euler steps of unit virtual time, each
+projected back onto that set, so k_i and g are the literal per-iteration
+gains. The only signalling is one price broadcast down and one power
+report per user up, per step.
 
 The quadratic distance to the centralized optimum,
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Allocation, Scenario, _compute_pu_counted, solve_centralized
+from .solver import Allocation, Scenario, compute_pu, solve_centralized
 from .utility import utility, utility_grad
 
 
@@ -73,34 +74,19 @@ class Trajectory:
     lam_final: float
 
 
-def clamp_plus(f, z):
-    """max(f, 0) while z <= 0, f otherwise (keeps z from leaving z >= 0)."""
-    return np.where(np.asarray(z) <= 0, np.maximum(f, 0.0), f)
-
-
-def clamp_box(f, z, a):
-    """max(f, 0) at z <= 0, min(f, 0) at z >= a, f in between (keeps z in [0, a])."""
-    z = np.asarray(z)
-    return np.where(z <= 0, np.maximum(f, 0.0), np.where(z >= a, np.minimum(f, 0.0), f))
-
-
 def step(state, sc: Scenario, p_u: np.ndarray, settings: PdSettings):
     """One explicit-Euler step of the primal-dual dynamics.
 
-    The clamp arguments are shifted by the arithmetic floor so the clamp
-    boundaries coincide with the box the powers actually live in, and the
-    updated state is re-projected into that box to absorb Euler overshoot.
-    Costs one price broadcast plus one power report per user.
+    The Euler update is projected onto the feasible set: the powers onto
+    [p_floor, p_u] (the floor stands in for p = 0) and the price onto
+    lambda >= 0. This gives the same state as clamping the drive at a
+    boundary and also absorbs Euler overshoot. Costs one price broadcast
+    plus one power report per user.
     """
     p, lam = state
-    floor = sc.settings.p_floor
-    k = np.broadcast_to(np.asarray(settings.k, dtype=float), p.shape)
     drive = utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam
-    p_new = np.clip(
-        p + k * clamp_box(drive, p - floor, p_u - floor), floor, p_u
-    )
-    lam_drive = clamp_plus(float(np.sum(p)) - sc.p_sum_max, lam)
-    lam_new = max(0.0, lam + settings.g * float(lam_drive))
+    p_new = np.clip(p + settings.k * drive, sc.settings.p_floor, p_u)
+    lam_new = max(0.0, lam + settings.g * (float(np.sum(p)) - sc.p_sum_max))
     if not (np.all(np.isfinite(p_new)) and np.isfinite(lam_new)):
         raise FloatingPointError(
             "primal-dual state became non-finite; gains are likely too large"
@@ -131,9 +117,7 @@ def integrate(
     allocation is supplied.
     """
     settings = settings or PdSettings()
-    p_u = np.array(
-        [_compute_pu_counted(u, d, sc.settings)[0] for u, d in zip(sc.users, sc.delta)]
-    )
+    p_u, _ = compute_pu(sc)
     if reference is None:
         reference = solve_centralized(sc)
     p_star, lam_star = reference.p, reference.lam
@@ -144,7 +128,7 @@ def integrate(
         p = np.array(settings.init_p, dtype=float)
         if p.shape != p_u.shape:
             raise ValueError(f"init_p has shape {p.shape}, expected {p_u.shape}")
-        if np.any(p <= 0) or np.any(p > p_u):
+        if not np.all((p > 0) & (p <= p_u)):
             raise ValueError("init_p must lie in (0, p_u]")
     p = np.clip(p, sc.settings.p_floor, p_u)
     lam = float(settings.init_lambda)

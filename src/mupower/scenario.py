@@ -13,7 +13,8 @@ Example::
     pd_gain_dual: 0.001
 
 Exactly one of delta_db / channel_csv must be present; channel_csv paths
-are resolved relative to the scenario file and require sigma2_watts.
+are resolved relative to the scenario file and require sigma2_watts, and
+the CSV must have receive_antennas rows when that key is given.
 Solver and primal-dual settings accept overrides under solver_* / pd_*
 keys. Unknown keys are rejected.
 """
@@ -54,7 +55,6 @@ _KNOWN_KEYS = {
     "p_max_individual_watts",
     "p_circuit_watts",
     "p_sum_max_watts",
-    "seed",
 } | set(_SOLVER_KEYS) | set(_PD_KEYS)
 
 
@@ -64,7 +64,6 @@ class LoadedScenario:
 
     scenario: Scenario
     pd: PdSettings
-    seed: int | None
     receive_antennas: int | None
     source: str
 
@@ -78,6 +77,16 @@ def _broadcast(value, n, key):
     return arr.astype(float)
 
 
+def _integer(doc, key, source):
+    """An integral count from the document; 2.7 is an error, not 2."""
+    value = doc[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{source}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> LoadedScenario:
     """Validate a scenario mapping and assemble the solver structures."""
     if not isinstance(doc, dict):
@@ -88,9 +97,17 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
 
     if "n_users" not in doc:
         raise ValueError(f"{source}: n_users is required")
-    n = int(doc["n_users"])
+    n = _integer(doc, "n_users", source)
     if n < 1:
         raise ValueError(f"{source}: n_users must be >= 1, got {n}")
+
+    antennas = None
+    if doc.get("receive_antennas") is not None:
+        antennas = _integer(doc, "receive_antennas", source)
+        if antennas < n:
+            raise ValueError(
+                f"{source}: receive_antennas {antennas} < n_users {n}"
+            )
 
     has_db = "delta_db" in doc
     has_csv = "channel_csv" in doc
@@ -103,15 +120,11 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             raise ValueError(f"{source}: channel_csv requires sigma2_watts")
         path = os.path.join(base_dir, str(doc["channel_csv"]))
         h = load_channel_csv(path, n)
-        gains = compute_effective_gains(ChannelRealization(h, float(doc["sigma2_watts"])))
-
-    antennas = doc.get("receive_antennas")
-    if antennas is not None:
-        antennas = int(antennas)
-        if antennas < n:
+        if antennas is not None and h.shape[0] != antennas:
             raise ValueError(
-                f"{source}: receive_antennas {antennas} < n_users {n}"
+                f"{source}: channel CSV has {h.shape[0]} rows, expected receive_antennas {antennas}"
             )
+        gains = compute_effective_gains(ChannelRealization(h, float(doc["sigma2_watts"])))
 
     for key in ("w", "p_max_individual_watts", "p_circuit_watts", "p_sum_max_watts"):
         if key not in doc:
@@ -120,10 +133,10 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
     solver_kwargs = {}
     for key, attr in _SOLVER_KEYS.items():
         if key in doc:
-            solver_kwargs[attr] = int(doc[key]) if attr == "max_iter" else float(doc[key])
+            solver_kwargs[attr] = _integer(doc, key, source) if attr == "max_iter" else float(doc[key])
     settings = SolverSettings(**solver_kwargs)
 
-    scenario = Scenario.from_arrays(
+    scenario = Scenario(
         w=_broadcast(doc["w"], n, "w"),
         p_circuit=_broadcast(doc["p_circuit_watts"], n, "p_circuit_watts"),
         p_max=_broadcast(doc["p_max_individual_watts"], n, "p_max_individual_watts"),
@@ -142,16 +155,14 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
         elif attr == "init_p":
             pd_kwargs[attr] = _broadcast(doc[key], n, key)
         elif attr in ("max_steps", "record_every"):
-            pd_kwargs[attr] = int(doc[key])
+            pd_kwargs[attr] = _integer(doc, key, source)
         else:
             pd_kwargs[attr] = float(doc[key])
     pd = PdSettings(**pd_kwargs)
 
-    seed = doc.get("seed")
     return LoadedScenario(
         scenario=scenario,
         pd=pd,
-        seed=None if seed is None else int(seed),
         receive_antennas=antennas,
         source=source,
     )

@@ -23,7 +23,6 @@ import numpy as np
 
 from .channel import EffectiveGains
 from .utility import (
-    UserParams,
     _beta_prime_scalar,
     _beta_scalar,
     _grad_scalar,
@@ -72,56 +71,47 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full problem instance: users, gains, and the system budget (W)."""
+    """A problem instance: per-user vectors, their gains and the budget (W).
 
-    users: tuple[UserParams, ...]
+    w (SE/EE preference weight in [0, 1]), p_circuit and p_max (W) hold one
+    entry per user; scalars broadcast to N = len(gains). gains may be an
+    EffectiveGains or a raw sequence of linear gains (1/W). The vectors are
+    validated and stored as read-only float arrays, so
+    dataclasses.replace(sc, w=...) yields a checked variant.
+    """
+
+    w: np.ndarray
+    p_circuit: np.ndarray
+    p_max: np.ndarray
     gains: EffectiveGains
     p_sum_max: float
     settings: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        users = tuple(self.users)
-        if len(users) < 1:
-            raise ValueError("need at least one user")
-        if len(users) != len(self.gains):
-            raise ValueError(
-                f"{len(users)} users but {len(self.gains)} effective gains"
-            )
+        gains = self.gains if isinstance(self.gains, EffectiveGains) else EffectiveGains(self.gains)
+        object.__setattr__(self, "gains", gains)
+        n = len(gains)
+        for name, rule, ok in (
+            ("w", "lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+            ("p_circuit", "be > 0", lambda v: v > 0.0),
+            ("p_max", "be > 0", lambda v: v > 0.0),
+        ):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.size not in (1, n) or value.ndim > 1:
+                raise ValueError(f"{name} has {value.size} entries but there are {n} effective gains")
+            arr = np.broadcast_to(value, (n,)).copy()
+            bad = ~(np.isfinite(arr) & ok(arr))
+            if bad.any():
+                raise ValueError(f"{name} must {rule}, got {arr[bad][0]}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if not (np.isfinite(self.p_sum_max) and self.p_sum_max > 0):
             raise ValueError(f"p_sum_max must be > 0, got {self.p_sum_max}")
-        object.__setattr__(self, "users", users)
-        # parameter vectors, built once and read-only (the primal-dual
-        # step reads them on every iteration)
-        for name in ("w", "p_circuit", "p_max"):
-            arr = np.array([getattr(u, name) for u in users])
-            arr.setflags(write=False)
-            object.__setattr__(self, "_" + name, arr)
-
-    @classmethod
-    def from_arrays(cls, w, p_circuit, p_max, gains, p_sum_max, settings=None):
-        """Build a scenario from parallel parameter vectors (scalars broadcast)."""
-        if not isinstance(gains, EffectiveGains):
-            gains = EffectiveGains(gains)
-        n = len(gains)
-        w, p_circuit, p_max = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (w, p_circuit, p_max))
-        users = tuple(UserParams(*t) for t in zip(w, p_circuit, p_max))
-        return cls(users, gains, float(p_sum_max), settings or SolverSettings())
+        object.__setattr__(self, "p_sum_max", float(self.p_sum_max))
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
-
-    @property
-    def w(self) -> np.ndarray:
-        return self._w
-
-    @property
-    def p_circuit(self) -> np.ndarray:
-        return self._p_circuit
-
-    @property
-    def p_max(self) -> np.ndarray:
-        return self._p_max
+        return len(self.gains)
 
     @property
     def delta(self) -> np.ndarray:
@@ -233,25 +223,27 @@ def _bracketed_newton(fdf, lo, hi, tol_f, max_iter):
     raise ConvergenceError(f"root finder exhausted {max_iter} iterations")
 
 
-def _compute_pu_counted(params: UserParams, delta_i: float, settings: SolverSettings):
-    if not delta_i > 0:
-        raise ValueError(f"delta must be > 0, got {delta_i}")
-    target = 1.0 - params.w
-    pc = params.p_circuit
-    root, evals = _bracketed_newton(
-        lambda p: (_beta_scalar(p, pc, delta_i) - target, _beta_prime_scalar(p, pc, delta_i)),
-        settings.p_floor,
-        params.p_max,
-        settings.tol_root,
-        settings.max_iter,
-    )
-    return float(root), evals
+def compute_pu(sc: Scenario):
+    """Individually optimal power caps, one per user.
 
-
-def compute_pu(params: UserParams, delta_i: float, settings: SolverSettings) -> float:
-    """Individually optimal power cap: p_max if the preference weight
-    exceeds 1 - beta(p_max), else the unique root of beta = 1 - w."""
-    return _compute_pu_counted(params, delta_i, settings)[0]
+    User i keeps p_max_i when its weight exceeds 1 - beta_i(p_max_i);
+    otherwise its cap is the unique root of beta_i = 1 - w_i (the peak of
+    its utility). Returns (p_u, root-finder evaluations per user).
+    """
+    st = sc.settings
+    caps, evals = [], []
+    for wi, pci, di, p_max in zip(*(a.tolist() for a in (sc.w, sc.p_circuit, sc.delta, sc.p_max))):
+        target = 1.0 - wi
+        root, used = _bracketed_newton(
+            lambda p: (_beta_scalar(p, pci, di) - target, _beta_prime_scalar(p, pci, di)),
+            st.p_floor,
+            p_max,
+            st.tol_root,
+            st.max_iter,
+        )
+        caps.append(root)
+        evals.append(used)
+    return np.array(caps), np.array(evals)
 
 
 def _price_solve(sc: Scenario, p_u: np.ndarray):
@@ -351,10 +343,7 @@ def solve_centralized(sc: Scenario) -> Allocation:
     residual of the result exceeds settings.tol_kkt.
     """
     st = sc.settings
-    newton_iters = np.zeros(sc.n_users, dtype=int)
-    p_u = np.empty(sc.n_users)
-    for i, (user, d) in enumerate(zip(sc.users, sc.delta)):
-        p_u[i], newton_iters[i] = _compute_pu_counted(user, d, st)
+    p_u, newton_iters = compute_pu(sc)
 
     price_iters = 0
     refine_evals = 0

@@ -22,26 +22,8 @@ All functions broadcast over numpy arrays; natural logs throughout
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class UserParams:
-    """Per-user knobs: SE/EE weight w, circuit power and cap in watts."""
-
-    w: float
-    p_circuit: float
-    p_max: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.w) and 0.0 <= self.w <= 1.0):
-            raise ValueError(f"w must lie in [0, 1], got {self.w}")
-        if not (np.isfinite(self.p_circuit) and self.p_circuit > 0):
-            raise ValueError(f"p_circuit must be > 0, got {self.p_circuit}")
-        if not (np.isfinite(self.p_max) and self.p_max > 0):
-            raise ValueError(f"p_max must be > 0, got {self.p_max}")
 
 
 def _require(cond: bool, msg: str):

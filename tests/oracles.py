@@ -142,7 +142,7 @@ def tight_optimum_by_bisection(sc: Scenario, iters=80):
 
 def random_2user_scenario(rng) -> Scenario:
     """A seeded 2-user instance; budgets chosen so both cases occur."""
-    return Scenario.from_arrays(
+    return Scenario(
         w=rng.uniform(0.0, 1.0, 2),
         p_circuit=rng.uniform(0.05, 0.2, 2),
         p_max=1.0,

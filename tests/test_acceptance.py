@@ -16,7 +16,6 @@ from mupower import (
     PdSettings,
     Scenario,
     SolverSettings,
-    UserParams,
     compute_pu,
     gains_from_db,
     integrate,
@@ -49,7 +48,7 @@ def _report(num, name, t0, budget):
 
 
 def _fairness_scenario(d1_db, d2_db) -> Scenario:
-    return Scenario.from_arrays(
+    return Scenario(
         w=(0.5, 0.5),
         p_circuit=0.1,
         p_max=1.0,
@@ -148,8 +147,7 @@ def test_criterion_7_individual_cap_structure():
         d = float(10.0 ** rng.uniform(-2.0, 2.0))
         p_max = float(rng.uniform(0.3, 2.0))
         w = float(rng.uniform(0.0, 1.0))
-        params = UserParams(w, pc, p_max)
-        pu = compute_pu(params, d, st)
+        (pu,), _ = compute_pu(Scenario(w, pc, p_max, (d,), p_sum_max=p_max, settings=st))
         assert 0.0 < pu <= p_max
         below = np.linspace(pu * 1e-6, pu * (1.0 - 1e-6), 100)
         assert np.all(utility_grad(below, w, pc, d) > 0.0)
@@ -196,7 +194,7 @@ def test_criterion_9_basin_of_attraction():
     loaded = load_scenario(SCENARIOS / "fig4.yaml")
     sc = loaded.scenario
     alloc = solve_centralized(sc)
-    p_u = np.array([compute_pu(u, d, sc.settings) for u, d in zip(sc.users, sc.delta)])
+    p_u, _ = compute_pu(sc)
     rng = np.random.default_rng(99)
     for trial in range(10):
         pd = PdSettings(

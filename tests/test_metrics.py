@@ -18,7 +18,7 @@ def test_hand_arithmetic_example():
 
 
 def test_paper_asymmetric_point():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.5, 0.5), p_circuit=0.1, p_max=1.0,
         gains=gains_from_db([-20.0, 20.0]), p_sum_max=1.5,
     )
@@ -54,7 +54,7 @@ def test_range_and_domination_limit():
 
 
 def test_summarize_recomputes_from_powers():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, gains=(10.0, 100.0), p_sum_max=0.8
     )
     alloc = solve_centralized(sc)
@@ -67,7 +67,7 @@ def test_summarize_recomputes_from_powers():
 
 
 def test_summarize_symmetric_scenario():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, gains=gains_from_db([0.0, 0.0]), p_sum_max=1.5
     )
     report = summarize(sc, solve_centralized(sc))

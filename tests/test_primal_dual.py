@@ -4,8 +4,6 @@ import pytest
 from mupower import (
     PdSettings,
     Scenario,
-    clamp_box,
-    clamp_plus,
     compute_pu,
     gains_from_db,
     integrate,
@@ -18,7 +16,7 @@ from mupower.utility import utility_grad
 
 
 def fig4_scenario() -> Scenario:
-    return Scenario.from_arrays(
+    return Scenario(
         w=(0.0, 0.3, 0.7, 1.0),
         p_circuit=0.1,
         p_max=1.0,
@@ -28,22 +26,7 @@ def fig4_scenario() -> Scenario:
 
 
 def caps_for(sc: Scenario) -> np.ndarray:
-    return np.array([compute_pu(u, d, sc.settings) for u, d in zip(sc.users, sc.delta)])
-
-
-# ------------------------------------------------------------------- clamps
-
-def test_clamp_plus_cases():
-    assert clamp_plus(-1.0, 0.0) == 0.0
-    assert clamp_plus(-1.0, 0.5) == -1.0
-    assert clamp_plus(2.0, -3.0) == 2.0
-
-
-def test_clamp_box_cases():
-    assert clamp_box(1.0, 1.0, 1.0) == 0.0     # upper boundary takes min(f, 0)
-    assert clamp_box(-2.0, 0.0, 1.0) == 0.0    # lower boundary takes max(f, 0)
-    assert clamp_box(0.3, 0.5, 1.0) == 0.3     # interior passes through
-    assert clamp_box(-0.3, 0.5, 1.0) == -0.3
+    return compute_pu(sc)[0]
 
 
 # --------------------------------------------------------------------- step
@@ -74,6 +57,24 @@ def test_step_lambda_parked_at_zero_under_slack():
     pd = PdSettings()
     p = 0.25 * p_u  # sum well under the budget
     _, lam_new = step((p, 0.0), sc, p_u, pd)
+    assert lam_new == 0.0
+
+
+def test_step_holds_the_boundaries():
+    sc = fig4_scenario()
+    p_u = caps_for(sc)
+    pd = PdSettings()
+    floor = np.full(4, sc.settings.p_floor)
+    # U'(p_floor) is about 1e9 here, so this price pushes every power down
+    p_new, _ = step((floor, 1e12), sc, p_u, pd)
+    assert np.array_equal(p_new, floor)
+    # with w = 1 every cap is p_max and U' > 0 there: the powers push up
+    at_max = Scenario(w=1.0, p_circuit=0.1, p_max=1.0, gains=gains_from_db([0.0] * 4), p_sum_max=3.0)
+    caps = caps_for(at_max)
+    p_new, _ = step((caps, 0.0), at_max, caps, pd)
+    assert np.array_equal(p_new, caps)
+    # a small price under a slack budget would step below zero
+    _, lam_new = step((0.25 * p_u, 1e-6), sc, p_u, pd)
     assert lam_new == 0.0
 
 
@@ -130,7 +131,7 @@ def test_integrate_message_accounting():
 
 
 def test_integrate_single_user_slack_budget():
-    sc = Scenario.from_arrays(w=1.0, p_circuit=0.1, p_max=0.5, gains=(100.0,), p_sum_max=2.0)
+    sc = Scenario(w=1.0, p_circuit=0.1, p_max=0.5, gains=(100.0,), p_sum_max=2.0)
     traj = integrate(sc, PdSettings())
     assert traj.converged
     assert traj.p_final[0] == pytest.approx(0.5, abs=1e-9)
@@ -138,7 +139,7 @@ def test_integrate_single_user_slack_budget():
 
 
 def test_integrate_symmetry_preserved_along_trajectory():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.6, 0.6), p_circuit=0.1, p_max=1.0, gains=gains_from_db([10.0, 10.0]), p_sum_max=0.4
     )
     pd = PdSettings(init_p=np.array([0.05, 0.05]))
@@ -181,6 +182,8 @@ def test_init_p_validation():
     sc = fig4_scenario()
     with pytest.raises(ValueError, match="init_p"):
         integrate(sc, PdSettings(init_p=np.full(4, 10.0)))
+    with pytest.raises(ValueError, match="init_p"):
+        integrate(sc, PdSettings(init_p=np.array([np.nan, 0.1, 0.1, 0.1])))
 
 
 def test_pd_settings_validation():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from mupower import (
     BudgetCase,
     Scenario,
     SolverSettings,
-    UserParams,
     compute_pu,
     gains_from_db,
     kkt_residuals,
@@ -19,20 +20,26 @@ from oracles import grid_search_2user, pu_by_bisection, random_2user_scenario, t
 ST = SolverSettings()
 
 
+def cap(w, p_circuit, p_max, delta):
+    """The cap of one user, from a one-user scenario."""
+    (pu,), _ = compute_pu(Scenario(w, p_circuit, p_max, (delta,), p_sum_max=p_max, settings=ST))
+    return pu
+
+
 # ---------------------------------------------------------------- compute_pu
 
 def test_pu_weight_one_is_cap():
     for p_max in (0.2, 1.0, 5.0):
-        assert compute_pu(UserParams(1.0, 0.1, p_max), 100.0, ST) == p_max
+        assert cap(1.0, 0.1, p_max, 100.0) == p_max
 
 
 def test_pu_threshold_branch():
     # beta(1) ~ 0.236, so any w above ~0.764 keeps the cap
-    assert compute_pu(UserParams(0.9, 0.1, 1.0), 100.0, ST) == 1.0
+    assert cap(0.9, 0.1, 1.0, 100.0) == 1.0
 
 
 def test_pu_root_branch_matches_bisection():
-    pu = compute_pu(UserParams(0.0, 0.1, 1.0), 100.0, ST)
+    pu = cap(0.0, 0.1, 1.0, 100.0)
     assert abs(float(beta(pu, 0.1, 100.0)) - 1.0) <= ST.tol_root
     assert pu == pytest.approx(pu_by_bisection(0.0, 0.1, 100.0, 1.0), abs=1e-10)
     assert 0.0 < pu <= 1.0
@@ -49,7 +56,7 @@ def test_pu_random_draws_against_bisection():
         if headroom <= 0.0:
             continue  # threshold branch for every w; nothing to root-find
         w = float(rng.uniform(0.0, headroom))
-        pu = compute_pu(UserParams(w, pc, p_max), d, ST)
+        pu = cap(w, pc, p_max, d)
         assert 0.0 < pu <= p_max
         assert abs(float(beta(pu, pc, d)) - (1.0 - w)) <= ST.tol_root
         assert pu == pytest.approx(pu_by_bisection(w, pc, d, p_max), abs=1e-10)
@@ -59,7 +66,7 @@ def test_pu_random_draws_against_bisection():
 # ------------------------------------------------------------ solve_centralized
 
 def test_slack_case_returns_caps():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=3.0
     )
     alloc = solve_centralized(sc)
@@ -69,11 +76,11 @@ def test_slack_case_returns_caps():
 
 
 def test_symmetric_tight_case_splits_evenly():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0, 20.0]), p_sum_max=1.5
     )
     alloc = solve_centralized(sc)
-    pu = compute_pu(sc.users[0], 100.0, sc.settings)
+    pu = compute_pu(sc)[0][0]
     expected = min(pu, 0.75)
     assert np.allclose(alloc.p, [expected, expected], atol=1e-9)
     # the caps already fit the 1.5 W budget here
@@ -81,7 +88,7 @@ def test_symmetric_tight_case_splits_evenly():
 
 
 def test_forced_tight_case_splits_evenly():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0, 20.0]), p_sum_max=1.5
     )
     alloc = solve_centralized(sc)
@@ -92,7 +99,7 @@ def test_forced_tight_case_splits_evenly():
 
 
 def test_heterogeneous_matches_grid_oracle():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, gains=(10.0, 100.0), p_sum_max=0.8
     )
     alloc = solve_centralized(sc)
@@ -125,7 +132,7 @@ def test_tight_case_matches_price_bisection_oracle():
         p_max = rng.uniform(0.3, 2.0, n)
         gains = gains_from_db(rng.uniform(-20.0, 30.0, n))
         caps = np.array([pu_by_bisection(*args) for args in zip(w, pc, gains.delta, p_max)])
-        sc = Scenario.from_arrays(w, pc, p_max, gains, p_sum_max=float(rng.uniform(0.2, 0.9) * caps.sum()))
+        sc = Scenario(w, pc, p_max, gains, p_sum_max=float(rng.uniform(0.2, 0.9) * caps.sum()))
         alloc = solve_centralized(sc)
         p_ref, lam_ref = tight_optimum_by_bisection(sc)
         assert alloc.case is BudgetCase.SUM_TIGHT
@@ -135,11 +142,11 @@ def test_tight_case_matches_price_bisection_oracle():
 
 
 def test_price_effort_counters():
-    slack = solve_centralized(Scenario.from_arrays(
+    slack = solve_centralized(Scenario(
         w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, gains=(5.0, 500.0), p_sum_max=10.0
     ))
     assert slack.diagnostics.price_iterations == slack.diagnostics.refine_evaluations == 0
-    tight = solve_centralized(Scenario.from_arrays(
+    tight = solve_centralized(Scenario(
         w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=1.5
     ))
     d = tight.diagnostics
@@ -149,7 +156,7 @@ def test_price_effort_counters():
 
 
 def test_single_user_scalar_path():
-    sc = Scenario.from_arrays(w=0.4, p_circuit=0.1, p_max=1.0, gains=(50.0,), p_sum_max=0.15)
+    sc = Scenario(w=0.4, p_circuit=0.1, p_max=1.0, gains=(50.0,), p_sum_max=0.15)
     alloc = solve_centralized(sc)
     assert alloc.p.shape == (1,)
     assert alloc.diagnostics.kkt.max_residual <= sc.settings.tol_kkt
@@ -159,7 +166,7 @@ def test_single_user_scalar_path():
 
 
 def test_degenerate_budget_never_binds():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, gains=(5.0, 500.0), p_sum_max=10.0
     )
     alloc = solve_centralized(sc)
@@ -169,7 +176,7 @@ def test_degenerate_budget_never_binds():
 # ---------------------------------------------------------------- kkt_residuals
 
 def test_kkt_zero_at_interior_roots():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.2, 0.4), p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0, 20.0]), p_sum_max=3.0
     )
     alloc = solve_centralized(sc)
@@ -183,7 +190,7 @@ def test_kkt_zero_at_interior_roots():
 
 
 def test_kkt_reports_infeasibility_gap():
-    sc = Scenario.from_arrays(
+    sc = Scenario(
         w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=0.5
     )
     bad = Allocation(
@@ -213,18 +220,27 @@ def test_settings_validation():
 def test_scenario_validation():
     from mupower import EffectiveGains
 
-    users = (UserParams(0.5, 0.1, 1.0), UserParams(0.5, 0.1, 1.0))
-    with pytest.raises(ValueError, match="gains"):
-        Scenario(users, EffectiveGains([1.0]), p_sum_max=1.0)
-    with pytest.raises(ValueError, match="p_sum_max"):
-        Scenario.from_arrays(w=0.5, p_circuit=0.1, p_max=1.0, gains=(1.0,), p_sum_max=0.0)
+    sc = Scenario(w=(0.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(1.0, 1.0), p_sum_max=1.0)
+    for kwargs, message in (
+        (dict(w=(1.2, 0.5)), r"w must lie in \[0, 1\]"),
+        (dict(w=(np.nan, 0.5)), r"w must lie in \[0, 1\]"),
+        (dict(p_circuit=(0.1, 0.0)), "p_circuit must be > 0"),
+        (dict(p_max=-1.0), "p_max must be > 0"),
+        (dict(w=(0.5, 0.5, 0.5)), "gains"),
+        (dict(gains=EffectiveGains([1.0])), "gains"),
+        (dict(p_sum_max=0.0), "p_sum_max"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            replace(sc, **kwargs)
 
 
 def test_scenario_vectors_cached_read_only():
-    sc = Scenario.from_arrays(w=(0.2, 0.7), p_circuit=0.1, p_max=(1.0, 2.0), gains=(1.0, 2.0), p_sum_max=1.0)
-    for name in ("w", "p_circuit", "p_max"):
+    w = np.array([0.2, 0.7])
+    sc = Scenario(w=w, p_circuit=0.1, p_max=(1.0, 2.0), gains=(1.0, 2.0), p_sum_max=1.0)
+    w[0] = 0.9  # the scenario holds its own copy
+    for name, expected in (("w", [0.2, 0.7]), ("p_circuit", [0.1, 0.1]), ("p_max", [1.0, 2.0])):
         arr = getattr(sc, name)
         assert arr is getattr(sc, name)
-        assert np.array_equal(arr, [getattr(u, name) for u in sc.users])
+        assert np.array_equal(arr, expected)
         with pytest.raises(ValueError):
             arr[0] = 0.5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mupower import beta, beta_prime, composite_u, ee, se, utility, utility_grad, utility_hess
-from mupower.utility import UserParams, _beta_prime_scalar, _beta_scalar, _grad_scalar, _hess_scalar
+from mupower.utility import _beta_prime_scalar, _beta_scalar, _grad_scalar, _hess_scalar
 
 # High-precision evaluations of the defining formulas (mpmath, 30 digits).
 LN101 = 4.615120516841259
@@ -158,17 +158,6 @@ def test_domain_errors():
             fn(0.0)
         with pytest.raises(ValueError):
             fn(-0.5)
-
-
-def test_user_params_validation():
-    UserParams(0.0, 0.1, 1.0)
-    UserParams(1.0, 0.1, 1.0)
-    with pytest.raises(ValueError, match="w"):
-        UserParams(1.2, 0.1, 1.0)
-    with pytest.raises(ValueError, match="p_circuit"):
-        UserParams(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError, match="p_max"):
-        UserParams(0.5, 0.1, -1.0)
 
 
 def test_scalar_twins_agree_with_vectorized():
