@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mupower import beta, beta_prime, composite_u, ee, se, utility, utility_grad, utility_hess
+from mupower import Scenario, beta, beta_prime, composite_u, ee, se, utility, utility_grad, utility_hess
 from mupower.utility import _beta_prime_scalar, _beta_scalar, _grad_scalar, _hess_scalar
 
 # High-precision evaluations of the defining formulas (mpmath, 30 digits).
@@ -158,6 +158,20 @@ def test_domain_errors():
             fn(0.0)
         with pytest.raises(ValueError):
             fn(-0.5)
+
+
+def test_user_params_validation():
+    def user(w, p_circuit, p_max):
+        return Scenario(w=w, p_circuit=p_circuit, p_max=p_max, gains=(1.0,), p_sum_max=1.0)
+
+    user(0.0, 0.1, 1.0)
+    user(1.0, 0.1, 1.0)
+    with pytest.raises(ValueError, match="w"):
+        user(1.2, 0.1, 1.0)
+    with pytest.raises(ValueError, match="p_circuit"):
+        user(0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="p_max"):
+        user(0.5, 0.1, -1.0)
 
 
 def test_scalar_twins_agree_with_vectorized():
