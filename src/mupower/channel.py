@@ -76,9 +76,12 @@ class ChannelRealization:
         return self.h.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveGains:
-    """Linear per-user SINR-per-watt gains delta_i (units 1/W), all > 0."""
+    """Linear per-user SINR-per-watt gains delta_i (units 1/W), all > 0.
+
+    Compared and hashed by identity.
+    """
 
     delta: np.ndarray
 

@@ -132,12 +132,12 @@ def cmd_primal_dual(loaded: LoadedScenario, out=None, strict: bool = False) -> i
     traj = integrate(sc, loaded.pd, reference=reference)
     if out is not None:
         write_trajectory_csv(traj, out)
-    gap = float(np.max(np.abs(traj.p_final - reference.p)))
+    gap = float(np.max(np.abs(traj.p[-1] - reference.p)))
     print(f"converged: {traj.converged}")
     print(f"steps: {traj.steps_taken}")
     print(f"final_gap_vs_centralized: {_fmt(gap)}")
-    print(f"final_lambda: {_fmt(traj.lam_final)} (centralized {_fmt(reference.lam)})")
-    print(f"messages_broadcast: {traj.messages_broadcast}")
+    print(f"final_lambda: {_fmt(traj.lam[-1])} (centralized {_fmt(reference.lam)})")
+    print(f"messages_broadcast: {traj.steps_taken}")
     print(f"messages_uplink: {traj.messages_uplink}")
     if strict and not traj.converged:
         print("error: primal-dual integration did not converge", file=sys.stderr)

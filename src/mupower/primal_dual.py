@@ -59,19 +59,19 @@ class PdSettings:
 
 @dataclass
 class Trajectory:
-    """Decimated time series of the integration plus overhead counters."""
+    """Decimated time series of the integration plus overhead counters.
+
+    The last record is always the final state: p[-1] and lam[-1].
+    """
 
     t: np.ndarray               # recorded step indices
     p: np.ndarray               # shape (n_records, n_users)
     lam: np.ndarray
     total_utility: np.ndarray
     v: np.ndarray               # Lyapunov distance to the centralized optimum
-    messages_broadcast: int     # price broadcasts = steps taken
     messages_uplink: int        # power reports = n_users * steps taken
     converged: bool
-    steps_taken: int
-    p_final: np.ndarray
-    lam_final: float
+    steps_taken: int            # also the number of price broadcasts
 
 
 def step(state, sc: Scenario, p_u: np.ndarray, settings: PdSettings):
@@ -164,12 +164,9 @@ def integrate(
         lam=np.array(rec_lam),
         total_utility=np.array(rec_u),
         v=np.array(rec_v),
-        messages_broadcast=steps,
         messages_uplink=sc.n_users * steps,
         converged=converged,
         steps_taken=steps,
-        p_final=p.copy(),
-        lam_final=lam,
     )
 
 

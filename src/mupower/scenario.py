@@ -15,8 +15,8 @@ Example::
 Exactly one of delta_db / channel_csv must be present; channel_csv paths
 are resolved relative to the scenario file and require sigma2_watts, and
 the CSV must have receive_antennas rows when that key is given.
-Solver and primal-dual settings accept overrides under solver_* / pd_*
-keys. Unknown keys are rejected.
+Primal-dual settings accept overrides under pd_* keys; the solver runs
+with its default SolverSettings. Unknown keys are rejected.
 """
 from __future__ import annotations
 
@@ -28,14 +28,8 @@ import yaml
 
 from .channel import ChannelRealization, compute_effective_gains, gains_from_db, load_channel_csv
 from .primal_dual import PdSettings
-from .solver import Scenario, SolverSettings
+from .solver import Scenario
 
-_SOLVER_KEYS = {
-    "solver_tol_root": "tol_root",
-    "solver_tol_kkt": "tol_kkt",
-    "solver_max_iter": "max_iter",
-    "solver_p_floor_watts": "p_floor",
-}
 _PD_KEYS = {
     "pd_gain_primal": "k",
     "pd_gain_dual": "g",
@@ -55,7 +49,7 @@ _KNOWN_KEYS = {
     "p_max_individual_watts",
     "p_circuit_watts",
     "p_sum_max_watts",
-} | set(_SOLVER_KEYS) | set(_PD_KEYS)
+} | set(_PD_KEYS)
 
 
 @dataclass
@@ -130,19 +124,12 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
         if key not in doc:
             raise ValueError(f"{source}: {key} is required")
 
-    solver_kwargs = {}
-    for key, attr in _SOLVER_KEYS.items():
-        if key in doc:
-            solver_kwargs[attr] = _integer(doc, key, source) if attr == "max_iter" else float(doc[key])
-    settings = SolverSettings(**solver_kwargs)
-
     scenario = Scenario(
         w=_broadcast(doc["w"], n, "w"),
         p_circuit=_broadcast(doc["p_circuit_watts"], n, "p_circuit_watts"),
         p_max=_broadcast(doc["p_max_individual_watts"], n, "p_max_individual_watts"),
         gains=gains,
         p_sum_max=float(doc["p_sum_max_watts"]),
-        settings=settings,
     )
 
     pd_kwargs = {}

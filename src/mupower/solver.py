@@ -7,10 +7,13 @@ on the shrunken box:
 
   * if the caps fit the system budget, the caps are the optimum;
   * otherwise the optimum lies on the slice sum(p) = p_sum_max. Each user's
-    power at a budget price lambda is the inverse of its marginal utility
-    (U' = lambda, clipped to the box), and the price is the root of
-    sum(p(lambda)) = p_sum_max, found by safeguarded Newton steps with
-    dsum(p)/dlambda = sum over interior users of 1 / U''.
+    power at a budget price lambda solves U' = lambda on the box, and the
+    price is the root of sum(p(lambda)) = p_sum_max, found by safeguarded
+    Newton steps with dsum(p)/dlambda = sum over interior users of 1 / U''.
+
+Since U'(p) = [beta(p) - (1 - w)] / (p + pc), both per-user problems are
+one root: the power at price lambda is the root of
+beta(p) - (1 - w) - lambda (p + pc), and the cap is its lambda = 0 case.
 
 Every solve is certified against the KKT system before it is returned.
 """
@@ -23,10 +26,8 @@ import numpy as np
 
 from .channel import EffectiveGains
 from .utility import (
-    _beta_prime_scalar,
-    _beta_scalar,
-    _grad_scalar,
-    _hess_scalar,
+    _beta,
+    _beta_prime,
     ee,
     se,
     utility,
@@ -69,7 +70,7 @@ class SolverSettings:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A problem instance: per-user vectors, their gains and the budget (W).
 
@@ -77,7 +78,9 @@ class Scenario:
     entry per user; scalars broadcast to N = len(gains). gains may be an
     EffectiveGains or a raw sequence of linear gains (1/W). The vectors are
     validated and stored as read-only float arrays, so
-    dataclasses.replace(sc, w=...) yields a checked variant.
+    dataclasses.replace(sc, w=...) yields a checked variant. The budget
+    must cover every user at the floor: p_sum_max >= N * p_floor.
+    Scenarios compare and hash by identity.
     """
 
     w: np.ndarray
@@ -107,6 +110,10 @@ class Scenario:
             object.__setattr__(self, name, arr)
         if not (np.isfinite(self.p_sum_max) and self.p_sum_max > 0):
             raise ValueError(f"p_sum_max must be > 0, got {self.p_sum_max}")
+        if self.p_sum_max < n * self.settings.p_floor:
+            raise ValueError(
+                f"p_sum_max {self.p_sum_max} is below n_users * p_floor = {n * self.settings.p_floor}"
+            )
         object.__setattr__(self, "p_sum_max", float(self.p_sum_max))
 
     @property
@@ -155,9 +162,9 @@ class Diagnostics:
 
     newton_iterations counts cap-root evaluations per user. In the
     budget-tight case price_iterations counts the prices at which the
-    powers were evaluated and refine_evaluations the marginal-utility
-    evaluations spent inverting U' = lambda; both are 0 when the budget
-    has slack.
+    powers were evaluated (bracket ends included) and refine_evaluations
+    the root evaluations spent finding the powers at those prices; both
+    are 0 when the budget has slack.
     """
 
     se: np.ndarray
@@ -223,6 +230,24 @@ def _bracketed_newton(fdf, lo, hi, tol_f, max_iter):
     raise ConvergenceError(f"root finder exhausted {max_iter} iterations")
 
 
+def _power_at_price(lam, w, pc, delta, lo, hi, tol, max_iter):
+    """One user's power at budget price lam >= 0, clipped to [lo, hi].
+
+    The root of beta(p) - (1 - w) - lam (p + pc), which is (p + pc) times
+    U'(p) - lam and strictly decreasing with slope beta'(p) - lam. At
+    lam = 0 this is the cap root beta(p) = 1 - w. Returns (root, n_evals)
+    from _bracketed_newton.
+    """
+    target = 1.0 - w
+    return _bracketed_newton(
+        lambda p: (_beta(p, pc, delta) - target - lam * (p + pc), _beta_prime(p, pc, delta) - lam),
+        lo,
+        hi,
+        tol,
+        max_iter,
+    )
+
+
 def compute_pu(sc: Scenario):
     """Individually optimal power caps, one per user.
 
@@ -233,14 +258,7 @@ def compute_pu(sc: Scenario):
     st = sc.settings
     caps, evals = [], []
     for wi, pci, di, p_max in zip(*(a.tolist() for a in (sc.w, sc.p_circuit, sc.delta, sc.p_max))):
-        target = 1.0 - wi
-        root, used = _bracketed_newton(
-            lambda p: (_beta_scalar(p, pci, di) - target, _beta_prime_scalar(p, pci, di)),
-            st.p_floor,
-            p_max,
-            st.tol_root,
-            st.max_iter,
-        )
+        root, used = _power_at_price(0.0, wi, pci, di, st.p_floor, p_max, st.tol_root, st.max_iter)
         caps.append(root)
         evals.append(used)
     return np.array(caps), np.array(evals)
@@ -249,18 +267,19 @@ def compute_pu(sc: Scenario):
 def _price_solve(sc: Scenario, p_u: np.ndarray):
     """Solve the budget-tight problem exactly for the price lambda.
 
-    At price lambda each user's power is its marginal utility inverted,
-    U'(p) = lambda, clipped to [p_floor, p_u] (U' decreases there). The sum
-    of powers decreases in lambda with slope sum_interior 1 / U''(p), so
-    the root of sum p(lambda) = p_sum_max is bracketed in [0, hi] (hi found
-    by doubling) and located by _bracketed_newton. The leftover budget is
-    then spread across the strictly interior users.
-    Returns (p, lam, price evaluations, marginal-utility evaluations).
+    At price lambda each user's power is the root of U'(p) = lambda on
+    [p_floor, p_u] (see _power_at_price), to |U' - lambda| <= 1e-13. The
+    sum of powers decreases in lambda with slope sum_interior 1 / U''(p),
+    and U'' = (beta'(p) - lambda) / (p + pc) at such a root. The price lies
+    in [0, hi] with hi = max_i U'_i(min(p_sum_max / N, p_u_i)): at hi no
+    user takes more than an equal share of the budget. _bracketed_newton
+    locates it, and the leftover budget is then spread across the
+    strictly interior users.
+    Returns (p, lam, price evaluations, root evaluations).
     """
     st = sc.settings
     floor, total, n = st.p_floor, sc.p_sum_max, sc.n_users
     w, pc, delta, caps = (a.tolist() for a in (sc.w, sc.p_circuit, sc.delta, p_u))
-    inner_tol = 1e-13
     evals = 0
     powers = [0.0] * n
 
@@ -268,28 +287,17 @@ def _price_solve(sc: Scenario, p_u: np.ndarray):
         nonlocal evals
         slope = 0.0
         for i in range(n):
-            wi, pci, di = w[i], pc[i], delta[i]
-            powers[i], used = _bracketed_newton(
-                lambda x: (_grad_scalar(x, wi, pci, di) - lam, _hess_scalar(x, wi, pci, di)),
-                floor,
-                caps[i],
-                inner_tol,
-                10_000,
-            )
+            pci, di = pc[i], delta[i]
+            # |f| <= 1e-13 pc bounds |U' - lam| = |f| / (p + pc) by 1e-13
+            powers[i], used = _power_at_price(lam, w[i], pci, di, floor, caps[i], 1e-13 * pci, 10_000)
             evals += used
             if floor < powers[i] < caps[i]:
-                slope += 1.0 / _hess_scalar(powers[i], wi, pci, di)
+                slope += (powers[i] + pci) / (_beta_prime(powers[i], pci, di) - lam)
         return sum(powers) - total, slope
 
-    lo, hi = 0.0, 1.0
-    for n_doubling in range(1, 201):
-        if fdf(hi)[0] <= 0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise ConvergenceError("could not bracket the budget price")
+    hi = float(np.max(utility_grad(np.minimum(total / n, p_u), sc.w, sc.p_circuit, sc.delta)))
     # powers are those at lam: the root finder evaluates its answer last
-    lam, price_evals = _bracketed_newton(fdf, lo, hi, _PRICE_TOL * total, st.max_iter)
+    lam, price_evals = _bracketed_newton(fdf, 0.0, hi, _PRICE_TOL * total, st.max_iter)
     p = np.array(powers)
     interior = (p > floor) & (p < p_u)
     if interior.any():
@@ -300,7 +308,7 @@ def _price_solve(sc: Scenario, p_u: np.ndarray):
         p[interior] += (total - float(np.sum(p))) * inv_hess / float(np.sum(inv_hess))
         p = np.clip(p, floor, p_u)
         lam = float(np.mean(utility_grad(p[interior], *args)))
-    return p, lam, n_doubling + price_evals, evals
+    return p, lam, price_evals, evals
 
 
 def kkt_residuals(sc: Scenario, alloc: Allocation) -> KktReport:

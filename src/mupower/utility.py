@@ -57,22 +57,32 @@ def composite_u(p, w, p_circuit, delta):
     return np.exp(utility(p, w, p_circuit, delta))
 
 
+def _beta(p, pc, delta, log1p=math.log1p):
+    """beta without validation; floats by default, arrays with np.log1p."""
+    dp = delta * p
+    return delta * (p + pc) / ((1.0 + dp) * log1p(dp))
+
+
+def _beta_prime(p, pc, delta, log1p=math.log1p):
+    """d beta / dp without validation; floats by default, arrays with np.log1p."""
+    dp = delta * p
+    log_term = log1p(dp)
+    num = (log_term - dp) - pc * delta * (log_term + 1.0)
+    return delta * num / ((1.0 + dp) * log_term) ** 2
+
+
 def beta(p, p_circuit, delta):
     """delta (p + pc) / [(1 + delta p) ln(1 + delta p)]; strictly decreasing, p > 0."""
     p = np.asarray(p, dtype=float)
     _require(bool(np.all(p > 0)), "beta needs p > 0")
-    dp = delta * p
-    return delta * (p + p_circuit) / ((1.0 + dp) * np.log1p(dp))
+    return _beta(p, p_circuit, delta, np.log1p)
 
 
 def beta_prime(p, p_circuit, delta):
     """Analytic d beta / dp; negative everywhere on p > 0."""
     p = np.asarray(p, dtype=float)
     _require(bool(np.all(p > 0)), "beta_prime needs p > 0")
-    dp = delta * p
-    log_term = np.log1p(dp)
-    num = (log_term - dp) - p_circuit * delta * (log_term + 1.0)
-    return delta * num / ((1.0 + dp) * log_term) ** 2
+    return _beta_prime(p, p_circuit, delta, np.log1p)
 
 
 def utility_grad(p, w, p_circuit, delta):
@@ -86,28 +96,3 @@ def utility_hess(p, w, p_circuit, delta):
     total = p + p_circuit
     excess = beta(p, p_circuit, delta) - (1.0 - w)
     return (beta_prime(p, p_circuit, delta) * total - excess) / total**2
-
-
-# Scalar twins of the functions above for root-finder hot loops, where
-# numpy dispatch overhead dominates. Keep the formulas in lockstep.
-
-def _beta_scalar(p: float, p_circuit: float, delta: float) -> float:
-    dp = delta * p
-    return delta * (p + p_circuit) / ((1.0 + dp) * math.log1p(dp))
-
-
-def _beta_prime_scalar(p: float, p_circuit: float, delta: float) -> float:
-    dp = delta * p
-    log_term = math.log1p(dp)
-    num = (log_term - dp) - p_circuit * delta * (log_term + 1.0)
-    return delta * num / ((1.0 + dp) * log_term) ** 2
-
-
-def _grad_scalar(p: float, w: float, p_circuit: float, delta: float) -> float:
-    return (_beta_scalar(p, p_circuit, delta) - (1.0 - w)) / (p + p_circuit)
-
-
-def _hess_scalar(p: float, w: float, p_circuit: float, delta: float) -> float:
-    total = p + p_circuit
-    excess = _beta_scalar(p, p_circuit, delta) - (1.0 - w)
-    return (_beta_prime_scalar(p, p_circuit, delta) * total - excess) / total**2

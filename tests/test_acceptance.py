@@ -102,7 +102,7 @@ def test_criterion_4_centralized_distributed_agreement():
     alloc = _solve_registered(sc)
     traj = integrate(sc, loaded.pd, reference=alloc)
     assert traj.converged
-    assert np.max(np.abs(traj.p_final - alloc.p)) <= 1e-3
+    assert np.max(np.abs(traj.p[-1] - alloc.p)) <= 1e-3
     v = traj.v
     assert np.all(v[1:] <= v[:-1] + 1e-6 * np.maximum(1.0, v[:-1]))
     _report(4, "primal-dual meets centralized optimum", t0, 60.0)
@@ -205,5 +205,5 @@ def test_criterion_9_basin_of_attraction():
         )
         traj = integrate(sc, pd, reference=alloc)
         assert traj.converged, f"trial {trial} did not converge"
-        assert np.max(np.abs(traj.p_final - alloc.p)) <= 1e-3
+        assert np.max(np.abs(traj.p[-1] - alloc.p)) <= 1e-3
     _report(9, "10 random starts reach the same optimum", t0, 300.0)

@@ -72,14 +72,14 @@ def test_missing_channel_source_rejected():
 
 
 def test_unknown_key_rejected(tmp_path):
-    for line in ("p_circuit: 0.2\n", "solver_gp_step: 0.001\n"):
+    for line in ("p_circuit: 0.2\n", "solver_gp_step: 0.001\n", "solver_tol_kkt: 1.0\n"):
         path = write_scenario(tmp_path, BASE + line)
         with pytest.raises(ValueError, match="unknown keys"):
             load_scenario(path)
 
 
 def test_non_integral_counts_rejected(tmp_path):
-    for line in ("solver_max_iter: 50.5\n", "pd_max_steps: 250.5\n", "pd_record_every: true\n"):
+    for line in ("pd_max_steps: 250.5\n", "pd_record_every: true\n"):
         path = write_scenario(tmp_path, BASE + line)
         with pytest.raises(ValueError, match="must be an integer"):
             load_scenario(path)
@@ -113,12 +113,9 @@ def test_channel_csv_scenario(tmp_path):
 def test_solver_and_pd_overrides(tmp_path):
     path = write_scenario(
         tmp_path,
-        BASE + "solver_tol_kkt: 1e-7\nsolver_max_iter: 5000\npd_gain_dual: 0.01\n"
-        "pd_record_every: 10\npd_max_steps: 123\n",
+        BASE + "pd_gain_dual: 0.01\npd_record_every: 10\npd_max_steps: 123\n",
     )
     loaded = load_scenario(path)
-    assert loaded.scenario.settings.tol_kkt == 1e-7
-    assert loaded.scenario.settings.max_iter == 5000
     assert loaded.pd.g == 0.01
     assert loaded.pd.record_every == 10
     assert loaded.pd.max_steps == 123

@@ -105,7 +105,7 @@ def test_integrate_converges_to_centralized():
     ref = solve_centralized(sc)
     traj = integrate(sc, PdSettings(), reference=ref)
     assert traj.converged
-    assert np.max(np.abs(traj.p_final - ref.p)) <= 1e-3
+    assert np.max(np.abs(traj.p[-1] - ref.p)) <= 1e-3
     # box invariance and nonnegative price on every recorded point
     p_u = caps_for(sc)
     assert np.all(traj.p >= sc.settings.p_floor - 1e-15)
@@ -124,7 +124,6 @@ def test_integrate_lyapunov_descends():
 def test_integrate_message_accounting():
     sc = fig4_scenario()
     traj = integrate(sc, PdSettings(max_steps=777), reference=solve_centralized(sc))
-    assert traj.messages_broadcast == traj.steps_taken
     assert traj.messages_uplink == sc.n_users * traj.steps_taken
     if not traj.converged:
         assert traj.steps_taken == 777
@@ -134,7 +133,7 @@ def test_integrate_single_user_slack_budget():
     sc = Scenario(w=1.0, p_circuit=0.1, p_max=0.5, gains=(100.0,), p_sum_max=2.0)
     traj = integrate(sc, PdSettings())
     assert traj.converged
-    assert traj.p_final[0] == pytest.approx(0.5, abs=1e-9)
+    assert traj.p[-1][0] == pytest.approx(0.5, abs=1e-9)
     assert np.all(traj.lam == 0.0)
 
 
@@ -153,7 +152,7 @@ def test_integrate_restart_is_fixed_point():
     traj = integrate(sc, PdSettings(), reference=ref)
     again = integrate(
         sc,
-        PdSettings(init_p=traj.p_final, init_lambda=traj.lam_final),
+        PdSettings(init_p=traj.p[-1], init_lambda=traj.lam[-1]),
         reference=ref,
     )
     assert again.converged
@@ -173,7 +172,7 @@ def test_integrate_same_limit_from_random_starts():
         )
         traj = integrate(sc, pd, reference=ref)
         assert traj.converged
-        finals.append(traj.p_final)
+        finals.append(traj.p[-1])
     for p in finals:
         assert np.max(np.abs(p - ref.p)) <= 1e-3
 

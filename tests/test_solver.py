@@ -1,10 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mupower import (
     BudgetCase,
+    ConvergenceError,
     Scenario,
     SolverSettings,
     compute_pu,
@@ -165,6 +169,51 @@ def test_single_user_scalar_path():
     assert alloc.p[0] == pytest.approx(0.15, abs=1e-9)
 
 
+def test_budget_at_the_floor_puts_every_user_at_the_floor():
+    for n in (1, 2):
+        sc = Scenario(
+            w=0.5, p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0] * n), p_sum_max=n * ST.p_floor
+        )
+        alloc = solve_centralized(sc)
+        assert alloc.case is BudgetCase.SUM_TIGHT
+        assert np.all(alloc.p == ST.p_floor)
+        assert alloc.diagnostics.kkt.max_residual <= ST.tol_kkt
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return hs.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@hs.composite
+def valid_scenarios(draw):
+    n = draw(hs.integers(1, 8))
+
+    def vector(elements):
+        return draw(hs.lists(elements, min_size=n, max_size=n))
+
+    floor_sum = n * ST.p_floor
+    return Scenario(
+        w=vector(hs.sampled_from((0.0, 1.0)) | hs.floats(0.0, 1.0)),
+        p_circuit=vector(_log_uniform(-6.0, 3.0)),
+        p_max=vector(_log_uniform(-6.0, 2.0)),
+        gains=gains_from_db(vector(hs.floats(-60.0, 80.0))),
+        p_sum_max=max(floor_sum, draw(_log_uniform(math.log10(floor_sum), 2.0))),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(valid_scenarios())
+def test_valid_domain_solves_or_raises_typed_error(sc):
+    try:
+        alloc = solve_centralized(sc)
+    except (ConvergenceError, ValueError):
+        return
+    st = sc.settings
+    assert np.all((alloc.p >= st.p_floor) & (alloc.p <= alloc.p_u))
+    assert alloc.p.sum() <= sc.p_sum_max + st.tol_kkt
+    assert alloc.diagnostics.kkt.max_residual <= st.tol_kkt
+
+
 def test_degenerate_budget_never_binds():
     sc = Scenario(
         w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, gains=(5.0, 500.0), p_sum_max=10.0
@@ -229,9 +278,18 @@ def test_scenario_validation():
         (dict(w=(0.5, 0.5, 0.5)), "gains"),
         (dict(gains=EffectiveGains([1.0])), "gains"),
         (dict(p_sum_max=0.0), "p_sum_max"),
+        (dict(p_sum_max=1.5e-9), "p_sum_max"),  # below 2 users at the 1e-9 W floor
     ):
         with pytest.raises(ValueError, match=message):
             replace(sc, **kwargs)
+
+
+def test_scenario_compares_by_identity():
+    sc = Scenario(w=(0.2, 0.7), p_circuit=0.1, p_max=1.0, gains=(1.0, 2.0), p_sum_max=1.0)
+    twin = replace(sc)
+    assert sc == sc and sc != twin
+    assert sc.gains == sc.gains
+    assert {sc: 1, twin: 2, sc.gains: 3}[sc] == 1
 
 
 def test_scenario_vectors_cached_read_only():
