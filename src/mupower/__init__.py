@@ -33,7 +33,6 @@ from .solver import (
     Diagnostics,
     KktReport,
     Scenario,
-    SolverSettings,
     compute_pu,
     kkt_residuals,
     solve_centralized,
@@ -64,7 +63,6 @@ __all__ = [
     "PdSettings",
     "Scenario",
     "SingularGramError",
-    "SolverSettings",
     "Trajectory",
     "beta",
     "beta_prime",

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Gram matrices with condition estimates above this are treated as rank
 # deficient (ZF noise amplification blows up well before this point).
@@ -101,17 +100,19 @@ class EffectiveGains:
 def compute_effective_gains(ch: ChannelRealization) -> EffectiveGains:
     """Effective ZF gains delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii).
 
-    The Gram matrix is inverted through its Cholesky factor (it is
+    The Gram matrix is inverted through its Cholesky factor L (it is
     Hermitian positive definite for any full-column-rank H, which
-    ChannelRealization has already checked on its read-only matrix).
+    ChannelRealization has already checked on its read-only matrix):
+    (H^H H)^-1 = L^-H L^-1, so its diagonal holds the squared column
+    norms of L^-1.
     """
     gram = ch.h.conj().T @ ch.h
     try:
-        chol = scipy.linalg.cho_factor(gram)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularGramError(f"Gram matrix is not positive definite: {exc}") from exc
-    gram_inv = scipy.linalg.cho_solve(chol, np.eye(ch.n_users, dtype=complex))
-    diag = np.real(np.diagonal(gram_inv))
+    l_inv = np.linalg.inv(chol)
+    diag = np.sum(np.abs(l_inv) ** 2, axis=0)
     return EffectiveGains(1.0 / (ch.sigma2 * diag))
 
 

@@ -24,7 +24,7 @@ from .channel import gains_from_db
 from .metrics import jain_index, summarize
 from .primal_dual import integrate, write_trajectory_csv
 from .scenario import LoadedScenario, load_scenario
-from .solver import BudgetCase, ConvergenceError, solve_centralized
+from .solver import P_FLOOR, BudgetCase, ConvergenceError, solve_centralized
 
 _FAIRNESS_DELTA1_DB = (-20.0, 0.0, 20.0)
 
@@ -78,14 +78,13 @@ def cmd_sweep_diversity(loaded: LoadedScenario, out=None, grid: int = 41) -> int
         raise ValueError(f"sweep-diversity needs a 2-user scenario, got N={sc.n_users}")
     axis = np.linspace(0.0, 1.0, grid)
     rows = []
-    floor = sc.settings.p_floor
     for w1 in axis:
         for w2 in axis:
             alloc = solve_centralized(replace(sc, w=(w1, w2)))
             d = alloc.diagnostics
             p = alloc.p
             if not (
-                np.all(p >= floor)
+                np.all(p >= P_FLOOR)
                 and np.all(p <= sc.p_max + 1e-12)
                 and np.sum(p) <= sc.p_sum_max + 1e-9
             ):

@@ -24,23 +24,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Allocation, Scenario, compute_pu, solve_centralized
+from .solver import P_FLOOR, Allocation, Scenario, solve_centralized
 from .utility import utility, utility_grad
+
+# Convergence: the largest per-step move of any power or of the price.
+TOL_EQ = 1e-10
 
 
 @dataclass(frozen=True)
 class PdSettings:
-    """Gains and stopping rules for the primal-dual integrator.
+    """Gains, start and step budget for the primal-dual integrator.
 
     k may be a scalar (broadcast over users) or a per-user vector;
-    init_p defaults to half the individual caps when left as None.
+    init_p defaults to half the individual caps when left as None. A run
+    stops when no coordinate moves more than TOL_EQ in one step, or after
+    max_steps steps.
     """
 
     k: float | np.ndarray = 1e-3
     g: float = 1e-3
     init_p: np.ndarray | None = None
     init_lambda: float = 0.0
-    tol_eq: float = 1e-10
     max_steps: int = 10_000_000
     record_every: int = 100
 
@@ -51,8 +55,6 @@ class PdSettings:
             raise ValueError("dual gain g must be > 0")
         if not self.init_lambda >= 0:
             raise ValueError("init_lambda must be >= 0")
-        if not self.tol_eq > 0:
-            raise ValueError("tol_eq must be > 0")
         if self.max_steps < 1 or self.record_every < 1:
             raise ValueError("max_steps and record_every must be >= 1")
 
@@ -78,14 +80,14 @@ def step(state, sc: Scenario, p_u: np.ndarray, settings: PdSettings):
     """One explicit-Euler step of the primal-dual dynamics.
 
     The Euler update is projected onto the feasible set: the powers onto
-    [p_floor, p_u] (the floor stands in for p = 0) and the price onto
+    [P_FLOOR, p_u] (the floor stands in for p = 0) and the price onto
     lambda >= 0. This gives the same state as clamping the drive at a
     boundary and also absorbs Euler overshoot. Costs one price broadcast
     plus one power report per user.
     """
     p, lam = state
     drive = utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam
-    p_new = np.clip(p + settings.k * drive, sc.settings.p_floor, p_u)
+    p_new = np.clip(p + settings.k * drive, P_FLOOR, p_u)
     lam_new = max(0.0, lam + settings.g * (float(np.sum(p)) - sc.p_sum_max))
     if not (np.all(np.isfinite(p_new)) and np.isfinite(lam_new)):
         raise FloatingPointError(
@@ -112,15 +114,14 @@ def integrate(
     """Run the primal-dual dynamics until per-step motion dies out.
 
     Convergence is declared when the largest coordinate move (powers and
-    price) in one step drops below tol_eq; the Lyapunov monitor needs the
-    centralized optimum, which is solved internally unless a reference
-    allocation is supplied.
+    price) in one step drops below TOL_EQ. The Lyapunov monitor needs the
+    centralized optimum and the box needs its caps; both come from the
+    reference allocation, which is solved internally when not supplied.
     """
     settings = settings or PdSettings()
-    p_u, _ = compute_pu(sc)
     if reference is None:
         reference = solve_centralized(sc)
-    p_star, lam_star = reference.p, reference.lam
+    p_u, p_star, lam_star = reference.p_u, reference.p, reference.lam
 
     if settings.init_p is None:
         p = 0.5 * p_u
@@ -130,7 +131,7 @@ def integrate(
             raise ValueError(f"init_p has shape {p.shape}, expected {p_u.shape}")
         if not np.all((p > 0) & (p <= p_u)):
             raise ValueError("init_p must lie in (0, p_u]")
-    p = np.clip(p, sc.settings.p_floor, p_u)
+    p = np.clip(p, P_FLOOR, p_u)
     lam = float(settings.init_lambda)
 
     rec_t, rec_p, rec_lam, rec_u, rec_v = [], [], [], [], []
@@ -152,7 +153,7 @@ def integrate(
         steps = t
         if t % settings.record_every == 0:
             record(t, p, lam)
-        if motion <= settings.tol_eq:
+        if motion <= TOL_EQ:
             converged = True
             break
     if steps % settings.record_every != 0:

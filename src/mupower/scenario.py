@@ -15,8 +15,8 @@ Example::
 Exactly one of delta_db / channel_csv must be present; channel_csv paths
 are resolved relative to the scenario file and require sigma2_watts, and
 the CSV must have receive_antennas rows when that key is given.
-Primal-dual settings accept overrides under pd_* keys; the solver runs
-with its default SolverSettings. Unknown keys are rejected.
+Primal-dual settings accept overrides under pd_* keys; the solver's
+tolerances are fixed and have no keys. Unknown keys are rejected.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ _PD_KEYS = {
     "pd_gain_dual": "g",
     "pd_init_p_watts": "init_p",
     "pd_init_lambda": "init_lambda",
-    "pd_tol_eq": "tol_eq",
     "pd_max_steps": "max_steps",
     "pd_record_every": "record_every",
 }

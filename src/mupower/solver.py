@@ -20,7 +20,7 @@ Every solve is certified against the KKT system before it is returned.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,14 @@ from .utility import (
     utility_hess,
 )
 
+# Arithmetic floor standing in for p = 0 (W); the lower bound of every power.
+P_FLOOR = 1e-9
+# Largest KKT residual a returned allocation may have.
+TOL_KKT = 1e-8
+# |beta - (1 - w)| at the cap root.
+_TOL_ROOT = 1e-12
+# Iteration budget of every root search.
+_MAX_ITER = 100_000
 # Stop of the price search: |sum p - p_sum_max| relative to the budget.
 # Any leftover is spread over the interior users afterwards.
 _PRICE_TOL = 1e-12
@@ -53,23 +61,6 @@ class BudgetCase(enum.Enum):
     SUM_TIGHT = "sum_tight"
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances and iteration budget for the centralized solver."""
-
-    tol_root: float = 1e-12     # |beta - (1-w)| at the cap root
-    tol_kkt: float = 1e-8       # max acceptable KKT residual
-    max_iter: int = 100_000
-    p_floor: float = 1e-9       # arithmetic floor standing in for p = 0
-
-    def __post_init__(self):
-        for name in ("tol_root", "tol_kkt", "p_floor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A problem instance: per-user vectors, their gains and the budget (W).
@@ -79,8 +70,9 @@ class Scenario:
     EffectiveGains or a raw sequence of linear gains (1/W). The vectors are
     validated and stored as read-only float arrays, so
     dataclasses.replace(sc, w=...) yields a checked variant. The budget
-    must cover every user at the floor: p_sum_max >= N * p_floor.
-    Scenarios compare and hash by identity.
+    must cover every user at the floor: p_sum_max >= N * P_FLOOR.
+    Scenarios compare and hash by identity. The solver's tolerances are
+    module constants, not part of a scenario.
     """
 
     w: np.ndarray
@@ -88,7 +80,6 @@ class Scenario:
     p_max: np.ndarray
     gains: EffectiveGains
     p_sum_max: float
-    settings: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
         gains = self.gains if isinstance(self.gains, EffectiveGains) else EffectiveGains(self.gains)
@@ -110,9 +101,9 @@ class Scenario:
             object.__setattr__(self, name, arr)
         if not (np.isfinite(self.p_sum_max) and self.p_sum_max > 0):
             raise ValueError(f"p_sum_max must be > 0, got {self.p_sum_max}")
-        if self.p_sum_max < n * self.settings.p_floor:
+        if self.p_sum_max < n * P_FLOOR:
             raise ValueError(
-                f"p_sum_max {self.p_sum_max} is below n_users * p_floor = {n * self.settings.p_floor}"
+                f"p_sum_max {self.p_sum_max} is below n_users * p_floor = {n * P_FLOOR}"
             )
         object.__setattr__(self, "p_sum_max", float(self.p_sum_max))
 
@@ -134,7 +125,7 @@ class KktReport:
     """
 
     stationarity: np.ndarray     # |U' + mu - nu - lambda| per user
-    comp_lower: np.ndarray       # |mu * p|
+    comp_lower: np.ndarray       # |mu * (p - P_FLOOR)|
     comp_upper: np.ndarray       # |nu * (p - p_u)|
     comp_sum: float              # |lambda * (sum p - p_sum_max)|
     box_gap: np.ndarray          # violation of 0 <= p <= p_u
@@ -181,7 +172,7 @@ class Diagnostics:
 class Allocation:
     """Solver output: powers, caps, budget price and diagnostics.
 
-    Solver-produced instances satisfy p_floor <= p <= p_u <= p_max and
+    Solver-produced instances satisfy P_FLOOR <= p <= p_u <= p_max and
     sum(p) <= p_sum_max (tight in the SUM_TIGHT case). The container does
     not enforce this so that hand-built points can be fed to the KKT
     checker.
@@ -255,10 +246,9 @@ def compute_pu(sc: Scenario):
     otherwise its cap is the unique root of beta_i = 1 - w_i (the peak of
     its utility). Returns (p_u, root-finder evaluations per user).
     """
-    st = sc.settings
     caps, evals = [], []
     for wi, pci, di, p_max in zip(*(a.tolist() for a in (sc.w, sc.p_circuit, sc.delta, sc.p_max))):
-        root, used = _power_at_price(0.0, wi, pci, di, st.p_floor, p_max, st.tol_root, st.max_iter)
+        root, used = _power_at_price(0.0, wi, pci, di, P_FLOOR, p_max, _TOL_ROOT, _MAX_ITER)
         caps.append(root)
         evals.append(used)
     return np.array(caps), np.array(evals)
@@ -268,7 +258,7 @@ def _price_solve(sc: Scenario, p_u: np.ndarray):
     """Solve the budget-tight problem exactly for the price lambda.
 
     At price lambda each user's power is the root of U'(p) = lambda on
-    [p_floor, p_u] (see _power_at_price), to |U' - lambda| <= 1e-13. The
+    [P_FLOOR, p_u] (see _power_at_price), to |U' - lambda| <= 1e-13. The
     sum of powers decreases in lambda with slope sum_interior 1 / U''(p),
     and U'' = (beta'(p) - lambda) / (p + pc) at such a root. The price lies
     in [0, hi] with hi = max_i U'_i(min(p_sum_max / N, p_u_i)): at hi no
@@ -277,8 +267,7 @@ def _price_solve(sc: Scenario, p_u: np.ndarray):
     strictly interior users.
     Returns (p, lam, price evaluations, root evaluations).
     """
-    st = sc.settings
-    floor, total, n = st.p_floor, sc.p_sum_max, sc.n_users
+    floor, total, n = P_FLOOR, sc.p_sum_max, sc.n_users
     w, pc, delta, caps = (a.tolist() for a in (sc.w, sc.p_circuit, sc.delta, p_u))
     evals = 0
     powers = [0.0] * n
@@ -289,7 +278,7 @@ def _price_solve(sc: Scenario, p_u: np.ndarray):
         for i in range(n):
             pci, di = pc[i], delta[i]
             # |f| <= 1e-13 pc bounds |U' - lam| = |f| / (p + pc) by 1e-13
-            powers[i], used = _power_at_price(lam, w[i], pci, di, floor, caps[i], 1e-13 * pci, 10_000)
+            powers[i], used = _power_at_price(lam, w[i], pci, di, floor, caps[i], 1e-13 * pci, _MAX_ITER)
             evals += used
             if floor < powers[i] < caps[i]:
                 slope += (powers[i] + pci) / (_beta_prime(powers[i], pci, di) - lam)
@@ -297,7 +286,7 @@ def _price_solve(sc: Scenario, p_u: np.ndarray):
 
     hi = float(np.max(utility_grad(np.minimum(total / n, p_u), sc.w, sc.p_circuit, sc.delta)))
     # powers are those at lam: the root finder evaluates its answer last
-    lam, price_evals = _bracketed_newton(fdf, 0.0, hi, _PRICE_TOL * total, st.max_iter)
+    lam, price_evals = _bracketed_newton(fdf, 0.0, hi, _PRICE_TOL * total, _MAX_ITER)
     p = np.array(powers)
     interior = (p > floor) & (p < p_u)
     if interior.any():
@@ -317,22 +306,22 @@ def kkt_residuals(sc: Scenario, alloc: Allocation) -> KktReport:
     Reconstructs the bound multipliers from the price: mu = max(0, lam - U')
     where p sits at the floor, nu = max(0, U' - lam) where p sits at its
     cap, then reports stationarity, complementary slackness, and primal
-    feasibility gaps.
+    feasibility gaps. The lower bound is the floor P_FLOOR, so mu pairs
+    with p - P_FLOOR.
     """
     p = np.asarray(alloc.p, dtype=float)
     p_u = np.asarray(alloc.p_u, dtype=float)
     lam = float(alloc.lam)
     grad = utility_grad(p, sc.w, sc.p_circuit, sc.delta)
-    floor = sc.settings.p_floor
     scale = np.maximum(1.0, p_u)
-    at_lower = (p - floor) <= 1e-10 * scale
+    at_lower = (p - P_FLOOR) <= 1e-10 * scale
     at_upper = (p_u - p) <= 1e-10 * scale
     mu = np.where(at_lower, np.maximum(0.0, lam - grad), 0.0)
     nu = np.where(at_upper, np.maximum(0.0, grad - lam), 0.0)
     total = float(np.sum(p))
     return KktReport(
         stationarity=np.abs(grad + mu - nu - lam),
-        comp_lower=np.abs(mu * p),
+        comp_lower=np.abs(mu * (p - P_FLOOR)),
         comp_upper=np.abs(nu * (p - p_u)),
         comp_sum=abs(lam * (total - sc.p_sum_max)),
         box_gap=np.maximum(np.maximum(p - p_u, -p), 0.0),
@@ -348,9 +337,8 @@ def solve_centralized(sc: Scenario) -> Allocation:
     Computes the individual caps and returns them directly when the budget
     has slack; otherwise solves for the budget price with safeguarded
     Newton steps (see _price_solve). Raises ConvergenceError if the KKT
-    residual of the result exceeds settings.tol_kkt.
+    residual of the result exceeds TOL_KKT.
     """
-    st = sc.settings
     p_u, newton_iters = compute_pu(sc)
 
     price_iters = 0
@@ -365,9 +353,9 @@ def solve_centralized(sc: Scenario) -> Allocation:
 
     alloc = Allocation(p=p, p_u=p_u, lam=lam, case=case)
     report = kkt_residuals(sc, alloc)
-    if report.max_residual > st.tol_kkt:
+    if report.max_residual > TOL_KKT:
         raise ConvergenceError(
-            f"KKT residual {report.max_residual:.3e} exceeds tol_kkt {st.tol_kkt:.1e}"
+            f"KKT residual {report.max_residual:.3e} exceeds TOL_KKT {TOL_KKT:.1e}"
         )
     utilities = utility(p, sc.w, sc.p_circuit, sc.delta)
     alloc.diagnostics = Diagnostics(

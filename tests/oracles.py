@@ -9,6 +9,10 @@ import numpy as np
 from mupower import Scenario, gains_from_db
 from mupower.utility import beta, utility
 
+# The lower bound on every power (W), written here rather than read from
+# the library so that the oracles stay independent of it.
+P_FLOOR = 1e-9
+
 
 def bisect_root(f, lo, hi, tol=1e-14, max_iter=500):
     """Plain bisection for a decreasing f with f(lo) > 0 > f(hi)."""
@@ -31,7 +35,7 @@ def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def pu_by_bisection(w, p_circuit, delta, p_max, p_floor=1e-9):
+def pu_by_bisection(w, p_circuit, delta, p_max, p_floor=P_FLOOR):
     """Individual cap via threshold test plus blind bisection of beta = 1 - w."""
     if w > 1.0 - float(beta(p_max, p_circuit, delta)):
         return p_max
@@ -51,7 +55,7 @@ def grid_search_2user(sc: Scenario, pitch=1e-4, refine_pitch=1e-6):
     then one dense refinement at `refine_pitch` around the coarse argmax.
     Returns (p_opt, total_utility).
     """
-    floor = sc.settings.p_floor
+    floor = P_FLOOR
     budget = sc.p_sum_max
     hi = np.minimum(sc.p_max, budget)
     w, pc, delta = sc.w, sc.p_circuit, sc.delta
@@ -116,7 +120,7 @@ def tight_optimum_by_bisection(sc: Scenario, iters=80):
     below) lambda on the whole interval. The price is then bisected on
     sum(p) = p_sum_max. Returns (p, lambda).
     """
-    w, pc, delta, floor = sc.w, sc.p_circuit, sc.delta, sc.settings.p_floor
+    w, pc, delta, floor = sc.w, sc.p_circuit, sc.delta, P_FLOOR
     caps = np.array([pu_by_bisection(*args, floor) for args in zip(w, pc, delta, sc.p_max)])
 
     def powers_at(lam):

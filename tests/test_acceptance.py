@@ -15,7 +15,6 @@ import pytest
 from mupower import (
     PdSettings,
     Scenario,
-    SolverSettings,
     compute_pu,
     gains_from_db,
     integrate,
@@ -139,7 +138,6 @@ def test_criterion_6_kkt_certification():
 
 def test_criterion_7_individual_cap_structure():
     t0 = time.perf_counter()
-    st = SolverSettings()
     rng = np.random.default_rng(77)
     root_branch_seen = 0
     for _ in range(100):
@@ -147,7 +145,7 @@ def test_criterion_7_individual_cap_structure():
         d = float(10.0 ** rng.uniform(-2.0, 2.0))
         p_max = float(rng.uniform(0.3, 2.0))
         w = float(rng.uniform(0.0, 1.0))
-        (pu,), _ = compute_pu(Scenario(w, pc, p_max, (d,), p_sum_max=p_max, settings=st))
+        (pu,), _ = compute_pu(Scenario(w, pc, p_max, (d,), p_sum_max=p_max))
         assert 0.0 < pu <= p_max
         below = np.linspace(pu * 1e-6, pu * (1.0 - 1e-6), 100)
         assert np.all(utility_grad(below, w, pc, d) > 0.0)

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mupower
 from mupower import (
     ChannelRealization,
     SingularGramError,
@@ -137,3 +142,10 @@ def test_effective_gains_typed_error_on_singular_gram():
     object.__setattr__(ch, "h", np.zeros((2, 2), dtype=complex))  # skip the constructor's check
     with pytest.raises(SingularGramError):
         compute_effective_gains(ch)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(mupower.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import mupower; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -72,7 +72,9 @@ def test_missing_channel_source_rejected():
 
 
 def test_unknown_key_rejected(tmp_path):
-    for line in ("p_circuit: 0.2\n", "solver_gp_step: 0.001\n", "solver_tol_kkt: 1.0\n"):
+    for line in (
+        "p_circuit: 0.2\n", "solver_gp_step: 0.001\n", "solver_tol_kkt: 1.0\n", "pd_tol_eq: 1e-10\n"
+    ):
         path = write_scenario(tmp_path, BASE + line)
         with pytest.raises(ValueError, match="unknown keys"):
             load_scenario(path)

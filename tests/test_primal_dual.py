@@ -12,6 +12,8 @@ from mupower import (
     step,
     write_trajectory_csv,
 )
+from mupower.primal_dual import TOL_EQ
+from mupower.solver import P_FLOOR
 from mupower.utility import utility_grad
 
 
@@ -39,7 +41,7 @@ def test_step_interior_is_plain_euler():
     lam = 0.05
     p_new, _ = step((p, lam), sc, p_u, pd)
     expected = p + 1e-3 * (utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam)
-    assert np.allclose(p_new, np.clip(expected, sc.settings.p_floor, p_u), atol=1e-15)
+    assert np.allclose(p_new, np.clip(expected, P_FLOOR, p_u), atol=1e-15)
 
 
 def test_step_fixed_at_centralized_optimum():
@@ -47,8 +49,8 @@ def test_step_fixed_at_centralized_optimum():
     ref = solve_centralized(sc)
     pd = PdSettings()
     p_new, lam_new = step((ref.p, ref.lam), sc, ref.p_u, pd)
-    assert np.max(np.abs(p_new - ref.p)) <= pd.tol_eq
-    assert abs(lam_new - ref.lam) <= pd.tol_eq
+    assert np.max(np.abs(p_new - ref.p)) <= TOL_EQ
+    assert abs(lam_new - ref.lam) <= TOL_EQ
 
 
 def test_step_lambda_parked_at_zero_under_slack():
@@ -64,7 +66,7 @@ def test_step_holds_the_boundaries():
     sc = fig4_scenario()
     p_u = caps_for(sc)
     pd = PdSettings()
-    floor = np.full(4, sc.settings.p_floor)
+    floor = np.full(4, P_FLOOR)
     # U'(p_floor) is about 1e9 here, so this price pushes every power down
     p_new, _ = step((floor, 1e12), sc, p_u, pd)
     assert np.array_equal(p_new, floor)
@@ -108,7 +110,7 @@ def test_integrate_converges_to_centralized():
     assert np.max(np.abs(traj.p[-1] - ref.p)) <= 1e-3
     # box invariance and nonnegative price on every recorded point
     p_u = caps_for(sc)
-    assert np.all(traj.p >= sc.settings.p_floor - 1e-15)
+    assert np.all(traj.p >= P_FLOOR - 1e-15)
     assert np.all(traj.p <= p_u + 1e-15)
     assert np.all(traj.lam >= 0.0)
 

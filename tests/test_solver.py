@@ -10,23 +10,20 @@ from mupower import (
     BudgetCase,
     ConvergenceError,
     Scenario,
-    SolverSettings,
     compute_pu,
     gains_from_db,
     kkt_residuals,
     solve_centralized,
 )
-from mupower.solver import Allocation
-from mupower.utility import beta
+from mupower.solver import _TOL_ROOT, P_FLOOR, TOL_KKT, Allocation
+from mupower.utility import beta, utility_grad
 
 from oracles import grid_search_2user, pu_by_bisection, random_2user_scenario, tight_optimum_by_bisection
-
-ST = SolverSettings()
 
 
 def cap(w, p_circuit, p_max, delta):
     """The cap of one user, from a one-user scenario."""
-    (pu,), _ = compute_pu(Scenario(w, p_circuit, p_max, (delta,), p_sum_max=p_max, settings=ST))
+    (pu,), _ = compute_pu(Scenario(w, p_circuit, p_max, (delta,), p_sum_max=p_max))
     return pu
 
 
@@ -44,7 +41,7 @@ def test_pu_threshold_branch():
 
 def test_pu_root_branch_matches_bisection():
     pu = cap(0.0, 0.1, 1.0, 100.0)
-    assert abs(float(beta(pu, 0.1, 100.0)) - 1.0) <= ST.tol_root
+    assert abs(float(beta(pu, 0.1, 100.0)) - 1.0) <= _TOL_ROOT
     assert pu == pytest.approx(pu_by_bisection(0.0, 0.1, 100.0, 1.0), abs=1e-10)
     assert 0.0 < pu <= 1.0
 
@@ -62,7 +59,7 @@ def test_pu_random_draws_against_bisection():
         w = float(rng.uniform(0.0, headroom))
         pu = cap(w, pc, p_max, d)
         assert 0.0 < pu <= p_max
-        assert abs(float(beta(pu, pc, d)) - (1.0 - w)) <= ST.tol_root
+        assert abs(float(beta(pu, pc, d)) - (1.0 - w)) <= _TOL_ROOT
         assert pu == pytest.approx(pu_by_bisection(w, pc, d, p_max), abs=1e-10)
         done += 1
 
@@ -98,7 +95,7 @@ def test_forced_tight_case_splits_evenly():
     alloc = solve_centralized(sc)
     assert alloc.case is BudgetCase.SUM_TIGHT
     assert np.allclose(alloc.p, [0.75, 0.75], atol=1e-10)
-    assert abs(alloc.p.sum() - 1.5) <= sc.settings.tol_kkt
+    assert abs(alloc.p.sum() - 1.5) <= TOL_KKT
     assert alloc.lam > 0
 
 
@@ -118,14 +115,14 @@ def test_cap_dominance_and_case_dichotomy():
         sc = random_2user_scenario(rng)
         alloc = solve_centralized(sc)
         assert np.all(alloc.p <= alloc.p_u + 1e-15)
-        assert np.all(alloc.p >= sc.settings.p_floor - 1e-18)
+        assert np.all(alloc.p >= P_FLOOR - 1e-18)
         if alloc.p_u.sum() <= sc.p_sum_max:
             assert alloc.case is BudgetCase.SUM_SLACK
             assert np.allclose(alloc.p, alloc.p_u)
         else:
             assert alloc.case is BudgetCase.SUM_TIGHT
-            assert abs(alloc.p.sum() - sc.p_sum_max) <= sc.settings.tol_kkt
-        assert alloc.diagnostics.kkt.max_residual <= sc.settings.tol_kkt
+            assert abs(alloc.p.sum() - sc.p_sum_max) <= TOL_KKT
+        assert alloc.diagnostics.kkt.max_residual <= TOL_KKT
 
 
 def test_tight_case_matches_price_bisection_oracle():
@@ -163,21 +160,29 @@ def test_single_user_scalar_path():
     sc = Scenario(w=0.4, p_circuit=0.1, p_max=1.0, gains=(50.0,), p_sum_max=0.15)
     alloc = solve_centralized(sc)
     assert alloc.p.shape == (1,)
-    assert alloc.diagnostics.kkt.max_residual <= sc.settings.tol_kkt
+    assert alloc.diagnostics.kkt.max_residual <= TOL_KKT
     # budget binds: the unconstrained cap (~0.183 W) exceeds 0.15 W
     assert alloc.case is BudgetCase.SUM_TIGHT
     assert alloc.p[0] == pytest.approx(0.15, abs=1e-9)
 
 
 def test_budget_at_the_floor_puts_every_user_at_the_floor():
-    for n in (1, 2):
-        sc = Scenario(
-            w=0.5, p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0] * n), p_sum_max=n * ST.p_floor
-        )
+    scenarios = [
+        Scenario(w=0.5, p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0] * n), p_sum_max=n * P_FLOOR)
+        for n in (1, 2)
+    ]
+    # marginals at the floor differ, so the lower bound of user 2 is active (mu > 0)
+    scenarios.append(Scenario(
+        w=(0.0, 1.0), p_circuit=(0.01, 1.0), p_max=1.0, gains=gains_from_db([-20.0, 40.0]),
+        p_sum_max=2 * P_FLOOR,
+    ))
+    for sc in scenarios:
         alloc = solve_centralized(sc)
         assert alloc.case is BudgetCase.SUM_TIGHT
-        assert np.all(alloc.p == ST.p_floor)
-        assert alloc.diagnostics.kkt.max_residual <= ST.tol_kkt
+        assert np.all(alloc.p == P_FLOOR)
+        grad = utility_grad(alloc.p, sc.w, sc.p_circuit, sc.delta)
+        assert alloc.lam == pytest.approx(np.max(grad), rel=1e-12)
+        assert alloc.diagnostics.kkt.max_residual <= TOL_KKT
 
 
 def _log_uniform(lo_exp, hi_exp):
@@ -191,7 +196,7 @@ def valid_scenarios(draw):
     def vector(elements):
         return draw(hs.lists(elements, min_size=n, max_size=n))
 
-    floor_sum = n * ST.p_floor
+    floor_sum = n * P_FLOOR
     return Scenario(
         w=vector(hs.sampled_from((0.0, 1.0)) | hs.floats(0.0, 1.0)),
         p_circuit=vector(_log_uniform(-6.0, 3.0)),
@@ -208,10 +213,9 @@ def test_valid_domain_solves_or_raises_typed_error(sc):
         alloc = solve_centralized(sc)
     except (ConvergenceError, ValueError):
         return
-    st = sc.settings
-    assert np.all((alloc.p >= st.p_floor) & (alloc.p <= alloc.p_u))
-    assert alloc.p.sum() <= sc.p_sum_max + st.tol_kkt
-    assert alloc.diagnostics.kkt.max_residual <= st.tol_kkt
+    assert np.all((alloc.p >= P_FLOOR) & (alloc.p <= alloc.p_u))
+    assert alloc.p.sum() <= sc.p_sum_max + TOL_KKT
+    assert alloc.diagnostics.kkt.max_residual <= TOL_KKT
 
 
 def test_degenerate_budget_never_binds():
@@ -231,7 +235,7 @@ def test_kkt_zero_at_interior_roots():
     alloc = solve_centralized(sc)
     assert alloc.case is BudgetCase.SUM_SLACK
     report = kkt_residuals(sc, alloc)
-    bound = sc.settings.tol_root / sc.p_circuit.min()
+    bound = _TOL_ROOT / sc.p_circuit.min()
     assert np.all(report.stationarity <= bound)
     assert np.all(report.mu == 0.0)
     assert np.all(report.nu <= bound)
@@ -255,15 +259,6 @@ def test_kkt_certified_on_random_scenarios():
         sc = random_2user_scenario(rng)
         alloc = solve_centralized(sc)
         assert kkt_residuals(sc, alloc).max_residual <= 1e-8
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(tol_root=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(max_iter=0)
-    with pytest.raises(TypeError):
-        SolverSettings(gp_step=1e-3)
 
 
 def test_scenario_validation():
