@@ -11,7 +11,7 @@ is optional.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,24 +24,18 @@ class SingularGramError(ValueError):
     """Channel Gram matrix H^H H is singular or too ill-conditioned to invert."""
 
 
-def _gram_condition(h: np.ndarray) -> float:
-    """Condition-number estimate of H^H H from the singular values of H."""
-    s = np.linalg.svd(h, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float((s[0] / s[-1]) ** 2)
-
-
 @dataclass(frozen=True)
 class ChannelRealization:
     """Complex M x N uplink channel matrix plus receiver noise power (W).
 
     Rows index receive antennas, columns index users. Requires M >= N and
-    full column rank; construction fails otherwise.
+    full column rank; construction fails otherwise. The Gram matrix
+    H^H H is formed once and kept read-only as gram.
     """
 
     h: np.ndarray
     sigma2: float
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.array(self.h, dtype=complex)
@@ -56,14 +50,18 @@ class ChannelRealization:
             raise ValueError("channel matrix has non-finite entries")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"noise power must be positive, got {self.sigma2}")
-        cond = _gram_condition(h)
+        gram = h.conj().T @ h
+        eig = np.linalg.eigvalsh(gram)
+        cond = eig[-1] / eig[0] if eig[0] > 0 else np.inf
         if cond > GRAM_CONDITION_LIMIT:
             raise SingularGramError(
                 f"Gram matrix condition estimate {cond:.3e} exceeds "
                 f"{GRAM_CONDITION_LIMIT:.0e}; channel columns are not independent"
             )
         h.setflags(write=False)
+        gram.setflags(write=False)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
     @property
@@ -100,15 +98,14 @@ class EffectiveGains:
 def compute_effective_gains(ch: ChannelRealization) -> EffectiveGains:
     """Effective ZF gains delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii).
 
-    The Gram matrix is inverted through its Cholesky factor L (it is
-    Hermitian positive definite for any full-column-rank H, which
-    ChannelRealization has already checked on its read-only matrix):
+    The channel's Gram matrix is inverted through its Cholesky factor L
+    (it is Hermitian positive definite for any full-column-rank H, which
+    ChannelRealization has already checked):
     (H^H H)^-1 = L^-H L^-1, so its diagonal holds the squared column
     norms of L^-1.
     """
-    gram = ch.h.conj().T @ ch.h
     try:
-        chol = np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(ch.gram)
     except np.linalg.LinAlgError as exc:
         raise SingularGramError(f"Gram matrix is not positive definite: {exc}") from exc
     l_inv = np.linalg.inv(chol)

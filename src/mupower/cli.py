@@ -7,6 +7,10 @@ Subcommands (all read a scenario file, see scenario.py for the format):
     sweep-fairness   2-user channel-asymmetry sweep; CSV of Jain index
     primal-dual      distributed run; trajectory CSV via --out, summary to stdout
 
+Each sweep is one batched solve (solver.solve_batch): the grid's weights
+or gains are the rows of one (B, 2) array, checked once by the scenario's
+rules, and the first row that fails its certificate aborts the sweep.
+
 CSV output uses 12 significant digits, comma delimiter, LF line endings,
 and is deterministic for a fixed scenario file. Exit codes:
 0 success, 1 input error, 2 solver non-convergence (primal-dual only
@@ -16,15 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .channel import gains_from_db
 from .metrics import jain_index, summarize
 from .primal_dual import integrate, write_trajectory_csv
 from .scenario import LoadedScenario, load_scenario
-from .solver import P_FLOOR, BudgetCase, ConvergenceError, solve_centralized
+from .solver import P_FLOOR, BudgetCase, ConvergenceError, solve_batch, solve_centralized
 
 _FAIRNESS_DELTA1_DB = (-20.0, 0.0, 20.0)
 
@@ -34,14 +36,16 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(c) if not isinstance(c, str) else c for c in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    """Write a numeric (rows, len(header)) table, one format call per row."""
+    fmt = ",".join(["%.12g"] * len(header)) + "\n"
+    head = ",".join(header) + "\n"
+    lines = (fmt % tuple(row) for row in np.asarray(rows).tolist())
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(head + "".join(lines))  # one write: a reader may close the pipe early
     else:
         with open(path, "w", newline="") as f:
-            f.write(text)
+            f.write(head)
+            f.writelines(lines)
 
 
 def cmd_solve(loaded: LoadedScenario, out=None) -> int:
@@ -53,21 +57,15 @@ def cmd_solve(loaded: LoadedScenario, out=None) -> int:
     print(f"case: {case}")
     print(f"lambda: {_fmt(alloc.lam)}")
     print(f"sum_p_watts: {_fmt(np.sum(alloc.p))} (budget {_fmt(sc.p_sum_max)})")
-    print("user,P_watts,P_u_watts,SE,EE,U")
-    for i in range(sc.n_users):
-        print(
-            f"{i + 1},{_fmt(alloc.p[i])},{_fmt(alloc.p_u[i])},"
-            f"{_fmt(d.se[i])},{_fmt(d.ee[i])},{_fmt(d.utilities[i])}"
-        )
+    header = ["user", "P_watts", "P_u_watts", "SE", "EE", "U"]
+    users = np.arange(1, sc.n_users + 1)
+    rows = np.column_stack([users, alloc.p, alloc.p_u, d.se, d.ee, d.utilities])
+    _write_csv(None, header, rows)
     print(f"total_utility: {_fmt(d.total_utility)}")
     print(f"jain: {_fmt(report.jain)}")
     print(f"max_kkt_residual: {_fmt(d.kkt.max_residual)}")
     if out is not None:
-        rows = [
-            (str(i + 1), alloc.p[i], alloc.p_u[i], d.se[i], d.ee[i], d.utilities[i])
-            for i in range(sc.n_users)
-        ]
-        _write_csv(out, ["user", "P_watts", "P_u_watts", "SE", "EE", "U"], rows)
+        _write_csv(out, header, rows)
     return 0
 
 
@@ -77,20 +75,18 @@ def cmd_sweep_diversity(loaded: LoadedScenario, out=None, grid: int = 41) -> int
     if sc.n_users != 2:
         raise ValueError(f"sweep-diversity needs a 2-user scenario, got N={sc.n_users}")
     axis = np.linspace(0.0, 1.0, grid)
-    rows = []
-    for w1 in axis:
-        for w2 in axis:
-            alloc = solve_centralized(replace(sc, w=(w1, w2)))
-            d = alloc.diagnostics
-            p = alloc.p
-            if not (
-                np.all(p >= P_FLOOR)
-                and np.all(p <= sc.p_max + 1e-12)
-                and np.sum(p) <= sc.p_sum_max + 1e-9
-            ):
-                raise RuntimeError(f"infeasible sweep row at w=({w1}, {w2})")
-            rows.append((w1, w2, p[0], p[1], d.se[0], d.se[1], d.ee[0], d.ee[1]))
-    _write_csv(out, ["w1", "w2", "P1", "P2", "SE1", "SE2", "EE1", "EE2"], rows)
+    w = np.column_stack([np.repeat(axis, grid), np.tile(axis, grid)])
+    alloc = solve_batch(sc, w=w)
+    p, d = alloc.p, alloc.diagnostics
+    feasible = (
+        np.all(p >= P_FLOOR, axis=1)
+        & np.all(p <= sc.p_max + 1e-12, axis=1)
+        & (np.sum(p, axis=1) <= sc.p_sum_max + 1e-9)
+    )
+    if not feasible.all():
+        w1, w2 = w[np.argmin(feasible)]
+        raise RuntimeError(f"infeasible sweep row at w=({w1}, {w2})")
+    _write_csv(out, ["w1", "w2", "P1", "P2", "SE1", "SE2", "EE1", "EE2"], np.hstack([w, p, d.se, d.ee]))
     return 0
 
 
@@ -112,16 +108,16 @@ def cmd_sweep_fairness(
         raise ValueError(f"sweep-fairness needs a 2-user scenario, got N={sc.n_users}")
     if delta2_db_range is None:
         delta2_db_range = np.linspace(-20.0, 20.0, grid)
-    rows = []
-    for d1 in delta1_db_list:
-        for d2 in delta2_db_range:
-            alloc = solve_centralized(replace(sc, gains=gains_from_db((d1, d2))))
-            u = alloc.diagnostics.utilities
-            jain = jain_index(u)
-            if not (1.0 / sc.n_users - 1e-12 <= jain <= 1.0 + 1e-12):
-                raise RuntimeError(f"jain {jain} out of range at delta=({d1}, {d2}) dB")
-            rows.append((d1, d2, jain, u[0], u[1]))
-    _write_csv(out, ["delta1_db", "delta2_db", "jain", "U1", "U2"], rows)
+    d1, d2 = (np.asarray(a, dtype=float) for a in (delta1_db_list, delta2_db_range))
+    db = np.column_stack([np.repeat(d1, d2.size), np.tile(d2, d1.size)])
+    # dB to linear gains row by row, as gains_from_db does for one vector
+    u = solve_batch(sc, delta=10.0 ** (db / 10.0)).diagnostics.utilities
+    jain = np.array([jain_index(row) for row in u])
+    in_range = (1.0 / sc.n_users - 1e-12 <= jain) & (jain <= 1.0 + 1e-12)
+    if not in_range.all():
+        i = np.argmin(in_range)
+        raise RuntimeError(f"jain {jain[i]} out of range at delta=({db[i, 0]}, {db[i, 1]}) dB")
+    _write_csv(out, ["delta1_db", "delta2_db", "jain", "U1", "U2"], np.column_stack([db, jain, u]))
     return 0
 
 

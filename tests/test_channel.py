@@ -82,6 +82,22 @@ def test_rank_deficient_rejected():
         ChannelRealization(h, sigma2=1.0)
 
 
+def test_gram_condition_limit_from_one_read_only_gram():
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    for cond, rejected in ((1e11, False), (1e13, True)):
+        # singular values 1 and cond^-1/2, so H^H H has condition number cond
+        h = q[:, :3] @ np.diag([1.0, 0.5, cond**-0.5])
+        if rejected:
+            with pytest.raises(SingularGramError, match="condition estimate"):
+                ChannelRealization(h, sigma2=1.0)
+            continue
+        ch = ChannelRealization(h, sigma2=1.0)
+        np.testing.assert_array_equal(ch.gram, ch.h.conj().T @ ch.h)
+        with pytest.raises(ValueError):
+            ch.gram[0, 0] = 1.0
+
+
 def test_wide_matrix_rejected():
     with pytest.raises(ValueError, match="receive antennas"):
         ChannelRealization(np.ones((2, 3), dtype=complex), sigma2=1.0)
@@ -139,7 +155,7 @@ def test_channel_csv_round_trips_17_digits(tmp_path):
 
 def test_effective_gains_typed_error_on_singular_gram():
     ch = ChannelRealization(np.eye(2, dtype=complex), sigma2=1.0)
-    object.__setattr__(ch, "h", np.zeros((2, 2), dtype=complex))  # skip the constructor's check
+    object.__setattr__(ch, "gram", np.zeros((2, 2), dtype=complex))  # skip the constructor's check
     with pytest.raises(SingularGramError):
         compute_effective_gains(ch)
 

@@ -196,6 +196,14 @@ def test_sweep_diversity_rejects_other_sizes(capsys):
     assert "2-user" in capsys.readouterr().err
 
 
+def test_sweep_invalid_override_exits_one(monkeypatch, capsys):
+    # a one-point axis at w = 1.5 makes a 1-row grid outside the weight rule
+    monkeypatch.setattr(np, "linspace", lambda start, stop, num: np.array([1.5]))
+    code = main(["sweep-diversity", "--scenario", str(SCENARIOS / "fig2.yaml"), "--grid", "1"])
+    assert code == 1
+    assert "w must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+
 def test_sweep_fairness_anchors(tmp_path):
     out = tmp_path / "fair.csv"
     code, _ = run_main(

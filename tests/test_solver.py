@@ -15,7 +15,7 @@ from mupower import (
     kkt_residuals,
     solve_centralized,
 )
-from mupower.solver import _TOL_ROOT, P_FLOOR, TOL_KKT, Allocation
+from mupower.solver import _TOL_ROOT, P_FLOOR, TOL_KKT, Allocation, solve_batch
 from mupower.utility import beta, utility_grad
 
 from oracles import grid_search_2user, pu_by_bisection, random_2user_scenario, tight_optimum_by_bisection
@@ -218,6 +218,63 @@ def test_valid_domain_solves_or_raises_typed_error(sc):
     assert alloc.diagnostics.kkt.max_residual <= TOL_KKT
 
 
+def test_batch_rows_equal_their_single_solves():
+    rng = np.random.default_rng(67)
+    for trial in range(12):
+        n, b = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        floor_sum = n * P_FLOOR
+        sc = Scenario(
+            w=rng.uniform(0.0, 1.0, n),
+            p_circuit=10.0 ** rng.uniform(-6.0, 3.0, n),
+            p_max=10.0 ** rng.uniform(-6.0, 2.0, n),
+            gains=gains_from_db(rng.uniform(-60.0, 80.0, n)),
+            p_sum_max=max(floor_sum, 10.0 ** rng.uniform(math.log10(floor_sum), 2.0)),
+        )
+        if trial % 2:  # the batch's delta rows are the scenario's gains
+            name, field, rows = "delta", "gains", 10.0 ** (rng.uniform(-60.0, 80.0, (b, n)) / 10.0)
+        else:
+            rows = rng.uniform(0.0, 1.0, (b, n))
+            name, field, rows = "w", "w", np.where(rng.random((b, n)) < 0.2, rng.integers(0, 2, (b, n)), rows)
+        singles, kept = [], []
+        for row in rows:
+            try:
+                singles.append(solve_centralized(replace(sc, **{field: row})))
+            except ConvergenceError:
+                continue
+            kept.append(row)
+        if not kept:
+            continue
+        batch = solve_batch(sc, **{name: np.array(kept)})
+        for i, one in enumerate(singles):
+            np.testing.assert_array_equal(batch.p[i], one.p)
+            np.testing.assert_array_equal(batch.p_u[i], one.p_u)
+            assert batch.lam[i] == one.lam and batch.case[i] is one.case
+
+
+def test_batch_names_the_first_row_that_fails_the_gate():
+    # at P = 1e-8 W some weights miss the absolute 1e-8 gate on stationarity
+    # only by the rounding of U' ~ lambda ~ 2e8 (the scaled residual is ~1e-16)
+    sc = Scenario(w=0.5, p_circuit=1e-6, p_max=1e-3, gains=(1.0, 1.0), p_sum_max=1e-8)
+    good = [[1.0, 1.0], [0.5, 0.5], [1.0, 0.5], [0.0, 0.5]]
+    assert np.all(solve_batch(sc, w=good).diagnostics.kkt.max_residual <= TOL_KKT)
+    with pytest.raises(ConvergenceError, match=r"row 0: .*scaled [0-9.]+e-16"):
+        solve_batch(sc, w=[[0.0, 0.3]])
+    with pytest.raises(ConvergenceError, match="row 2: KKT residual"):
+        solve_batch(sc, w=good[:2] + [[0.0, 0.3]] + good[2:] + [[0.2, 0.7]])
+
+
+def test_batch_overrides_checked_by_scenario_rules():
+    sc = Scenario(w=(0.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(1.0, 1.0), p_sum_max=1.0)
+    for kwargs, message in (
+        (dict(w=[[0.5, 0.5], [1.5, 0.5]]), r"w must lie in \[0, 1\], got 1.5"),
+        (dict(w=[[0.5, 0.5, 0.5]]), "gains"),
+        (dict(delta=[[1.0, 0.0]]), "delta must be > 0"),
+        (dict(w=[[0.5, 0.5]], delta=[[1.0, 1.0], [1.0, 1.0]]), "delta has 4 entries"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            solve_batch(sc, **kwargs)
+
+
 def test_degenerate_budget_never_binds():
     sc = Scenario(
         w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, gains=(5.0, 500.0), p_sum_max=10.0
@@ -251,6 +308,17 @@ def test_kkt_reports_infeasibility_gap():
     )
     report = kkt_residuals(sc, bad)
     assert report.sum_gap == pytest.approx(0.3, abs=1e-12)
+
+
+def test_kkt_scaled_stationarity():
+    sc = Scenario(w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=0.5)
+    for lam in (0.5, 4.0):
+        alloc = Allocation(
+            p=np.array([0.2, 0.3]), p_u=np.array([1.0, 1.0]), lam=lam, case=BudgetCase.SUM_TIGHT
+        )
+        report = kkt_residuals(sc, alloc)
+        assert np.all(report.stationarity > 0)
+        np.testing.assert_array_equal(report.scaled_stationarity, report.stationarity / max(1.0, lam))
 
 
 def test_kkt_certified_on_random_scenarios():
