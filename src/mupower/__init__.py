@@ -9,7 +9,6 @@ instrumentation.
 
 from .channel import (
     ChannelRealization,
-    EffectiveGains,
     SingularGramError,
     compute_effective_gains,
     gains_from_db,
@@ -17,14 +16,7 @@ from .channel import (
     random_rayleigh_channel,
 )
 from .metrics import FairnessReport, jain_index, summarize
-from .primal_dual import (
-    PdSettings,
-    Trajectory,
-    integrate,
-    lyapunov,
-    step,
-    write_trajectory_csv,
-)
+from .primal_dual import PdSettings, Trajectory, integrate, lyapunov, step
 from .scenario import LoadedScenario, build_scenario, load_scenario
 from .solver import (
     Allocation,
@@ -56,7 +48,6 @@ __all__ = [
     "ChannelRealization",
     "ConvergenceError",
     "Diagnostics",
-    "EffectiveGains",
     "FairnessReport",
     "KktReport",
     "LoadedScenario",
@@ -86,5 +77,4 @@ __all__ = [
     "utility",
     "utility_grad",
     "utility_hess",
-    "write_trajectory_csv",
 ]

@@ -7,7 +7,8 @@ where the effective gain is
     delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii)        [1/W]
 
 Experiments usually specify delta directly in dB, so the raw matrix path
-is optional.
+is optional. Both paths return delta as a plain float vector; Scenario
+checks it (finite and > 0) by the same rule as its other per-user inputs.
 """
 from __future__ import annotations
 
@@ -73,29 +74,7 @@ class ChannelRealization:
         return self.h.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class EffectiveGains:
-    """Linear per-user SINR-per-watt gains delta_i (units 1/W), all > 0.
-
-    Compared and hashed by identity.
-    """
-
-    delta: np.ndarray
-
-    def __post_init__(self):
-        delta = np.atleast_1d(np.array(self.delta, dtype=float))
-        if delta.ndim != 1 or delta.size == 0:
-            raise ValueError("delta must be a non-empty vector")
-        if not np.all(np.isfinite(delta)) or np.any(delta <= 0):
-            raise ValueError("effective gains must be finite and strictly positive")
-        delta.setflags(write=False)
-        object.__setattr__(self, "delta", delta)
-
-    def __len__(self) -> int:
-        return self.delta.size
-
-
-def compute_effective_gains(ch: ChannelRealization) -> EffectiveGains:
+def compute_effective_gains(ch: ChannelRealization) -> np.ndarray:
     """Effective ZF gains delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii).
 
     The channel's Gram matrix is inverted through its Cholesky factor L
@@ -110,15 +89,15 @@ def compute_effective_gains(ch: ChannelRealization) -> EffectiveGains:
         raise SingularGramError(f"Gram matrix is not positive definite: {exc}") from exc
     l_inv = np.linalg.inv(chol)
     diag = np.sum(np.abs(l_inv) ** 2, axis=0)
-    return EffectiveGains(1.0 / (ch.sigma2 * diag))
+    return 1.0 / (ch.sigma2 * diag)
 
 
-def gains_from_db(delta_db) -> EffectiveGains:
-    """Convert power-dB gains to linear: delta = 10^(dB/10)."""
+def gains_from_db(delta_db) -> np.ndarray:
+    """Convert power-dB gains to linear, elementwise: delta = 10^(dB/10)."""
     delta_db = np.atleast_1d(np.asarray(delta_db, dtype=float))
     if not np.all(np.isfinite(delta_db)):
         raise ValueError("dB gains must be finite")
-    return EffectiveGains(10.0 ** (delta_db / 10.0))
+    return 10.0 ** (delta_db / 10.0)
 
 
 def random_rayleigh_channel(

@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from .channel import gains_from_db
 from .metrics import jain_index, summarize
 from .primal_dual import integrate, write_trajectory_csv
 from .scenario import LoadedScenario, load_scenario
@@ -90,28 +91,19 @@ def cmd_sweep_diversity(loaded: LoadedScenario, out=None, grid: int = 41) -> int
     return 0
 
 
-def cmd_sweep_fairness(
-    loaded: LoadedScenario,
-    out=None,
-    grid: int = 41,
-    delta1_db_list=_FAIRNESS_DELTA1_DB,
-    delta2_db_range=None,
-) -> int:
+def cmd_sweep_fairness(loaded: LoadedScenario, out=None, grid: int = 41) -> int:
     """Jain index across channel asymmetry for a 2-user scenario.
 
-    delta1 steps through a few fixed levels while delta2 sweeps a range
-    (defaults match -20/0/+20 dB levels against a 41-point [-20, 20] dB
-    sweep).
+    delta1 steps through -20, 0 and +20 dB while delta2 sweeps grid
+    points on [-20, 20] dB; each (delta1, delta2) pair is one row of the
+    gains handed to solve_batch, which the scenario's delta rule checks.
     """
     sc = loaded.scenario
     if sc.n_users != 2:
         raise ValueError(f"sweep-fairness needs a 2-user scenario, got N={sc.n_users}")
-    if delta2_db_range is None:
-        delta2_db_range = np.linspace(-20.0, 20.0, grid)
-    d1, d2 = (np.asarray(a, dtype=float) for a in (delta1_db_list, delta2_db_range))
+    d1, d2 = np.asarray(_FAIRNESS_DELTA1_DB), np.linspace(-20.0, 20.0, grid)
     db = np.column_stack([np.repeat(d1, d2.size), np.tile(d2, d1.size)])
-    # dB to linear gains row by row, as gains_from_db does for one vector
-    u = solve_batch(sc, delta=10.0 ** (db / 10.0)).diagnostics.utilities
+    u = solve_batch(sc, delta=gains_from_db(db)).diagnostics.utilities
     jain = np.array([jain_index(row) for row in u])
     in_range = (1.0 / sc.n_users - 1e-12 <= jain) & (jain <= 1.0 + 1e-12)
     if not in_range.all():

@@ -57,8 +57,6 @@ class LoadedScenario:
 
     scenario: Scenario
     pd: PdSettings
-    receive_antennas: int | None
-    source: str
 
 
 def _broadcast(value, n, key):
@@ -107,7 +105,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
     if has_db == has_csv:
         raise ValueError(f"{source}: exactly one of delta_db / channel_csv must be given")
     if has_db:
-        gains = gains_from_db(_broadcast(doc["delta_db"], n, "delta_db"))
+        delta = gains_from_db(_broadcast(doc["delta_db"], n, "delta_db"))
     else:
         if "sigma2_watts" not in doc:
             raise ValueError(f"{source}: channel_csv requires sigma2_watts")
@@ -117,7 +115,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             raise ValueError(
                 f"{source}: channel CSV has {h.shape[0]} rows, expected receive_antennas {antennas}"
             )
-        gains = compute_effective_gains(ChannelRealization(h, float(doc["sigma2_watts"])))
+        delta = compute_effective_gains(ChannelRealization(h, float(doc["sigma2_watts"])))
 
     for key in ("w", "p_max_individual_watts", "p_circuit_watts", "p_sum_max_watts"):
         if key not in doc:
@@ -127,7 +125,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
         w=_broadcast(doc["w"], n, "w"),
         p_circuit=_broadcast(doc["p_circuit_watts"], n, "p_circuit_watts"),
         p_max=_broadcast(doc["p_max_individual_watts"], n, "p_max_individual_watts"),
-        gains=gains,
+        delta=delta,
         p_sum_max=float(doc["p_sum_max_watts"]),
     )
 
@@ -144,14 +142,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             pd_kwargs[attr] = _integer(doc, key, source)
         else:
             pd_kwargs[attr] = float(doc[key])
-    pd = PdSettings(**pd_kwargs)
-
-    return LoadedScenario(
-        scenario=scenario,
-        pd=pd,
-        receive_antennas=antennas,
-        source=source,
-    )
+    return LoadedScenario(scenario=scenario, pd=PdSettings(**pd_kwargs))
 
 
 def load_scenario(path) -> LoadedScenario:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .channel import EffectiveGains
 from .utility import (
     _beta,
     _beta_prime,
@@ -96,12 +95,12 @@ def _checked(name, value, shape):
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A problem instance: per-user vectors, their gains and the budget (W).
+    """A problem instance: per-user vectors and the budget (W).
 
-    w (SE/EE preference weight in [0, 1]), p_circuit and p_max (W) hold one
-    entry per user; scalars broadcast to N = len(gains). gains may be an
-    EffectiveGains or a raw sequence of linear gains (1/W). The vectors are
-    validated and stored as read-only float arrays, so
+    delta (linear effective gains, 1/W) is a non-empty vector that sets the
+    number of users N. w (SE/EE preference weight in [0, 1]), p_circuit
+    and p_max (W) hold one entry per user, and scalars broadcast to N. The
+    vectors are validated and stored as read-only float arrays, so
     dataclasses.replace(sc, w=...) yields a checked variant. The budget
     must cover every user at the floor: p_sum_max >= N * P_FLOOR.
     Scenarios compare and hash by identity. The solver's tolerances are
@@ -111,15 +110,16 @@ class Scenario:
     w: np.ndarray
     p_circuit: np.ndarray
     p_max: np.ndarray
-    gains: EffectiveGains
+    delta: np.ndarray
     p_sum_max: float
 
     def __post_init__(self):
-        gains = self.gains if isinstance(self.gains, EffectiveGains) else EffectiveGains(self.gains)
-        object.__setattr__(self, "gains", gains)
-        n = len(gains)
-        for name in ("w", "p_circuit", "p_max"):
-            object.__setattr__(self, name, _checked(name, getattr(self, name), (n,)))
+        delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
+        if delta.ndim != 1 or delta.size == 0:
+            raise ValueError(f"delta must be a non-empty vector, got shape {delta.shape}")
+        for name in ("delta", "w", "p_circuit", "p_max"):
+            object.__setattr__(self, name, _checked(name, getattr(self, name), delta.shape))
+        n = delta.size
         if not (np.isfinite(self.p_sum_max) and self.p_sum_max > 0):
             raise ValueError(f"p_sum_max must be > 0, got {self.p_sum_max}")
         if self.p_sum_max < n * P_FLOOR:
@@ -130,11 +130,7 @@ class Scenario:
 
     @property
     def n_users(self) -> int:
-        return len(self.gains)
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.gains.delta
+        return self.delta.size
 
 
 @dataclass

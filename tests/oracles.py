@@ -150,6 +150,6 @@ def random_2user_scenario(rng) -> Scenario:
         w=rng.uniform(0.0, 1.0, 2),
         p_circuit=rng.uniform(0.05, 0.2, 2),
         p_max=1.0,
-        gains=gains_from_db(rng.uniform(-20.0, 20.0, 2)),
+        delta=gains_from_db(rng.uniform(-20.0, 20.0, 2)),
         p_sum_max=float(rng.uniform(0.3, 1.8)),
     )

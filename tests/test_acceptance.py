@@ -51,7 +51,7 @@ def _fairness_scenario(d1_db, d2_db) -> Scenario:
         w=(0.5, 0.5),
         p_circuit=0.1,
         p_max=1.0,
-        gains=gains_from_db([d1_db, d2_db]),
+        delta=gains_from_db([d1_db, d2_db]),
         p_sum_max=1.5,
     )
 

@@ -24,18 +24,18 @@ def pinv_row_norm_gains(h, sigma2):
 
 def test_identity_channel():
     ch = ChannelRealization(np.eye(2, dtype=complex), sigma2=1.0)
-    assert np.allclose(compute_effective_gains(ch).delta, [1.0, 1.0])
+    assert np.allclose(compute_effective_gains(ch), [1.0, 1.0])
 
 
 def test_orthogonal_scaled_columns():
     h = np.array([[2.0, 0.0], [0.0, 3.0]], dtype=complex)
     ch = ChannelRealization(h, sigma2=1.0)
-    assert np.allclose(compute_effective_gains(ch).delta, [4.0, 9.0], rtol=1e-14)
+    assert np.allclose(compute_effective_gains(ch), [4.0, 9.0], rtol=1e-14)
 
 
 def test_pinv_oracle_seeded_4x2():
     ch = random_rayleigh_channel(4, 2, seed=7, sigma2=0.5)
-    delta = compute_effective_gains(ch).delta
+    delta = compute_effective_gains(ch)
     assert np.allclose(delta, pinv_row_norm_gains(ch.h, ch.sigma2), rtol=1e-10)
 
 
@@ -47,33 +47,33 @@ def test_pinv_oracle_sweep_sizes():
         for _ in range(20):
             ch = random_rayleigh_channel(m, n, seed=seed, sigma2=1.3)
             seed += 1
-            delta = compute_effective_gains(ch).delta
+            delta = compute_effective_gains(ch)
             assert np.allclose(delta, pinv_row_norm_gains(ch.h, ch.sigma2), rtol=1e-8)
 
 
 def test_unitary_invariance():
     rng = np.random.default_rng(11)
     ch = random_rayleigh_channel(6, 3, seed=3)
-    base = compute_effective_gains(ch).delta
+    base = compute_effective_gains(ch)
     for _ in range(10):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         q, _ = np.linalg.qr(a)
-        rotated = compute_effective_gains(ChannelRealization(q @ ch.h, ch.sigma2)).delta
+        rotated = compute_effective_gains(ChannelRealization(q @ ch.h, ch.sigma2))
         assert np.allclose(rotated, base, rtol=1e-10)
 
 
 def test_scaling_is_quadratic():
     ch = random_rayleigh_channel(5, 3, seed=21)
-    base = compute_effective_gains(ch).delta
+    base = compute_effective_gains(ch)
     for c in (0.25, 3.0, 17.5):
-        scaled = compute_effective_gains(ChannelRealization(c * ch.h, ch.sigma2)).delta
+        scaled = compute_effective_gains(ChannelRealization(c * ch.h, ch.sigma2))
         assert np.allclose(scaled, c**2 * base, rtol=1e-10)
 
 
 def test_gains_from_db_examples():
-    assert np.allclose(gains_from_db([20.0, 20.0]).delta, [100.0, 100.0])
-    assert np.allclose(gains_from_db([0.0]).delta, [1.0])
-    assert np.allclose(gains_from_db([-20.0]).delta, [0.01])
+    assert np.allclose(gains_from_db([20.0, 20.0]), [100.0, 100.0])
+    assert np.allclose(gains_from_db([0.0]), [1.0])
+    assert np.allclose(gains_from_db([-20.0]), [0.01])
 
 
 def test_rank_deficient_rejected():

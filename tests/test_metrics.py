@@ -20,7 +20,7 @@ def test_hand_arithmetic_example():
 def test_paper_asymmetric_point():
     sc = Scenario(
         w=(0.5, 0.5), p_circuit=0.1, p_max=1.0,
-        gains=gains_from_db([-20.0, 20.0]), p_sum_max=1.5,
+        delta=gains_from_db([-20.0, 20.0]), p_sum_max=1.5,
     )
     alloc = solve_centralized(sc)
     assert jain_index(alloc.diagnostics.utilities) == pytest.approx(0.5017, abs=1e-3)
@@ -55,7 +55,7 @@ def test_range_and_domination_limit():
 
 def test_summarize_recomputes_from_powers():
     sc = Scenario(
-        w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, gains=(10.0, 100.0), p_sum_max=0.8
+        w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, delta=(10.0, 100.0), p_sum_max=0.8
     )
     alloc = solve_centralized(sc)
     report = summarize(sc, alloc)
@@ -68,7 +68,7 @@ def test_summarize_recomputes_from_powers():
 
 def test_summarize_symmetric_scenario():
     sc = Scenario(
-        w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, gains=gains_from_db([0.0, 0.0]), p_sum_max=1.5
+        w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, delta=gains_from_db([0.0, 0.0]), p_sum_max=1.5
     )
     report = summarize(sc, solve_centralized(sc))
     assert report.jain == pytest.approx(1.0, abs=1e-12)

@@ -10,9 +10,8 @@ from mupower import (
     lyapunov,
     solve_centralized,
     step,
-    write_trajectory_csv,
 )
-from mupower.primal_dual import TOL_EQ
+from mupower.primal_dual import TOL_EQ, write_trajectory_csv
 from mupower.solver import P_FLOOR
 from mupower.utility import utility_grad
 
@@ -22,7 +21,7 @@ def fig4_scenario() -> Scenario:
         w=(0.0, 0.3, 0.7, 1.0),
         p_circuit=0.1,
         p_max=1.0,
-        gains=gains_from_db([0.0, 0.0, 0.0, 0.0]),
+        delta=gains_from_db([0.0, 0.0, 0.0, 0.0]),
         p_sum_max=3.0,
     )
 
@@ -71,7 +70,7 @@ def test_step_holds_the_boundaries():
     p_new, _ = step((floor, 1e12), sc, p_u, pd)
     assert np.array_equal(p_new, floor)
     # with w = 1 every cap is p_max and U' > 0 there: the powers push up
-    at_max = Scenario(w=1.0, p_circuit=0.1, p_max=1.0, gains=gains_from_db([0.0] * 4), p_sum_max=3.0)
+    at_max = Scenario(w=1.0, p_circuit=0.1, p_max=1.0, delta=gains_from_db([0.0] * 4), p_sum_max=3.0)
     caps = caps_for(at_max)
     p_new, _ = step((caps, 0.0), at_max, caps, pd)
     assert np.array_equal(p_new, caps)
@@ -132,7 +131,7 @@ def test_integrate_message_accounting():
 
 
 def test_integrate_single_user_slack_budget():
-    sc = Scenario(w=1.0, p_circuit=0.1, p_max=0.5, gains=(100.0,), p_sum_max=2.0)
+    sc = Scenario(w=1.0, p_circuit=0.1, p_max=0.5, delta=(100.0,), p_sum_max=2.0)
     traj = integrate(sc, PdSettings())
     assert traj.converged
     assert traj.p[-1][0] == pytest.approx(0.5, abs=1e-9)
@@ -141,7 +140,7 @@ def test_integrate_single_user_slack_budget():
 
 def test_integrate_symmetry_preserved_along_trajectory():
     sc = Scenario(
-        w=(0.6, 0.6), p_circuit=0.1, p_max=1.0, gains=gains_from_db([10.0, 10.0]), p_sum_max=0.4
+        w=(0.6, 0.6), p_circuit=0.1, p_max=1.0, delta=gains_from_db([10.0, 10.0]), p_sum_max=0.4
     )
     pd = PdSettings(init_p=np.array([0.05, 0.05]))
     traj = integrate(sc, pd)

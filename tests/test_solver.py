@@ -68,7 +68,7 @@ def test_pu_random_draws_against_bisection():
 
 def test_slack_case_returns_caps():
     sc = Scenario(
-        w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=3.0
+        w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, delta=(100.0, 100.0), p_sum_max=3.0
     )
     alloc = solve_centralized(sc)
     assert alloc.case is BudgetCase.SUM_SLACK
@@ -78,7 +78,7 @@ def test_slack_case_returns_caps():
 
 def test_symmetric_tight_case_splits_evenly():
     sc = Scenario(
-        w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0, 20.0]), p_sum_max=1.5
+        w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, delta=gains_from_db([20.0, 20.0]), p_sum_max=1.5
     )
     alloc = solve_centralized(sc)
     pu = compute_pu(sc)[0][0]
@@ -90,7 +90,7 @@ def test_symmetric_tight_case_splits_evenly():
 
 def test_forced_tight_case_splits_evenly():
     sc = Scenario(
-        w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0, 20.0]), p_sum_max=1.5
+        w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, delta=gains_from_db([20.0, 20.0]), p_sum_max=1.5
     )
     alloc = solve_centralized(sc)
     assert alloc.case is BudgetCase.SUM_TIGHT
@@ -101,7 +101,7 @@ def test_forced_tight_case_splits_evenly():
 
 def test_heterogeneous_matches_grid_oracle():
     sc = Scenario(
-        w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, gains=(10.0, 100.0), p_sum_max=0.8
+        w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, delta=(10.0, 100.0), p_sum_max=0.8
     )
     alloc = solve_centralized(sc)
     p_ref, u_ref = grid_search_2user(sc)
@@ -132,7 +132,7 @@ def test_tight_case_matches_price_bisection_oracle():
         pc = rng.uniform(0.05, 0.2, n)
         p_max = rng.uniform(0.3, 2.0, n)
         gains = gains_from_db(rng.uniform(-20.0, 30.0, n))
-        caps = np.array([pu_by_bisection(*args) for args in zip(w, pc, gains.delta, p_max)])
+        caps = np.array([pu_by_bisection(*args) for args in zip(w, pc, gains, p_max)])
         sc = Scenario(w, pc, p_max, gains, p_sum_max=float(rng.uniform(0.2, 0.9) * caps.sum()))
         alloc = solve_centralized(sc)
         p_ref, lam_ref = tight_optimum_by_bisection(sc)
@@ -144,11 +144,11 @@ def test_tight_case_matches_price_bisection_oracle():
 
 def test_price_effort_counters():
     slack = solve_centralized(Scenario(
-        w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, gains=(5.0, 500.0), p_sum_max=10.0
+        w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, delta=(5.0, 500.0), p_sum_max=10.0
     ))
     assert slack.diagnostics.price_iterations == slack.diagnostics.refine_evaluations == 0
     tight = solve_centralized(Scenario(
-        w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=1.5
+        w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, delta=(100.0, 100.0), p_sum_max=1.5
     ))
     d = tight.diagnostics
     # Newton on the price: a handful of prices, each inverting both marginals
@@ -157,7 +157,7 @@ def test_price_effort_counters():
 
 
 def test_single_user_scalar_path():
-    sc = Scenario(w=0.4, p_circuit=0.1, p_max=1.0, gains=(50.0,), p_sum_max=0.15)
+    sc = Scenario(w=0.4, p_circuit=0.1, p_max=1.0, delta=(50.0,), p_sum_max=0.15)
     alloc = solve_centralized(sc)
     assert alloc.p.shape == (1,)
     assert alloc.diagnostics.kkt.max_residual <= TOL_KKT
@@ -168,12 +168,12 @@ def test_single_user_scalar_path():
 
 def test_budget_at_the_floor_puts_every_user_at_the_floor():
     scenarios = [
-        Scenario(w=0.5, p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0] * n), p_sum_max=n * P_FLOOR)
+        Scenario(w=0.5, p_circuit=0.1, p_max=1.0, delta=gains_from_db([20.0] * n), p_sum_max=n * P_FLOOR)
         for n in (1, 2)
     ]
     # marginals at the floor differ, so the lower bound of user 2 is active (mu > 0)
     scenarios.append(Scenario(
-        w=(0.0, 1.0), p_circuit=(0.01, 1.0), p_max=1.0, gains=gains_from_db([-20.0, 40.0]),
+        w=(0.0, 1.0), p_circuit=(0.01, 1.0), p_max=1.0, delta=gains_from_db([-20.0, 40.0]),
         p_sum_max=2 * P_FLOOR,
     ))
     for sc in scenarios:
@@ -201,7 +201,7 @@ def valid_scenarios(draw):
         w=vector(hs.sampled_from((0.0, 1.0)) | hs.floats(0.0, 1.0)),
         p_circuit=vector(_log_uniform(-6.0, 3.0)),
         p_max=vector(_log_uniform(-6.0, 2.0)),
-        gains=gains_from_db(vector(hs.floats(-60.0, 80.0))),
+        delta=gains_from_db(vector(hs.floats(-60.0, 80.0))),
         p_sum_max=max(floor_sum, draw(_log_uniform(math.log10(floor_sum), 2.0))),
     )
 
@@ -227,18 +227,18 @@ def test_batch_rows_equal_their_single_solves():
             w=rng.uniform(0.0, 1.0, n),
             p_circuit=10.0 ** rng.uniform(-6.0, 3.0, n),
             p_max=10.0 ** rng.uniform(-6.0, 2.0, n),
-            gains=gains_from_db(rng.uniform(-60.0, 80.0, n)),
+            delta=gains_from_db(rng.uniform(-60.0, 80.0, n)),
             p_sum_max=max(floor_sum, 10.0 ** rng.uniform(math.log10(floor_sum), 2.0)),
         )
-        if trial % 2:  # the batch's delta rows are the scenario's gains
-            name, field, rows = "delta", "gains", 10.0 ** (rng.uniform(-60.0, 80.0, (b, n)) / 10.0)
+        if trial % 2:
+            name, rows = "delta", 10.0 ** (rng.uniform(-60.0, 80.0, (b, n)) / 10.0)
         else:
             rows = rng.uniform(0.0, 1.0, (b, n))
-            name, field, rows = "w", "w", np.where(rng.random((b, n)) < 0.2, rng.integers(0, 2, (b, n)), rows)
+            name, rows = "w", np.where(rng.random((b, n)) < 0.2, rng.integers(0, 2, (b, n)), rows)
         singles, kept = [], []
         for row in rows:
             try:
-                singles.append(solve_centralized(replace(sc, **{field: row})))
+                singles.append(solve_centralized(replace(sc, **{name: row})))
             except ConvergenceError:
                 continue
             kept.append(row)
@@ -254,7 +254,7 @@ def test_batch_rows_equal_their_single_solves():
 def test_batch_names_the_first_row_that_fails_the_gate():
     # at P = 1e-8 W some weights miss the absolute 1e-8 gate on stationarity
     # only by the rounding of U' ~ lambda ~ 2e8 (the scaled residual is ~1e-16)
-    sc = Scenario(w=0.5, p_circuit=1e-6, p_max=1e-3, gains=(1.0, 1.0), p_sum_max=1e-8)
+    sc = Scenario(w=0.5, p_circuit=1e-6, p_max=1e-3, delta=(1.0, 1.0), p_sum_max=1e-8)
     good = [[1.0, 1.0], [0.5, 0.5], [1.0, 0.5], [0.0, 0.5]]
     assert np.all(solve_batch(sc, w=good).diagnostics.kkt.max_residual <= TOL_KKT)
     with pytest.raises(ConvergenceError, match=r"row 0: .*scaled [0-9.]+e-16"):
@@ -264,7 +264,7 @@ def test_batch_names_the_first_row_that_fails_the_gate():
 
 
 def test_batch_overrides_checked_by_scenario_rules():
-    sc = Scenario(w=(0.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(1.0, 1.0), p_sum_max=1.0)
+    sc = Scenario(w=(0.0, 1.0), p_circuit=0.1, p_max=1.0, delta=(1.0, 1.0), p_sum_max=1.0)
     for kwargs, message in (
         (dict(w=[[0.5, 0.5], [1.5, 0.5]]), r"w must lie in \[0, 1\], got 1.5"),
         (dict(w=[[0.5, 0.5, 0.5]]), "gains"),
@@ -277,7 +277,7 @@ def test_batch_overrides_checked_by_scenario_rules():
 
 def test_degenerate_budget_never_binds():
     sc = Scenario(
-        w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, gains=(5.0, 500.0), p_sum_max=10.0
+        w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, delta=(5.0, 500.0), p_sum_max=10.0
     )
     alloc = solve_centralized(sc)
     assert alloc.case is BudgetCase.SUM_SLACK
@@ -287,7 +287,7 @@ def test_degenerate_budget_never_binds():
 
 def test_kkt_zero_at_interior_roots():
     sc = Scenario(
-        w=(0.2, 0.4), p_circuit=0.1, p_max=1.0, gains=gains_from_db([20.0, 20.0]), p_sum_max=3.0
+        w=(0.2, 0.4), p_circuit=0.1, p_max=1.0, delta=gains_from_db([20.0, 20.0]), p_sum_max=3.0
     )
     alloc = solve_centralized(sc)
     assert alloc.case is BudgetCase.SUM_SLACK
@@ -301,7 +301,7 @@ def test_kkt_zero_at_interior_roots():
 
 def test_kkt_reports_infeasibility_gap():
     sc = Scenario(
-        w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=0.5
+        w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, delta=(100.0, 100.0), p_sum_max=0.5
     )
     bad = Allocation(
         p=np.array([0.4, 0.4]), p_u=np.array([1.0, 1.0]), lam=0.0, case=BudgetCase.SUM_SLACK
@@ -311,7 +311,7 @@ def test_kkt_reports_infeasibility_gap():
 
 
 def test_kkt_scaled_stationarity():
-    sc = Scenario(w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, gains=(100.0, 100.0), p_sum_max=0.5)
+    sc = Scenario(w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, delta=(100.0, 100.0), p_sum_max=0.5)
     for lam in (0.5, 4.0):
         alloc = Allocation(
             p=np.array([0.2, 0.3]), p_u=np.array([1.0, 1.0]), lam=lam, case=BudgetCase.SUM_TIGHT
@@ -330,16 +330,17 @@ def test_kkt_certified_on_random_scenarios():
 
 
 def test_scenario_validation():
-    from mupower import EffectiveGains
-
-    sc = Scenario(w=(0.0, 1.0), p_circuit=0.1, p_max=1.0, gains=(1.0, 1.0), p_sum_max=1.0)
+    sc = Scenario(w=(0.0, 1.0), p_circuit=0.1, p_max=1.0, delta=(1.0, 1.0), p_sum_max=1.0)
     for kwargs, message in (
         (dict(w=(1.2, 0.5)), r"w must lie in \[0, 1\]"),
         (dict(w=(np.nan, 0.5)), r"w must lie in \[0, 1\]"),
         (dict(p_circuit=(0.1, 0.0)), "p_circuit must be > 0"),
         (dict(p_max=-1.0), "p_max must be > 0"),
         (dict(w=(0.5, 0.5, 0.5)), "gains"),
-        (dict(gains=EffectiveGains([1.0])), "gains"),
+        (dict(delta=[1.0]), "gains"),
+        (dict(delta=(1.0, 0.0)), "delta must be > 0"),
+        (dict(delta=(1.0, np.inf)), "delta must be > 0"),
+        (dict(delta=()), "non-empty"),
         (dict(p_sum_max=0.0), "p_sum_max"),
         (dict(p_sum_max=1.5e-9), "p_sum_max"),  # below 2 users at the 1e-9 W floor
     ):
@@ -348,20 +349,26 @@ def test_scenario_validation():
 
 
 def test_scenario_compares_by_identity():
-    sc = Scenario(w=(0.2, 0.7), p_circuit=0.1, p_max=1.0, gains=(1.0, 2.0), p_sum_max=1.0)
+    sc = Scenario(w=(0.2, 0.7), p_circuit=0.1, p_max=1.0, delta=(1.0, 2.0), p_sum_max=1.0)
     twin = replace(sc)
     assert sc == sc and sc != twin
-    assert sc.gains == sc.gains
-    assert {sc: 1, twin: 2, sc.gains: 3}[sc] == 1
+    assert {sc: 1, twin: 2}[sc] == 1
 
 
 def test_scenario_vectors_cached_read_only():
     w = np.array([0.2, 0.7])
-    sc = Scenario(w=w, p_circuit=0.1, p_max=(1.0, 2.0), gains=(1.0, 2.0), p_sum_max=1.0)
+    sc = Scenario(w=w, p_circuit=0.1, p_max=(1.0, 2.0), delta=(1.0, 2.0), p_sum_max=1.0)
     w[0] = 0.9  # the scenario holds its own copy
-    for name, expected in (("w", [0.2, 0.7]), ("p_circuit", [0.1, 0.1]), ("p_max", [1.0, 2.0])):
+    for name, expected in (("w", [0.2, 0.7]), ("p_circuit", [0.1, 0.1]), ("p_max", [1.0, 2.0]), ("delta", [1.0, 2.0])):
         arr = getattr(sc, name)
         assert arr is getattr(sc, name)
         assert np.array_equal(arr, expected)
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+def test_public_names_resolve():
+    import mupower
+
+    assert len(set(mupower.__all__)) == len(mupower.__all__)
+    assert [name for name in mupower.__all__ if not hasattr(mupower, name)] == []

@@ -162,7 +162,7 @@ def test_domain_errors():
 
 def test_user_params_validation():
     def user(w, p_circuit, p_max):
-        return Scenario(w=w, p_circuit=p_circuit, p_max=p_max, gains=(1.0,), p_sum_max=1.0)
+        return Scenario(w=w, p_circuit=p_circuit, p_max=p_max, delta=(1.0,), p_sum_max=1.0)
 
     user(0.0, 0.1, 1.0)
     user(1.0, 0.1, 1.0)
