@@ -65,14 +65,6 @@ class ChannelRealization:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
-    @property
-    def n_antennas(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.h.shape[1]
-
 
 def compute_effective_gains(ch: ChannelRealization) -> np.ndarray:
     """Effective ZF gains delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii).

@@ -11,8 +11,8 @@ Each sweep is one batched solve (solver.solve_batch): the grid's weights
 or gains are the rows of one (B, 2) array, checked once by the scenario's
 rules, and the first row that fails its certificate aborts the sweep.
 
-CSV output uses 12 significant digits, comma delimiter, LF line endings,
-and is deterministic for a fixed scenario file. Exit codes:
+Every CSV goes through _write_csv: 12 significant digits, comma delimiter,
+LF line endings, deterministic for a fixed scenario file. Exit codes:
 0 success, 1 input error, 2 solver non-convergence (primal-dual only
 fails this way under --strict).
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import gains_from_db
 from .metrics import jain_index, summarize
-from .primal_dual import integrate, write_trajectory_csv
+from .primal_dual import Trajectory, integrate
 from .scenario import LoadedScenario, load_scenario
 from .solver import P_FLOOR, BudgetCase, ConvergenceError, solve_batch, solve_centralized
 
@@ -47,6 +47,12 @@ def _write_csv(path, header, rows):
         with open(path, "w", newline="") as f:
             f.write(head)
             f.writelines(lines)
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write a trajectory as CSV: t, P_1..P_N, lambda, total_utility, V."""
+    header = ["t"] + [f"P_{i + 1}" for i in range(traj.p.shape[1])] + ["lambda", "total_utility", "V"]
+    _write_csv(path, header, np.column_stack([traj.t, traj.p, traj.lam, traj.total_utility, traj.v]))
 
 
 def cmd_solve(loaded: LoadedScenario, out=None) -> int:

@@ -15,8 +15,10 @@ The quadratic distance to the centralized optimum,
 
     V = 1/2 sum_i (P_i - P_i*)^2 / k_i + (lambda - lambda*)^2 / (2 g),
 
-is non-increasing along the continuous flow; the integrator records it as
-a convergence certificate (up to explicit-Euler slack).
+is non-increasing along the continuous flow, a convergence certificate
+(up to explicit-Euler slack). A run records only its state (t, p, lambda)
+every RECORD_EVERY steps and at its last step; the records' utility and V
+are computed once the run ends.
 """
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ from .utility import utility, utility_grad
 
 # Convergence: the largest per-step move of any power or of the price.
 TOL_EQ = 1e-10
+# Steps between two recorded states of a run.
+RECORD_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ class PdSettings:
     k may be a scalar (broadcast over users) or a per-user vector;
     init_p defaults to half the individual caps when left as None. A run
     stops when no coordinate moves more than TOL_EQ in one step, or after
-    max_steps steps.
+    max_steps steps; its state is recorded every RECORD_EVERY steps.
     """
 
     k: float | np.ndarray = 1e-3
@@ -46,7 +50,6 @@ class PdSettings:
     init_p: np.ndarray | None = None
     init_lambda: float = 0.0
     max_steps: int = 10_000_000
-    record_every: int = 100
 
     def __post_init__(self):
         if not np.all(np.asarray(self.k) > 0):
@@ -55,15 +58,15 @@ class PdSettings:
             raise ValueError("dual gain g must be > 0")
         if not self.init_lambda >= 0:
             raise ValueError("init_lambda must be >= 0")
-        if self.max_steps < 1 or self.record_every < 1:
-            raise ValueError("max_steps and record_every must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass
 class Trajectory:
     """Decimated time series of the integration plus overhead counters.
 
-    The last record is always the final state: p[-1] and lam[-1].
+    The last record is always the final state: p[-1], lam[-1] at t[-1] = steps_taken.
     """
 
     t: np.ndarray               # recorded step indices
@@ -96,14 +99,17 @@ def step(state, sc: Scenario, p_u: np.ndarray, settings: PdSettings):
     return p_new, lam_new
 
 
-def lyapunov(p, lam, p_star, lam_star, settings: PdSettings) -> float:
-    """Gain-weighted squared distance to the reference point (0 iff equal)."""
+def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
+    """Gain-weighted squared distance to the reference point (0 iff equal).
+
+    The users lie on the last axis of p. One state gives a float; states
+    stacked as p of shape (R, N) and lam of shape (R,) give R distances.
+    """
     p = np.asarray(p, dtype=float)
     k = np.broadcast_to(np.asarray(settings.k, dtype=float), p.shape)
-    return float(
-        0.5 * np.sum((p - np.asarray(p_star)) ** 2 / k)
-        + (lam - lam_star) ** 2 / (2.0 * settings.g)
-    )
+    dist_p = np.sum((p - np.asarray(p_star)) ** 2 / k, axis=-1)
+    v = 0.5 * dist_p + (lam - lam_star) ** 2 / (2.0 * settings.g)
+    return v if v.ndim else float(v)
 
 
 def integrate(
@@ -134,16 +140,8 @@ def integrate(
     p = np.clip(p, P_FLOOR, p_u)
     lam = float(settings.init_lambda)
 
-    rec_t, rec_p, rec_lam, rec_u, rec_v = [], [], [], [], []
-
-    def record(t_idx, p_now, lam_now):
-        rec_t.append(t_idx)
-        rec_p.append(p_now.copy())
-        rec_lam.append(lam_now)
-        rec_u.append(float(np.sum(utility(p_now, sc.w, sc.p_circuit, sc.delta))))
-        rec_v.append(lyapunov(p_now, lam_now, p_star, lam_star, settings))
-
-    record(0, p, lam)
+    # step returns a new p every call, so a record never aliases the state
+    records = [(0, p, lam)]
     converged = False
     steps = 0
     for t in range(1, settings.max_steps + 1):
@@ -151,38 +149,22 @@ def integrate(
         motion = max(float(np.max(np.abs(p_next - p))), abs(lam_next - lam))
         p, lam = p_next, lam_next
         steps = t
-        if t % settings.record_every == 0:
-            record(t, p, lam)
+        if t % RECORD_EVERY == 0:
+            records.append((t, p, lam))
         if motion <= TOL_EQ:
             converged = True
             break
-    if steps % settings.record_every != 0:
-        record(steps, p, lam)
+    if steps % RECORD_EVERY != 0:
+        records.append((steps, p, lam))
 
+    t_rec, p_rec, lam_rec = (np.array(col) for col in zip(*records))
     return Trajectory(
-        t=np.array(rec_t, dtype=int),
-        p=np.array(rec_p),
-        lam=np.array(rec_lam),
-        total_utility=np.array(rec_u),
-        v=np.array(rec_v),
+        t=t_rec,
+        p=p_rec,
+        lam=lam_rec,
+        total_utility=np.sum(utility(p_rec, sc.w, sc.p_circuit, sc.delta), axis=1),
+        v=lyapunov(p_rec, lam_rec, p_star, lam_star, settings),
         messages_uplink=sc.n_users * steps,
         converged=converged,
         steps_taken=steps,
     )
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Dump a trajectory as CSV: t, P_1..P_N, lambda, total_utility, V."""
-    n = traj.p.shape[1]
-    header = ["t"] + [f"P_{i + 1}" for i in range(n)] + ["lambda", "total_utility", "V"]
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for j in range(traj.t.size):
-            cells = [str(int(traj.t[j]))]
-            cells += [f"{x:.12g}" for x in traj.p[j]]
-            cells += [
-                f"{traj.lam[j]:.12g}",
-                f"{traj.total_utility[j]:.12g}",
-                f"{traj.v[j]:.12g}",
-            ]
-            f.write(",".join(cells) + "\n")

@@ -15,8 +15,8 @@ Example::
 Exactly one of delta_db / channel_csv must be present; channel_csv paths
 are resolved relative to the scenario file and require sigma2_watts, and
 the CSV must have receive_antennas rows when that key is given.
-Primal-dual settings accept overrides under pd_* keys; the solver's
-tolerances are fixed and have no keys. Unknown keys are rejected.
+pd_* keys override primal-dual settings; the solver's tolerances and the
+record cadence are fixed and have no keys. Unknown keys are rejected.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ _PD_KEYS = {
     "pd_init_p_watts": "init_p",
     "pd_init_lambda": "init_lambda",
     "pd_max_steps": "max_steps",
-    "pd_record_every": "record_every",
 }
 _KNOWN_KEYS = {
     "n_users",
@@ -138,7 +137,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             pd_kwargs[attr] = _broadcast(val, n, key) if val.ndim else float(val)
         elif attr == "init_p":
             pd_kwargs[attr] = _broadcast(doc[key], n, key)
-        elif attr in ("max_steps", "record_every"):
+        elif attr == "max_steps":
             pd_kwargs[attr] = _integer(doc, key, source)
         else:
             pd_kwargs[attr] = float(doc[key])

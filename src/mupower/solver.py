@@ -84,7 +84,8 @@ def _checked(name, value, shape):
     rule, ok = _RULES[name]
     value = np.asarray(value, dtype=float)
     if value.ndim > len(shape) or (value.size != 1 and value.shape != shape):
-        raise ValueError(f"{name} has {value.size} entries but there are {shape[-1]} effective gains")
+        expected = f"a scalar or {shape} ({shape[-1]} effective gains)"
+        raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
     arr = np.broadcast_to(value, shape).copy()
     bad = ~(np.isfinite(arr) & ok(arr))
     if bad.any():
@@ -269,8 +270,8 @@ def _user_powers(lam, w, pc, delta, hi, tol):
 
     def fdf(p, target, pc, delta, lam):
         return (
-            _beta(p, pc, delta, np.log1p) - target - lam * (p + pc),
-            _beta_prime(p, pc, delta, np.log1p) - lam,
+            _beta(p, pc, delta) - target - lam * (p + pc),
+            _beta_prime(p, pc, delta) - lam,
         )
 
     return _root(fdf, P_FLOOR, hi, tol, (1.0 - w, pc, delta, lam))
@@ -314,7 +315,7 @@ def _price_solve(w, pc, delta, p_u, budget):
         refine[r] += used.reshape(-1, n).sum(axis=1)
         interior = (P_FLOOR < pr) & (pr < caps)
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (pr + pcr) / (_beta_prime(pr, pcr, delta[r], np.log1p) - lam[:, None])
+            slope = (pr + pcr) / (_beta_prime(pr, pcr, delta[r]) - lam[:, None])
         return pr.sum(axis=1) - budget[r], np.where(interior, slope, 0.0).sum(axis=1)
 
     hi = np.max(utility_grad(np.minimum(budget[:, None] / n, p_u), w, pc, delta), axis=1)

@@ -21,8 +21,6 @@ All functions broadcast over numpy arrays; natural logs throughout
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -57,16 +55,16 @@ def composite_u(p, w, p_circuit, delta):
     return np.exp(utility(p, w, p_circuit, delta))
 
 
-def _beta(p, pc, delta, log1p=math.log1p):
-    """beta without validation; floats by default, arrays with np.log1p."""
+def _beta(p, pc, delta):
+    """beta without validation."""
     dp = delta * p
-    return delta * (p + pc) / ((1.0 + dp) * log1p(dp))
+    return delta * (p + pc) / ((1.0 + dp) * np.log1p(dp))
 
 
-def _beta_prime(p, pc, delta, log1p=math.log1p):
-    """d beta / dp without validation; floats by default, arrays with np.log1p."""
+def _beta_prime(p, pc, delta):
+    """d beta / dp without validation."""
     dp = delta * p
-    log_term = log1p(dp)
+    log_term = np.log1p(dp)
     num = (log_term - dp) - pc * delta * (log_term + 1.0)
     return delta * num / ((1.0 + dp) * log_term) ** 2
 
@@ -75,14 +73,14 @@ def beta(p, p_circuit, delta):
     """delta (p + pc) / [(1 + delta p) ln(1 + delta p)]; strictly decreasing, p > 0."""
     p = np.asarray(p, dtype=float)
     _require(bool(np.all(p > 0)), "beta needs p > 0")
-    return _beta(p, p_circuit, delta, np.log1p)
+    return _beta(p, p_circuit, delta)
 
 
 def beta_prime(p, p_circuit, delta):
     """Analytic d beta / dp; negative everywhere on p > 0."""
     p = np.asarray(p, dtype=float)
     _require(bool(np.all(p > 0)), "beta_prime needs p > 0")
-    return _beta_prime(p, p_circuit, delta, np.log1p)
+    return _beta_prime(p, p_circuit, delta)
 
 
 def utility_grad(p, w, p_circuit, delta):

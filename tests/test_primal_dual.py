@@ -11,9 +11,10 @@ from mupower import (
     solve_centralized,
     step,
 )
-from mupower.primal_dual import TOL_EQ, write_trajectory_csv
+from mupower.cli import write_trajectory_csv
+from mupower.primal_dual import RECORD_EVERY, TOL_EQ
 from mupower.solver import P_FLOOR
-from mupower.utility import utility_grad
+from mupower.utility import utility, utility_grad
 
 
 def fig4_scenario() -> Scenario:
@@ -160,6 +161,22 @@ def test_integrate_restart_is_fixed_point():
     assert again.steps_taken <= 10
 
 
+def test_integrate_records_derived_after_the_run():
+    # the utility and V of the stacked records equal the per-record values
+    sc = fig4_scenario()
+    ref = solve_centralized(sc)
+    for pd, converged in ((PdSettings(k=0.1, g=0.1), True), (PdSettings(max_steps=555), False)):
+        traj = integrate(sc, pd, reference=ref)
+        assert traj.converged is converged
+        assert traj.t[-1] == traj.steps_taken
+        assert traj.t.tolist() == list(range(0, traj.steps_taken, RECORD_EVERY)) + [traj.steps_taken]
+        u = [float(np.sum(utility(p, sc.w, sc.p_circuit, sc.delta))) for p in traj.p]
+        v = [lyapunov(p, lam, ref.p, ref.lam, pd) for p, lam in zip(traj.p, traj.lam)]
+        np.testing.assert_array_equal(traj.total_utility, u)
+        np.testing.assert_array_equal(traj.v, v)
+    assert traj.t[-3:].tolist() == [400, 500, 555]
+
+
 def test_integrate_same_limit_from_random_starts():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
@@ -197,7 +214,7 @@ def test_pd_settings_validation():
 
 def test_trajectory_csv_format(tmp_path):
     sc = fig4_scenario()
-    traj = integrate(sc, PdSettings(max_steps=500, record_every=100), reference=solve_centralized(sc))
+    traj = integrate(sc, PdSettings(max_steps=500), reference=solve_centralized(sc))
     out = tmp_path / "traj.csv"
     write_trajectory_csv(traj, out)
     lines = out.read_text().splitlines()

@@ -268,8 +268,12 @@ def test_batch_overrides_checked_by_scenario_rules():
     for kwargs, message in (
         (dict(w=[[0.5, 0.5], [1.5, 0.5]]), r"w must lie in \[0, 1\], got 1.5"),
         (dict(w=[[0.5, 0.5, 0.5]]), "gains"),
+        (dict(w=[0.5, 0.5]), r"w has shape \(2,\), expected a scalar or \(2, 2\) \(2 effective gains\)"),
         (dict(delta=[[1.0, 0.0]]), "delta must be > 0"),
-        (dict(w=[[0.5, 0.5]], delta=[[1.0, 1.0], [1.0, 1.0]]), "delta has 4 entries"),
+        (
+            dict(w=[[0.5, 0.5]], delta=[[1.0, 1.0], [1.0, 1.0]]),
+            r"delta has shape \(2, 2\), expected a scalar or \(1, 2\)",
+        ),
     ):
         with pytest.raises(ValueError, match=message):
             solve_batch(sc, **kwargs)

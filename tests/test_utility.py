@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mupower import Scenario, beta, beta_prime, composite_u, ee, se, utility, utility_grad, utility_hess
-from mupower.utility import _beta, _beta_prime
 
 # High-precision evaluations of the defining formulas (mpmath, 30 digits).
 LN101 = 4.615120516841259
@@ -172,19 +171,6 @@ def test_user_params_validation():
         user(0.5, 0.0, 1.0)
     with pytest.raises(ValueError, match="p_max"):
         user(0.5, 0.1, -1.0)
-
-
-def test_scalar_twins_agree_with_vectorized():
-    rng = np.random.default_rng(31)
-    # the root finders call _beta/_beta_prime on floats (math.log1p); the
-    # public functions call the same formulas on arrays (np.log1p)
-    for _ in range(100):
-        p = float(rng.uniform(1e-6, 2.0))
-        pc = float(rng.uniform(0.02, 0.5))
-        d = float(10.0 ** rng.uniform(-2.0, 2.0))
-        # libm log1p and numpy log1p may differ in the last ulp
-        assert _beta(p, pc, d) == pytest.approx(float(beta(p, pc, d)), rel=1e-14)
-        assert _beta_prime(p, pc, d) == pytest.approx(float(beta_prime(p, pc, d)), rel=1e-14)
 
 
 def test_accurate_log_for_tiny_powers():
