@@ -10,11 +10,13 @@ Subcommands (all read a scenario file, see scenario.py for the format):
 Each sweep is one batched solve (solver.solve_batch): the grid's weights
 or gains are the rows of one (B, 2) array, checked once by the scenario's
 rules, and the first row that fails its certificate aborts the sweep.
+The solver returns powers; each command computes what it reports from them.
 
-Every CSV goes through _write_csv: 12 significant digits, comma delimiter,
-LF line endings, deterministic for a fixed scenario file. Exit codes:
-0 success, 1 input error, 2 solver non-convergence (primal-dual only
-fails this way under --strict).
+Every CSV is built by _csv: 12 significant digits, comma delimiter, LF
+line endings, deterministic for a fixed scenario file. Each command writes
+stdout in one call, as a reader may close the pipe early (| head). Exit
+codes: 0 success, 1 input error, 2 solver non-convergence (primal-dual
+only fails this way under --strict).
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .metrics import jain_index, summarize
 from .primal_dual import Trajectory, integrate
 from .scenario import LoadedScenario, load_scenario
 from .solver import P_FLOOR, BudgetCase, ConvergenceError, solve_batch, solve_centralized
+from .utility import ee, se, utility
 
 _FAIRNESS_DELTA1_DB = (-20.0, 0.0, 20.0)
 
@@ -36,43 +39,43 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_csv(path, header, rows):
-    """Write a numeric (rows, len(header)) table, one format call per row."""
+def _csv(header, rows) -> str:
+    """A numeric (rows, len(header)) table as CSV text, one format call per row."""
     fmt = ",".join(["%.12g"] * len(header)) + "\n"
-    head = ",".join(header) + "\n"
-    lines = (fmt % tuple(row) for row in np.asarray(rows).tolist())
+    return ",".join(header) + "\n" + "".join(fmt % tuple(row) for row in np.asarray(rows).tolist())
+
+
+def _write(path, text) -> None:
+    """Write text to path, or to stdout when path is None, in one call."""
     if path is None:
-        sys.stdout.write(head + "".join(lines))  # one write: a reader may close the pipe early
+        sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as f:
-            f.write(head)
-            f.writelines(lines)
+            f.write(text)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV: t, P_1..P_N, lambda, total_utility, V."""
     header = ["t"] + [f"P_{i + 1}" for i in range(traj.p.shape[1])] + ["lambda", "total_utility", "V"]
-    _write_csv(path, header, np.column_stack([traj.t, traj.p, traj.lam, traj.total_utility, traj.v]))
+    _write(path, _csv(header, np.column_stack([traj.t, traj.p, traj.lam, traj.total_utility, traj.v])))
 
 
 def cmd_solve(loaded: LoadedScenario, out=None) -> int:
     sc = loaded.scenario
     alloc = solve_centralized(sc)
-    d = alloc.diagnostics
-    report = summarize(sc, alloc)
+    p, report = alloc.p, summarize(sc, alloc)
     case = "SumTight" if alloc.case is BudgetCase.SUM_TIGHT else "SumSlack"
-    print(f"case: {case}")
-    print(f"lambda: {_fmt(alloc.lam)}")
-    print(f"sum_p_watts: {_fmt(np.sum(alloc.p))} (budget {_fmt(sc.p_sum_max)})")
-    header = ["user", "P_watts", "P_u_watts", "SE", "EE", "U"]
     users = np.arange(1, sc.n_users + 1)
-    rows = np.column_stack([users, alloc.p, alloc.p_u, d.se, d.ee, d.utilities])
-    _write_csv(None, header, rows)
-    print(f"total_utility: {_fmt(d.total_utility)}")
-    print(f"jain: {_fmt(report.jain)}")
-    print(f"max_kkt_residual: {_fmt(d.kkt.max_residual)}")
+    rows = [users, p, alloc.p_u, se(p, sc.delta), ee(p, sc.p_circuit, sc.delta), report.per_user_utility]
+    table = _csv(["user", "P_watts", "P_u_watts", "SE", "EE", "U"], np.column_stack(rows))
+    sys.stdout.write(
+        f"case: {case}\nlambda: {_fmt(alloc.lam)}\n"
+        f"sum_p_watts: {_fmt(np.sum(p))} (budget {_fmt(sc.p_sum_max)})\n{table}"
+        f"total_utility: {_fmt(report.total_utility)}\njain: {_fmt(report.jain)}\n"
+        f"max_kkt_residual: {_fmt(alloc.diagnostics.kkt.max_residual)}\n",
+    )
     if out is not None:
-        _write_csv(out, header, rows)
+        _write(out, table)
     return 0
 
 
@@ -83,8 +86,7 @@ def cmd_sweep_diversity(loaded: LoadedScenario, out=None, grid: int = 41) -> int
         raise ValueError(f"sweep-diversity needs a 2-user scenario, got N={sc.n_users}")
     axis = np.linspace(0.0, 1.0, grid)
     w = np.column_stack([np.repeat(axis, grid), np.tile(axis, grid)])
-    alloc = solve_batch(sc, w=w)
-    p, d = alloc.p, alloc.diagnostics
+    p = solve_batch(sc, w=w).p
     feasible = (
         np.all(p >= P_FLOOR, axis=1)
         & np.all(p <= sc.p_max + 1e-12, axis=1)
@@ -93,7 +95,8 @@ def cmd_sweep_diversity(loaded: LoadedScenario, out=None, grid: int = 41) -> int
     if not feasible.all():
         w1, w2 = w[np.argmin(feasible)]
         raise RuntimeError(f"infeasible sweep row at w=({w1}, {w2})")
-    _write_csv(out, ["w1", "w2", "P1", "P2", "SE1", "SE2", "EE1", "EE2"], np.hstack([w, p, d.se, d.ee]))
+    table = np.hstack([w, p, se(p, sc.delta), ee(p, sc.p_circuit, sc.delta)])
+    _write(out, _csv(["w1", "w2", "P1", "P2", "SE1", "SE2", "EE1", "EE2"], table))
     return 0
 
 
@@ -109,13 +112,14 @@ def cmd_sweep_fairness(loaded: LoadedScenario, out=None, grid: int = 41) -> int:
         raise ValueError(f"sweep-fairness needs a 2-user scenario, got N={sc.n_users}")
     d1, d2 = np.asarray(_FAIRNESS_DELTA1_DB), np.linspace(-20.0, 20.0, grid)
     db = np.column_stack([np.repeat(d1, d2.size), np.tile(d2, d1.size)])
-    u = solve_batch(sc, delta=gains_from_db(db)).diagnostics.utilities
-    jain = np.array([jain_index(row) for row in u])
+    delta = gains_from_db(db)
+    u = utility(solve_batch(sc, delta=delta).p, sc.w, sc.p_circuit, delta)
+    jain = jain_index(u)
     in_range = (1.0 / sc.n_users - 1e-12 <= jain) & (jain <= 1.0 + 1e-12)
     if not in_range.all():
         i = np.argmin(in_range)
         raise RuntimeError(f"jain {jain[i]} out of range at delta=({db[i, 0]}, {db[i, 1]}) dB")
-    _write_csv(out, ["delta1_db", "delta2_db", "jain", "U1", "U2"], np.column_stack([db, jain, u]))
+    _write(out, _csv(["delta1_db", "delta2_db", "jain", "U1", "U2"], np.column_stack([db, jain, u])))
     return 0
 
 
@@ -126,12 +130,12 @@ def cmd_primal_dual(loaded: LoadedScenario, out=None, strict: bool = False) -> i
     if out is not None:
         write_trajectory_csv(traj, out)
     gap = float(np.max(np.abs(traj.p[-1] - reference.p)))
-    print(f"converged: {traj.converged}")
-    print(f"steps: {traj.steps_taken}")
-    print(f"final_gap_vs_centralized: {_fmt(gap)}")
-    print(f"final_lambda: {_fmt(traj.lam[-1])} (centralized {_fmt(reference.lam)})")
-    print(f"messages_broadcast: {traj.steps_taken}")
-    print(f"messages_uplink: {traj.messages_uplink}")
+    sys.stdout.write(
+        f"converged: {traj.converged}\nsteps: {traj.steps_taken}\n"
+        f"final_gap_vs_centralized: {_fmt(gap)}\n"
+        f"final_lambda: {_fmt(traj.lam[-1])} (centralized {_fmt(reference.lam)})\n"
+        f"messages_broadcast: {traj.steps_taken}\nmessages_uplink: {traj.messages_uplink}\n",
+    )
     if strict and not traj.converged:
         print("error: primal-dual integration did not converge", file=sys.stderr)
         return 2

@@ -128,6 +128,9 @@ def integrate(
     if reference is None:
         reference = solve_centralized(sc)
     p_u, p_star, lam_star = reference.p_u, reference.p, reference.lam
+    k = np.asarray(settings.k)
+    if k.ndim > 1 or k.size not in (1, p_u.size):
+        raise ValueError(f"k has shape {k.shape}, expected a scalar or {p_u.shape}")
 
     if settings.init_p is None:
         p = 0.5 * p_u

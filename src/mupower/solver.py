@@ -32,15 +32,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .utility import (
-    _beta,
-    _beta_prime,
-    ee,
-    se,
-    utility,
-    utility_grad,
-    utility_hess,
-)
+from .utility import _beta, _beta_prime, utility_grad, utility_hess
 
 # Arithmetic floor standing in for p = 0 (W); the lower bound of every power.
 P_FLOOR = 1e-9
@@ -164,20 +156,17 @@ class KktReport:
 
 @dataclass
 class Diagnostics:
-    """Per-user quality measures plus solver effort counters.
+    """What a solve did: its KKT certificate and its effort counters.
 
     newton_iterations counts cap-root evaluations per user. In the
     budget-tight case price_iterations counts the prices at which the
     powers were evaluated (bracket ends included) and refine_evaluations
     the root evaluations spent finding the powers at those prices; both
     are 0 when the budget has slack. In a batch each field has a leading
-    row axis.
+    row axis. An allocation's SE, EE and utilities are not kept here:
+    they follow from its powers (utility.se, utility.ee, metrics.summarize).
     """
 
-    se: np.ndarray
-    ee: np.ndarray
-    utilities: np.ndarray
-    total_utility: float
     kkt: KktReport
     newton_iterations: np.ndarray
     price_iterations: int
@@ -409,17 +398,7 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
             f"(stationarity {kkt.stationarity[i].max():.3e}, "
             f"scaled {kkt.scaled_stationarity[i].max():.3e})"
         )
-    utilities = utility(p, w, pc, delta)
-    diagnostics = Diagnostics(
-        se=se(p, delta),
-        ee=ee(p, pc, delta),
-        utilities=utilities,
-        total_utility=np.sum(utilities, axis=1),
-        kkt=kkt,
-        newton_iterations=newton,
-        price_iterations=price_evals,
-        refine_evaluations=refine_evals,
-    )
+    diagnostics = Diagnostics(kkt, newton, price_evals, refine_evals)
     case = np.where(tight, BudgetCase.SUM_TIGHT, BudgetCase.SUM_SLACK)
     return Allocation(p=p, p_u=p_u, lam=lam, case=case, diagnostics=diagnostics)
 

@@ -1,4 +1,5 @@
 import io
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -262,3 +263,26 @@ def test_primal_dual_strict_nonconvergence(tmp_path, capsys):
     assert code == 2
     code = main(["primal-dual", "--scenario", str(path)])
     assert code == 0
+
+
+class _ClosingPipe(io.StringIO):
+    """A stdout whose reader closes the pipe after the first write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_stdout_written_in_one_call(tmp_path, monkeypatch):
+    short = write_scenario(tmp_path, (SCENARIOS / "fig4.yaml").read_text() + "pd_max_steps: 500\n")
+    for argv in (["solve", "--scenario", str(SCENARIOS / "fig4.yaml")], ["primal-dual", "--scenario", str(short)]):
+        stdout = _ClosingPipe()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert stdout.writes == 1

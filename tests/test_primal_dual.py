@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,9 @@ def test_init_p_validation():
         integrate(sc, PdSettings(init_p=np.full(4, 10.0)))
     with pytest.raises(ValueError, match="init_p"):
         integrate(sc, PdSettings(init_p=np.array([np.nan, 0.1, 0.1, 0.1])))
+    for k in (np.full((4, 1), 1e-3), np.full(3, 1e-3)):
+        with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
+            integrate(sc, PdSettings(k=k))
 
 
 def test_pd_settings_validation():

@@ -14,6 +14,7 @@ from mupower import (
     gains_from_db,
     kkt_residuals,
     solve_centralized,
+    summarize,
 )
 from mupower.solver import _TOL_ROOT, P_FLOOR, TOL_KKT, Allocation, solve_batch
 from mupower.utility import beta, utility_grad
@@ -106,7 +107,7 @@ def test_heterogeneous_matches_grid_oracle():
     alloc = solve_centralized(sc)
     p_ref, u_ref = grid_search_2user(sc)
     assert np.all(np.abs(alloc.p - p_ref) <= 5e-4)
-    assert abs(alloc.diagnostics.total_utility - u_ref) <= 1e-6
+    assert abs(summarize(sc, alloc).total_utility - u_ref) <= 1e-6
 
 
 def test_cap_dominance_and_case_dichotomy():

@@ -1,12 +1,24 @@
 """The benchmark's traced run wraps program functions by module attribute.
 
 A name the package no longer has is skipped silently there, which would
-zero that layer's figures; this test fails instead.
+zero that layer's figures, and a counter it reads through a default would
+read 0; these tests fail instead.
 """
 import importlib.util
 from pathlib import Path
 
-WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+from mupower import cli
+from mupower.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class _Recorder:
@@ -18,11 +30,31 @@ class _Recorder:
 
 
 def test_traced_layers_exist():
-    spec = importlib.util.spec_from_file_location("bench_worker", WORKER)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = _bench_module("worker")
     recorder = _Recorder()
     worker._install_tracer(recorder, [])
     missing = [f"{m.__name__}.{attr}" for m, attr in recorder.wrapped if not callable(getattr(m, attr, None))]
     assert recorder.wrapped
     assert not missing, f"traced layers missing from the package: {missing}"
+
+
+def test_traced_counters(monkeypatch, tmp_path, capsys):
+    worker, spans = _bench_module("worker"), _bench_module("spans")
+    recorder = _Recorder()
+    worker._install_tracer(recorder, [])
+    # setting each wrapped attribute to itself makes monkeypatch restore it
+    for module, attr in recorder.wrapped:
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = spans.Tracer()
+    worker._install_tracer(tracer, [])
+
+    cli.cmd_solve(load_scenario(SCENARIOS / "fig4.yaml"))
+    short = tmp_path / "fig4.yaml"
+    short.write_text((SCENARIOS / "fig4.yaml").read_text() + "pd_max_steps: 500\n")
+    cli.cmd_primal_dual(load_scenario(short))
+
+    solves = [a for name, _, _, _, a in tracer.spans if name == "solver.solve_centralized"]
+    runs = [a for name, _, _, _, a in tracer.spans if name == "primal_dual.integrate"]
+    # one solve by cmd_solve, one reference solve by cmd_primal_dual
+    assert [(a["case"], a["newton"], a["refine"]) for a in solves] == [("sum_tight", 9, 140)] * 2
+    assert [(a["steps"], a["uplink"]) for a in runs] == [(500, 2000)]
