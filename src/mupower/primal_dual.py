@@ -22,6 +22,7 @@ are computed once the run ends.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +88,20 @@ def step(state, sc: Scenario, p_u: np.ndarray, settings: PdSettings):
     lambda >= 0. This gives the same state as clamping the drive at a
     boundary and also absorbs Euler overshoot. Costs one price broadcast
     plus one power report per user.
+
+    Finiteness is tested on max(p_new) and lambda_new alone: a projected
+    power lies in [P_FLOOR, p_u] unless it is NaN (an infinite drive is
+    clipped to a bound), and max propagates NaN, so this is the same test
+    as isfinite on every entry. A k whose shape broadcasts the powers to
+    another shape raises ValueError.
     """
     p, lam = state
     drive = utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam
-    p_new = np.clip(p + settings.k * drive, P_FLOOR, p_u)
-    lam_new = max(0.0, lam + settings.g * (float(np.sum(p)) - sc.p_sum_max))
-    if not (np.all(np.isfinite(p_new)) and np.isfinite(lam_new)):
+    p_new = np.minimum(np.maximum(p + settings.k * drive, P_FLOOR), p_u)
+    if p_new.shape != p.shape:
+        raise ValueError(f"k has shape {np.shape(settings.k)}, expected a scalar or {p.shape}")
+    lam_new = max(0.0, lam + settings.g * (float(p.sum()) - sc.p_sum_max))
+    if not (math.isfinite(p_new.max()) and math.isfinite(lam_new)):
         raise FloatingPointError(
             "primal-dual state became non-finite; gains are likely too large"
         )
@@ -149,7 +158,7 @@ def integrate(
     steps = 0
     for t in range(1, settings.max_steps + 1):
         p_next, lam_next = step((p, lam), sc, p_u, settings)
-        motion = max(float(np.max(np.abs(p_next - p))), abs(lam_next - lam))
+        motion = max(float(abs(p_next - p).max()), abs(lam_next - lam))
         p, lam = p_next, lam_next
         steps = t
         if t % RECORD_EVERY == 0:

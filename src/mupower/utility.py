@@ -24,29 +24,31 @@ from __future__ import annotations
 import numpy as np
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
+def _checked(p, msg: str, allow_zero: bool = False) -> np.ndarray:
+    """p as a float array; ValueError(msg) unless every entry is > 0 (>= 0
+    with allow_zero). One reduction: a NaN fails, an empty p passes."""
+    p = np.asarray(p, dtype=float)
+    low = p.min(initial=np.inf)
+    if not (low >= 0 if allow_zero else low > 0):
         raise ValueError(msg)
+    return p
 
 
 def se(p, delta):
     """Spectral efficiency ln(1 + delta p); requires p >= 0."""
-    p = np.asarray(p, dtype=float)
-    _require(bool(np.all(p >= 0)), "transmit power must be >= 0")
+    p = _checked(p, "transmit power must be >= 0", allow_zero=True)
     return np.log1p(delta * p)
 
 
 def ee(p, p_circuit, delta):
     """Energy efficiency ln(1 + delta p) / (p + p_circuit); requires p >= 0."""
-    p = np.asarray(p, dtype=float)
-    _require(bool(np.all(p >= 0)), "transmit power must be >= 0")
+    p = _checked(p, "transmit power must be >= 0", allow_zero=True)
     return np.log1p(delta * p) / (p + p_circuit)
 
 
 def utility(p, w, p_circuit, delta):
     """Log composite ln[ln(1 + delta p)] - (1 - w) ln(p + p_circuit); p > 0."""
-    p = np.asarray(p, dtype=float)
-    _require(bool(np.all(p > 0)), "utility needs p > 0 (it diverges at 0)")
+    p = _checked(p, "utility needs p > 0 (it diverges at 0)")
     return np.log(np.log1p(delta * p)) - (1.0 - w) * np.log(p + p_circuit)
 
 
@@ -71,26 +73,30 @@ def _beta_prime(p, pc, delta):
 
 def beta(p, p_circuit, delta):
     """delta (p + pc) / [(1 + delta p) ln(1 + delta p)]; strictly decreasing, p > 0."""
-    p = np.asarray(p, dtype=float)
-    _require(bool(np.all(p > 0)), "beta needs p > 0")
-    return _beta(p, p_circuit, delta)
+    return _beta(_checked(p, "beta needs p > 0"), p_circuit, delta)
 
 
 def beta_prime(p, p_circuit, delta):
     """Analytic d beta / dp; negative everywhere on p > 0."""
-    p = np.asarray(p, dtype=float)
-    _require(bool(np.all(p > 0)), "beta_prime needs p > 0")
-    return _beta_prime(p, p_circuit, delta)
+    return _beta_prime(_checked(p, "beta_prime needs p > 0"), p_circuit, delta)
 
 
 def utility_grad(p, w, p_circuit, delta):
-    """Analytic utility'(p) = [beta(p) - (1 - w)] / (p + p_circuit); p > 0."""
-    return (beta(p, p_circuit, delta) - (1.0 - w)) / (np.asarray(p) + p_circuit)
+    """Analytic utility'(p) = [beta(p) - (1 - w)] / (p + p_circuit); p > 0.
+
+    The primal-dual integrator calls this every step, so _beta is written
+    out to form p + p_circuit once, in _beta's operation order (the result
+    is bit-identical).
+    """
+    p = _checked(p, "beta needs p > 0")
+    total = p + p_circuit
+    dp = delta * p
+    return (delta * total / ((1.0 + dp) * np.log1p(dp)) - (1.0 - w)) / total
 
 
 def utility_hess(p, w, p_circuit, delta):
     """Analytic utility''(p); strictly negative below the stationary point."""
-    p = np.asarray(p, dtype=float)
+    p = _checked(p, "beta needs p > 0")
     total = p + p_circuit
-    excess = beta(p, p_circuit, delta) - (1.0 - w)
-    return (beta_prime(p, p_circuit, delta) * total - excess) / total**2
+    excess = _beta(p, p_circuit, delta) - (1.0 - w)
+    return (_beta_prime(p, p_circuit, delta) * total - excess) / total**2

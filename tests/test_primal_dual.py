@@ -43,7 +43,7 @@ def test_step_interior_is_plain_euler():
     lam = 0.05
     p_new, _ = step((p, lam), sc, p_u, pd)
     expected = p + 1e-3 * (utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam)
-    assert np.allclose(p_new, np.clip(expected, P_FLOOR, p_u), atol=1e-15)
+    np.testing.assert_array_equal(p_new, np.clip(expected, P_FLOOR, p_u))
 
 
 def test_step_fixed_at_centralized_optimum():
@@ -90,6 +90,19 @@ def test_step_overflow_detection():
     pd = PdSettings()
     with pytest.raises(FloatingPointError):
         step((0.5 * p_u, np.inf), sc, p_u, pd)
+    # max(0.0, nan) is 0.0, so only the test on the powers catches a NaN price
+    with pytest.raises(FloatingPointError):
+        step((0.5 * p_u, np.nan), sc, p_u, pd)
+
+
+def test_step_rejects_k_of_another_shape():
+    sc = fig4_scenario()
+    p_u = caps_for(sc)
+    for k in (np.full((4, 1), 1e-3), np.full((1, 4), 1e-3)):
+        with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
+            step((0.5 * p_u, 0.0), sc, p_u, PdSettings(k=k))
+    with pytest.raises(ValueError):
+        step((0.5 * p_u, 0.0), sc, p_u, PdSettings(k=np.full(3, 1e-3)))
 
 
 # ----------------------------------------------------------------- lyapunov

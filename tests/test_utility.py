@@ -140,11 +140,20 @@ def test_argmax_invariant_under_constant_shift():
         assert np.argmax(values) == np.argmax(values + c)
 
 
+def _bad_inputs(bad):
+    """bad as a scalar, inside a 1-D array and inside a (B, N) array."""
+    row = np.array([0.1, bad, 0.2])
+    rows = np.full((3, 2), 0.1)
+    rows[1, 1] = bad
+    return (bad, row, rows)
+
+
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        se(-1e-9, 100.0)
-    with pytest.raises(ValueError):
-        ee(-0.1, 0.1, 100.0)
+    for fn in (lambda p: se(p, 100.0), lambda p: ee(p, 0.1, 100.0)):
+        for bad in (-1e-9, -0.5, np.nan):
+            for p in _bad_inputs(bad):
+                with pytest.raises(ValueError, match="must be >= 0"):
+                    fn(p)
     for fn in (
         lambda p: utility(p, 0.5, 0.1, 100.0),
         lambda p: composite_u(p, 0.5, 0.1, 100.0),
@@ -153,10 +162,36 @@ def test_domain_errors():
         lambda p: utility_grad(p, 0.5, 0.1, 100.0),
         lambda p: utility_hess(p, 0.5, 0.1, 100.0),
     ):
-        with pytest.raises(ValueError):
-            fn(0.0)
-        with pytest.raises(ValueError):
-            fn(-0.5)
+        for bad in (0.0, -0.5, np.nan):
+            for p in _bad_inputs(bad):
+                with pytest.raises(ValueError, match="needs p > 0"):
+                    fn(p)
+
+
+def test_empty_input_gives_empty_output():
+    for fn in (
+        lambda p: se(p, 100.0),
+        lambda p: ee(p, 0.1, 100.0),
+        lambda p: utility(p, 0.5, 0.1, 100.0),
+        lambda p: beta(p, 0.1, 100.0),
+        lambda p: beta_prime(p, 0.1, 100.0),
+        lambda p: utility_grad(p, 0.5, 0.1, 100.0),
+        lambda p: utility_hess(p, 0.5, 0.1, 100.0),
+    ):
+        assert fn(np.empty(0)).shape == (0,)
+
+
+def test_grad_is_the_beta_formula_bit_for_bit():
+    # the property-test domain of the solver: w in [0, 1], pc in [1e-6, 1e3] W,
+    # delta in [-60, 80] dB, powers up to p_max in [1e-6, 1e2] W
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        b, n = int(rng.integers(1, 17)), int(rng.integers(1, 9))
+        w = rng.uniform(0.0, 1.0, n)
+        pc = 10.0 ** rng.uniform(-6.0, 3.0, n)
+        d = 10.0 ** (rng.uniform(-60.0, 80.0, (b, n)) / 10.0)
+        p = 10.0 ** rng.uniform(-9.0, 0.0, (b, n)) * 10.0 ** rng.uniform(-6.0, 2.0, n)
+        np.testing.assert_array_equal(utility_grad(p, w, pc, d), (beta(p, pc, d) - (1.0 - w)) / (p + pc))
 
 
 def test_user_params_validation():
