@@ -2,25 +2,29 @@
 
 The non-convex sum-utility problem is solved by tightening each user's box
 to the cap p_u_i at which the individual utility peaks (unique because
-beta is strictly decreasing), which makes the objective strictly concave
-on the shrunken box:
+beta is strictly decreasing), which makes the objective separable and
+strictly concave on the shrunken box [P_FLOOR, p_u]:
 
   * if the caps fit the system budget, the caps are the optimum;
-  * otherwise the optimum lies on the slice sum(p) = p_sum_max. Each user's
-    power at a budget price lambda solves U' = lambda on the box, and the
-    price is the root of sum(p(lambda)) = p_sum_max, found by safeguarded
-    Newton steps with dsum(p)/dlambda = sum over interior users of 1 / U''.
+  * otherwise the optimum lies on the slice sum(p) = p_sum_max, where the
+    interior users share one marginal utility U' = lambda (the budget
+    price) and users at a bound have their marginal on the bound's side.
 
-Since U'(p) = [beta(p) - (1 - w)] / (p + pc), both per-user problems are
-one root: the power at price lambda is the root of
-beta(p) - (1 - w) - lambda (p + pc), and the cap is its lambda = 0 case.
+Since U'(p) = [beta(p) - (1 - w)] / (p + pc), a cap is the root of
+beta(p) = 1 - w, found by _caps: masked Newton steps with a bisection
+fallback, each user stopping on its own.
+
+A budget-tight row is then solved by the projected Newton method of
+Bertsekas ("Projected Newton methods for optimization problems with
+simple constraints", SIAM J. Control Optim. 20(2), 1982) applied to its
+KKT system: the Hessian of the sum utility is diagonal, so each joint
+step in (p, lambda) over the users not held at a bound has a closed form
+(see _projected_newton). No inner root is solved per price.
 
 The solver works on a batch: B scenarios that share their users' circuit
 powers, power limits and budget and differ row by row in w or delta, held
-as (B, N) arrays. One array-wide safeguarded root finder (_root: masked
-Newton steps with a bisection fallback, each element stopping on its own)
-finds every cap at once, then every user's power at the prices of the
-budget-tight rows, and, over the row axis, those rows' prices. A row's
+as (B, N) arrays. The caps of every row are found at once, and the
+budget-tight rows iterate together, each stopping on its own. A row's
 result depends only on that row, so solve_centralized is the B = 1 case.
 
 Every row is certified against the KKT system before it is returned.
@@ -42,9 +46,6 @@ TOL_KKT = 1e-8
 _TOL_ROOT = 1e-12
 # Iteration budget of every root search.
 _MAX_ITER = 100_000
-# Stop of the price search: |sum p - p_sum_max| relative to the budget.
-# Any leftover is spread over the interior users afterwards.
-_PRICE_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
@@ -158,18 +159,16 @@ class KktReport:
 class Diagnostics:
     """What a solve did: its KKT certificate and its effort counters.
 
-    newton_iterations counts cap-root evaluations per user. In the
-    budget-tight case price_iterations counts the prices at which the
-    powers were evaluated (bracket ends included) and refine_evaluations
-    the root evaluations spent finding the powers at those prices; both
-    are 0 when the budget has slack. In a batch each field has a leading
-    row axis. An allocation's SE, EE and utilities are not kept here:
-    they follow from its powers (utility.se, utility.ee, metrics.summarize).
+    newton_iterations counts cap-root evaluations per user.
+    refine_evaluations counts the projected-Newton iterations of a
+    budget-tight row, and is 0 when the budget has slack. In a batch each
+    field is an array with a leading row axis. An allocation's SE, EE and
+    utilities are not kept here: they follow from its powers (utility.se,
+    utility.ee, metrics.summarize).
     """
 
     kkt: KktReport
     newton_iterations: np.ndarray
-    price_iterations: int
     refine_evaluations: int
 
 
@@ -181,7 +180,8 @@ class Allocation:
     sum(p) <= p_sum_max (tight in the SUM_TIGHT case). The container does
     not enforce this so that hand-built points can be fed to the KKT
     checker. solve_batch returns one allocation per row in one instance
-    whose fields (case: an array of BudgetCase) have a leading row axis.
+    whose fields are arrays with a leading row axis (lam: one price per
+    row; case: an array of BudgetCase).
     """
 
     p: np.ndarray
@@ -197,35 +197,32 @@ def _row(obj, i):
     return type(obj)(**{k: _row(v, i) if is_dataclass(v) else v[i] for k, v in values.items()})
 
 
-def _root(fdf, lo, hi, tol, args):
-    """Roots of strictly decreasing functions, one per element of hi.
+def _caps(w, pc, delta, p_max):
+    """Each user's cap: the root of beta(p) = 1 - w on [P_FLOOR, p_max].
 
-    args are per-element arrays; fdf(x, *a) returns (f(x), f'(x)) where a
-    are those arrays cut down to the elements x belongs to. Each element
-    is clipped to its [lo, hi], with 0 <= lo, and iterates on its own: it
-    stops at hi when f(hi) >= -tol, at lo when f(lo) <= 0, and otherwise
-    takes Newton steps with the analytic derivative, falling back to
+    Flat arrays, one entry per user. f = beta - (1 - w) is strictly
+    decreasing with slope beta'. Each element iterates on its own: it
+    stops at p_max when f(p_max) >= -_TOL_ROOT, at P_FLOOR when
+    f(P_FLOOR) <= 0, and otherwise takes Newton steps, falling back to
     bisection whenever a step leaves the current bracket, until
-    |f| <= tol, the next point repeats, or the bracket is eps-wide. An
-    element's root is always the last point passed to fdf for it.
-    Returns (roots, evaluations per element).
+    |f| <= _TOL_ROOT, the next point repeats, or the bracket is eps-wide.
+    Returns (caps, evaluations of f per element).
     """
-    hi = np.asarray(hi, dtype=float)
-    lo, tol = (np.broadcast_to(np.asarray(v, dtype=float), hi.shape) for v in (lo, tol))
-    x = hi.copy()
-    evals = np.ones(hi.shape, dtype=np.int64)
-    i = np.flatnonzero(~(fdf(x, *args)[0] >= -tol))
-    args = [v[i] for v in args]
+    target = 1.0 - w
+    x = p_max.copy()
+    evals = np.ones(x.shape, dtype=np.int64)
+    i = np.flatnonzero(~(_beta(x, pc, delta) - target >= -_TOL_ROOT))
     evals[i] = 2
-    go = ~(fdf(lo[i], *args)[0] <= 0)
-    x[i[~go]] = lo[i[~go]]
-    i, args = i[go], [v[go] for v in args]
-    a, b, t = lo[i], hi[i], tol[i]
+    go = ~(_beta(P_FLOOR, pc[i], delta[i]) - target[i] <= 0)
+    x[i[~go]] = P_FLOOR
+    i = i[go]
+    a, b = np.full(i.size, P_FLOOR), p_max[i]
     xi = 0.5 * (a + b)
     for k in range(3, _MAX_ITER + 3):
         if not i.size:
             return x, evals
-        f, d = fdf(xi, *args)
+        f = _beta(xi, pc[i], delta[i]) - target[i]
+        d = _beta_prime(xi, pc[i], delta[i])
         right = f > 0
         a = np.where(right, xi, a)
         b = np.where(right, b, xi)
@@ -235,35 +232,16 @@ def _root(fdf, lo, hi, tol, args):
             nxt = xi - f / d
         nxt = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
         # the bracket is nonnegative, so b is its largest magnitude
-        stop = (np.abs(f) <= t) | (nxt == xi) | (b - a <= _EPS * b)
+        stop = (np.abs(f) <= _TOL_ROOT) | (nxt == xi) | (b - a <= _EPS * b)
         if stop.any():
             x[i[stop]] = xi[stop]
             evals[i[stop]] = k
             go = ~stop
-            i, nxt, a, b, t = i[go], nxt[go], a[go], b[go], t[go]
-            args = [v[go] for v in args]
+            i, nxt, a, b = i[go], nxt[go], a[go], b[go]
         xi = nxt
     if i.size:
-        raise ConvergenceError(f"root finder exhausted {_MAX_ITER} iterations")
+        raise ConvergenceError(f"cap root exhausted {_MAX_ITER} iterations")
     return x, evals
-
-
-def _user_powers(lam, w, pc, delta, hi, tol):
-    """Each user's power at its budget price lam >= 0, clipped to [P_FLOOR, hi].
-
-    Flat arrays, one entry per user. The power is the root of
-    beta(p) - (1 - w) - lam (p + pc), which is (p + pc) times U'(p) - lam
-    and strictly decreasing with slope beta'(p) - lam. At lam = 0 this is
-    the cap root beta(p) = 1 - w. Returns (roots, evaluations) from _root.
-    """
-
-    def fdf(p, target, pc, delta, lam):
-        return (
-            _beta(p, pc, delta) - target - lam * (p + pc),
-            _beta_prime(p, pc, delta) - lam,
-        )
-
-    return _root(fdf, P_FLOOR, hi, tol, (1.0 - w, pc, delta, lam))
 
 
 def compute_pu(sc: Scenario):
@@ -273,54 +251,62 @@ def compute_pu(sc: Scenario):
     otherwise its cap is the unique root of beta_i = 1 - w_i (the peak of
     its utility). Returns (p_u, root-finder evaluations per user).
     """
-    return _user_powers(np.zeros(sc.n_users), sc.w, sc.p_circuit, sc.delta, sc.p_max, _TOL_ROOT)
+    return _caps(sc.w, sc.p_circuit, sc.delta, sc.p_max)
 
 
-def _price_solve(w, pc, delta, p_u, budget):
-    """Solve budget-tight rows exactly for their prices lambda.
+def _projected_newton(w, pc, delta, p_u, budget):
+    """Solve budget-tight rows by projected Newton on their KKT system.
 
-    Arrays are (T, N), budget (T,). At price lambda each user's power is
-    the root of U'(p) = lambda on [P_FLOOR, p_u] (see _user_powers), to
-    |U' - lambda| <= 1e-13. A row's sum of powers decreases in lambda with
-    slope sum_interior 1 / U''(p), and U'' = (beta'(p) - lambda) / (p + pc)
-    at such a root. The price lies in [0, hi] with
-    hi = max_i U'_i(min(p_sum_max / N, p_u_i)): at hi no user takes more
-    than an equal share of the budget. _root locates every row's price at
-    once, and each row's leftover budget is then spread across its
-    strictly interior users.
-    Returns (p, lam, price evaluations, root evaluations), row by row.
+    Arrays are (T, N), budget (T,). Each row starts at p_u * budget / sum(p_u).
+    A user at a bound is held there while its marginal U' points out of the
+    box against the price lambda; the other users F take one joint Newton
+    step on U'(p) = lambda, sum(p) = budget. U'' is diagonal, so the step
+    has a closed form: lambda = (budget - sum p + sum_F U'/U'') / sum_F 1/U''
+    and dp_F = (lambda - U') / U''. The new p is projected onto
+    [max(P_FLOOR, p / 2), p_u]. A row stops once its held set repeats and
+    its largest relative step is at most 4 eps, or below 1e-10 and no
+    longer shrinking. Each interior power then moves to the float within
+    8 ulps whose U' is nearest the midpoint of the interior marginals, and
+    that midpoint is the row's price (with no interior user, the largest
+    marginal at the floor). Returns (p, lam, iterations), row by row.
     """
-    n = p_u.shape[1]
-    p = np.empty_like(p_u)
-    refine = np.zeros(len(p_u), dtype=np.int64)
-
-    def fdf(lam, r):
-        pcr, caps = pc[r], p_u[r]
-        # |f| <= 1e-13 pc bounds |U' - lam| = |f| / (p + pc) by 1e-13
-        flat, used = _user_powers(
-            np.repeat(lam, n), w[r].ravel(), pcr.ravel(), delta[r].ravel(), caps.ravel(), 1e-13 * pcr.ravel()
-        )
-        p[r] = pr = flat.reshape(-1, n)
-        refine[r] += used.reshape(-1, n).sum(axis=1)
-        interior = (P_FLOOR < pr) & (pr < caps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (pr + pcr) / (_beta_prime(pr, pcr, delta[r]) - lam[:, None])
-        return pr.sum(axis=1) - budget[r], np.where(interior, slope, 0.0).sum(axis=1)
-
-    hi = np.max(utility_grad(np.minimum(budget[:, None] / n, p_u), w, pc, delta), axis=1)
-    # p holds the powers at lam: _root evaluates each row's answer last
-    lam, price_evals = _root(fdf, 0.0, hi, _PRICE_TOL * budget, (np.arange(len(p_u)),))
-    # spread each row's leftover budget as one linearized price step,
-    # dp_i = dlam / U_i'', which keeps the interior marginals equal
-    interior = (p > P_FLOOR) & (p < p_u)
-    s = np.flatnonzero(interior.any(axis=1))
-    inner = interior[s]
-    args = (w[s], pc[s], delta[s])
-    inv_hess = np.divide(1.0, utility_hess(p[s], *args), out=np.zeros(inner.shape), where=inner)
-    step = (budget[s] - p[s].sum(axis=1))[:, None] * inv_hess / inv_hess.sum(axis=1, keepdims=True)
-    p[s] = np.clip(p[s] + step, P_FLOOR, p_u[s])
-    lam[s] = np.where(inner, utility_grad(p[s], *args), 0.0).sum(axis=1) / inner.sum(axis=1)
-    return p, lam, price_evals, refine
+    p = p_u * (budget / p_u.sum(axis=1))[:, None]
+    lam = np.full(len(p), np.nan)
+    iters = np.zeros(len(p), dtype=np.int64)
+    r = np.arange(len(p))
+    pr, last = p, np.full(len(p), np.inf)
+    for k in range(1, _MAX_ITER + 1):
+        args, caps, lam_r = (w[r], pc[r], delta[r]), p_u[r], lam[r]
+        g, h = utility_grad(pr, *args), utility_hess(pr, *args)
+        # +1 at the cap, -1 at the floor: held while (U' - lambda) * side > 0
+        side = (pr >= caps) * 1.0 - (pr <= P_FLOOR)
+        held = (g - lam_r[:, None]) * side > 0
+        inv = np.where(held, 0.0, 1.0 / h)
+        den = inv.sum(axis=1)
+        num = budget[r] - pr.sum(axis=1) + (g * inv).sum(axis=1)
+        lam[r] = lam_r = np.divide(num, den, out=lam_r, where=den < 0)
+        settled = (held == ((g - lam_r[:, None]) * side > 0)).all(axis=1)
+        new = np.minimum(np.maximum(pr + (lam_r[:, None] - g) * inv, np.maximum(P_FLOOR, 0.5 * pr)), caps)
+        rel = np.max(np.abs(new - pr) / new, axis=1)
+        p[r] = pr = new
+        stop = settled & ((rel <= 4 * _EPS) | ((rel < 1e-10) & (rel >= last)))
+        iters[r[stop]] = k
+        go = ~stop
+        r, pr, last = r[go], pr[go], rel[go]
+        if not r.size:
+            break
+    else:
+        raise ConvergenceError(f"projected Newton exhausted {_MAX_ITER} iterations")
+    g = utility_grad(p, w, pc, delta)
+    inner = (P_FLOOR < p) & (p < p_u)
+    top = np.max(np.where(inner, g, -np.inf), axis=1)
+    mid = 0.5 * (top + np.min(np.where(inner, g, top[:, None]), axis=1))
+    lam = np.where(inner.any(axis=1), mid, np.max(np.where(p <= P_FLOOR, g, -np.inf), axis=1))
+    ulps = np.arange(-8, 9)
+    near = np.clip(p[..., None] + ulps * np.spacing(p)[..., None], P_FLOOR, p_u[..., None])
+    gaps = np.abs(utility_grad(near, w[..., None], pc[..., None], delta[..., None]) - lam[:, None, None])
+    best = np.take_along_axis(near, gaps.argmin(axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where(inner, best, p), lam, iters
 
 
 def _certificate(w, pc, delta, budget, p, p_u, lam) -> KktReport:
@@ -368,7 +354,7 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
     weights or gains row by row; they are checked by the scenario's rules.
     p_circuit, p_max and p_sum_max are shared. Without either, B = 1.
     Computes every cap and finishes the rows whose budget has slack; the
-    budget-tight rows share one price solve (see _price_solve). Returns
+    budget-tight rows share one projected Newton (see _projected_newton). Returns
     the rows as one batched Allocation. Raises ConvergenceError naming the
     first row whose KKT residual exceeds TOL_KKT.
     """
@@ -379,14 +365,13 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
     pc, p_max = (np.broadcast_to(a, shape) for a in (sc.p_circuit, sc.p_max))
     budget = np.full(shape[0], sc.p_sum_max)
 
-    flat = (a.ravel() for a in (w, pc, delta, p_max))
-    p_u, newton = (a.reshape(shape) for a in _user_powers(np.zeros(w.size), *flat, _TOL_ROOT))
+    p_u, newton = (a.reshape(shape) for a in _caps(*(a.ravel() for a in (w, pc, delta, p_max))))
     p, lam = p_u.copy(), np.zeros(shape[0])
-    price_evals, refine_evals = np.zeros((2, shape[0]), dtype=np.int64)
+    iterations = np.zeros(shape[0], dtype=np.int64)
     tight = ~(p_u.sum(axis=1) <= budget)
     t = np.flatnonzero(tight)
     if t.size:
-        p[t], lam[t], price_evals[t], refine_evals[t] = _price_solve(w[t], pc[t], delta[t], p_u[t], budget[t])
+        p[t], lam[t], iterations[t] = _projected_newton(w[t], pc[t], delta[t], p_u[t], budget[t])
 
     kkt = _certificate(w, pc, delta, budget, p, p_u, lam)
     worst = kkt.max_residual
@@ -398,7 +383,7 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
             f"(stationarity {kkt.stationarity[i].max():.3e}, "
             f"scaled {kkt.scaled_stationarity[i].max():.3e})"
         )
-    diagnostics = Diagnostics(kkt, newton, price_evals, refine_evals)
+    diagnostics = Diagnostics(kkt, newton, iterations)
     case = np.where(tight, BudgetCase.SUM_TIGHT, BudgetCase.SUM_SLACK)
     return Allocation(p=p, p_u=p_u, lam=lam, case=case, diagnostics=diagnostics)
 

@@ -7,11 +7,21 @@ exhaustive grid search, and budget prices from nested bisection.
 import numpy as np
 
 from mupower import Scenario, gains_from_db
-from mupower.utility import beta, utility
 
-# The lower bound on every power (W), written here rather than read from
-# the library so that the oracles stay independent of it.
+# The lower bound on every power (W) and the objective below are written
+# here from the paper's formulas rather than read from the library, so
+# that the oracles stay independent of the code they check.
 P_FLOOR = 1e-9
+
+
+def beta(p, p_circuit, delta):
+    """delta (p + pc) / [(1 + delta p) ln(1 + delta p)]; utility' = (beta - (1 - w)) / (p + pc)."""
+    return delta * (p + p_circuit) / ((1.0 + delta * p) * np.log1p(delta * p))
+
+
+def utility(p, w, p_circuit, delta):
+    """ln(se^w ee^(1-w)) = ln[ln(1 + delta p)] - (1 - w) ln(p + pc)."""
+    return np.log(np.log1p(delta * p)) - (1.0 - w) * np.log(p + p_circuit)
 
 
 def bisect_root(f, lo, hi, tol=1e-14, max_iter=500):

@@ -128,7 +128,7 @@ def test_cap_dominance_and_case_dichotomy():
 
 def test_tight_case_matches_price_bisection_oracle():
     rng = np.random.default_rng(59)
-    for n in (3, 4, 7, 12, 25, 64):
+    for n in (3, 4, 7, 12, 25, 64, 512):
         w = rng.uniform(0.0, 1.0, n)
         pc = rng.uniform(0.05, 0.2, n)
         p_max = rng.uniform(0.3, 2.0, n)
@@ -140,21 +140,19 @@ def test_tight_case_matches_price_bisection_oracle():
         assert alloc.case is BudgetCase.SUM_TIGHT
         assert np.max(np.abs(alloc.p - p_ref)) <= 1e-9
         assert alloc.lam == pytest.approx(lam_ref, rel=1e-9)
-        assert alloc.diagnostics.price_iterations > 0
+        assert alloc.diagnostics.refine_evaluations > 0
 
 
 def test_price_effort_counters():
     slack = solve_centralized(Scenario(
         w=(0.2, 0.9), p_circuit=0.1, p_max=1.0, delta=(5.0, 500.0), p_sum_max=10.0
     ))
-    assert slack.diagnostics.price_iterations == slack.diagnostics.refine_evaluations == 0
+    assert slack.diagnostics.refine_evaluations == 0
     tight = solve_centralized(Scenario(
         w=(1.0, 1.0), p_circuit=0.1, p_max=1.0, delta=(100.0, 100.0), p_sum_max=1.5
     ))
-    d = tight.diagnostics
-    # Newton on the price: a handful of prices, each inverting both marginals
-    assert 0 < d.price_iterations <= 20
-    assert d.refine_evaluations >= 2 * d.price_iterations
+    # projected Newton on the joint system: a handful of iterations
+    assert 0 < tight.diagnostics.refine_evaluations <= 20
 
 
 def test_single_user_scalar_path():
@@ -212,7 +210,11 @@ def valid_scenarios(draw):
 def test_valid_domain_solves_or_raises_typed_error(sc):
     try:
         alloc = solve_centralized(sc)
-    except (ConvergenceError, ValueError):
+    except ConvergenceError:
+        # only tiny budgets, where U' ~ lambda >= 2.5e7 is resolved to a few
+        # ulps against the absolute 1e-8 gate, may miss it
+        if sc.p_sum_max > 1e-6:
+            raise
         return
     assert np.all((alloc.p >= P_FLOOR) & (alloc.p <= alloc.p_u))
     assert alloc.p.sum() <= sc.p_sum_max + TOL_KKT
@@ -259,9 +261,9 @@ def test_batch_names_the_first_row_that_fails_the_gate():
     good = [[1.0, 1.0], [0.5, 0.5], [1.0, 0.5], [0.0, 0.5]]
     assert np.all(solve_batch(sc, w=good).diagnostics.kkt.max_residual <= TOL_KKT)
     with pytest.raises(ConvergenceError, match=r"row 0: .*scaled [0-9.]+e-16"):
-        solve_batch(sc, w=[[0.0, 0.3]])
+        solve_batch(sc, w=[[0.0, 0.7]])
     with pytest.raises(ConvergenceError, match="row 2: KKT residual"):
-        solve_batch(sc, w=good[:2] + [[0.0, 0.3]] + good[2:] + [[0.2, 0.7]])
+        solve_batch(sc, w=good[:2] + [[0.0, 0.7]] + good[2:] + [[0.2, 0.7]])
 
 
 def test_batch_overrides_checked_by_scenario_rules():
