@@ -10,9 +10,14 @@ strictly concave on the shrunken box [P_FLOOR, p_u]:
     interior users share one marginal utility U' = lambda (the budget
     price) and users at a bound have their marginal on the bound's side.
 
-Since U'(p) = [beta(p) - (1 - w)] / (p + pc), a cap is the root of
-beta(p) = 1 - w, found by _caps: masked Newton steps with a bisection
-fallback, each user stopping on its own.
+Since U'(p) = [beta(p) - (1 - w)] / (p + pc), a cap is the root of beta(p) =
+1 - w, the single-link EE optimum (Miao, Himayat & Li, IEEE Trans. Commun. 2010;
+Isheden, Chong, Jorswieck & Fettweis, IEEE Trans. Wireless Commun. 2012). With
+x = 1 + delta p and c = 1 - w > 0 it solves x (c ln x - 1) = delta pc - 1, and
+z = ln x - 1/c gives z e^z = a = ((delta pc - 1) / c) e^(-1/c) >= -1/e. As the left
+side, c z e^(z + 1/c), is -1 at x = 1, falls until z = -1 and rises after, and the
+right side exceeds -1, the root with p > 0 has z > -1: ln x = 1/c + W0(a), on the
+principal branch (_caps; branch-point series: Corless et al., Adv. Comput. Math. 1996).
 
 A budget-tight row is then solved by the projected Newton method of
 Bertsekas ("Projected Newton methods for optimization problems with
@@ -42,9 +47,7 @@ from .utility import _beta, _beta_prime, utility_grad, utility_hess
 P_FLOOR = 1e-9
 # Largest KKT residual a returned allocation may have.
 TOL_KKT = 1e-8
-# |beta - (1 - w)| at the cap root.
-_TOL_ROOT = 1e-12
-# Iteration budget of every root search.
+# Iteration budget of the projected Newton solve of a budget-tight row.
 _MAX_ITER = 100_000
 
 _EPS = float(np.finfo(float).eps)
@@ -53,7 +56,7 @@ _EPS = float(np.finfo(float).eps)
 _RULES = {
     "w": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "p_circuit": ("be > 0", lambda v: v > 0.0),
-    "p_max": ("be > 0", lambda v: v > 0.0),
+    "p_max": (f"be > 0 and at least the power floor P_FLOOR = {P_FLOOR} W", lambda v: v >= P_FLOOR),
     "delta": ("be > 0", lambda v: v > 0.0),
 }
 
@@ -157,18 +160,16 @@ class KktReport:
 
 @dataclass
 class Diagnostics:
-    """What a solve did: its KKT certificate and its effort counters.
+    """What a solve did: its KKT certificate and one iteration count.
 
-    newton_iterations counts cap-root evaluations per user.
     refine_evaluations counts the projected-Newton iterations of a
-    budget-tight row, and is 0 when the budget has slack. In a batch each
-    field is an array with a leading row axis. An allocation's SE, EE and
-    utilities are not kept here: they follow from its powers (utility.se,
-    utility.ee, metrics.summarize).
+    budget-tight row, and is 0 when the budget has slack (the caps have a
+    closed form). In a batch each field has a leading row axis. An
+    allocation's SE, EE and utilities are not kept here: they follow from
+    its powers (utility.se, utility.ee, metrics.summarize).
     """
 
     kkt: KktReport
-    newton_iterations: np.ndarray
     refine_evaluations: int
 
 
@@ -198,58 +199,43 @@ def _row(obj, i):
 
 
 def _caps(w, pc, delta, p_max):
-    """Each user's cap: the root of beta(p) = 1 - w on [P_FLOOR, p_max].
+    """Each user's cap: the root of beta(p) = 1 - w, clipped to [P_FLOOR, p_max].
 
-    Flat arrays, one entry per user. f = beta - (1 - w) is strictly
-    decreasing with slope beta'. Each element iterates on its own: it
-    stops at p_max when f(p_max) >= -_TOL_ROOT, at P_FLOOR when
-    f(P_FLOOR) <= 0, and otherwise takes Newton steps, falling back to
-    bisection whenever a step leaves the current bracket, until
-    |f| <= _TOL_ROOT, the next point repeats, or the bracket is eps-wide.
-    Returns (caps, evaluations of f per element).
+    ln x = s + v with s = w / c = 1/c - 1, v = 1 + W0(a), b = e a. v starts from
+    the series in q = sqrt(2 (1 + b)) if q < 0.7, else from Winitzki's form. Three
+    Halley steps follow where q >= 1e-3 (below it the rounding of b outweighs the
+    series' error), then one Newton step on beta inside the box; w = 1 gives p_max.
     """
-    target = 1.0 - w
-    x = p_max.copy()
-    evals = np.ones(x.shape, dtype=np.int64)
-    i = np.flatnonzero(~(_beta(x, pc, delta) - target >= -_TOL_ROOT))
-    evals[i] = 2
-    go = ~(_beta(P_FLOOR, pc[i], delta[i]) - target[i] <= 0)
-    x[i[~go]] = P_FLOOR
-    i = i[go]
-    a, b = np.full(i.size, P_FLOOR), p_max[i]
-    xi = 0.5 * (a + b)
-    for k in range(3, _MAX_ITER + 3):
-        if not i.size:
-            return x, evals
-        f = _beta(xi, pc[i], delta[i]) - target[i]
-        d = _beta_prime(xi, pc[i], delta[i])
-        right = f > 0
-        a = np.where(right, xi, a)
-        b = np.where(right, b, xi)
-        # xi is now an end of the bracket [a, b], so a step along a slope
-        # that is not negative (or not a number) leaves it and bisects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = xi - f / d
-        nxt = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
-        # the bracket is nonnegative, so b is its largest magnitude
-        stop = (np.abs(f) <= _TOL_ROOT) | (nxt == xi) | (b - a <= _EPS * b)
-        if stop.any():
-            x[i[stop]] = xi[stop]
-            evals[i[stop]] = k
-            go = ~stop
-            i, nxt, a, b = i[go], nxt[go], a[go], b[go]
-        xi = nxt
-    if i.size:
-        raise ConvergenceError(f"cap root exhausted {_MAX_ITER} iterations")
-    return x, evals
+    live = w < 1.0
+    s = w / np.where(live, 1.0 - w, 1.0)
+    es, dpc = np.exp(-s), delta * pc
+    b = (dpc - 1.0) * (1.0 + s) * es
+    # 1 + b = [1 - (1 + s) e^-s] + dpc (1 + s) e^-s, a sum of two terms >= 0
+    q = np.sqrt(2.0 * (-np.expm1(-s) - s * es + dpc * (1.0 + s) * es))
+    lg = np.log1p(b / np.e)
+    v = np.where(q < 0.7, q * (1 + q * (q * (11 / 72) - 1 / 3)), 1 + lg - lg * np.log1p(lg) / (2 + lg))
+    far = q >= 1e-3
+    vf, bf = v[far], b[far]
+    for _ in range(3):
+        # with r = 1 + a e^-z and g = z - a e^-z = v - r, Halley's step on g
+        r = 1.0 + bf * np.exp(-vf)
+        g = vf - r
+        vf = vf - 2.0 * g * r / (2.0 * r * r + g * (r - 1.0))
+    v[far] = vf
+    top = np.log1p(delta * p_max)
+    log_x = np.where(live, s + v, np.inf)
+    p = np.clip(np.where(log_x < top, np.expm1(np.minimum(log_x, top)) / delta, p_max), P_FLOOR, p_max)
+    i = (P_FLOOR < p) & (p < p_max)
+    pi, args = p[i], (pc[i], delta[i])
+    p[i] = np.clip(pi - (_beta(pi, *args) - (1.0 - w[i])) / _beta_prime(pi, *args), P_FLOOR, p_max[i])
+    return p
 
 
-def compute_pu(sc: Scenario):
-    """Individually optimal power caps, one per user.
+def compute_pu(sc: Scenario) -> np.ndarray:
+    """Individually optimal power caps, one per user (an (N,) array).
 
     User i keeps p_max_i when its weight exceeds 1 - beta_i(p_max_i);
-    otherwise its cap is the unique root of beta_i = 1 - w_i (the peak of
-    its utility). Returns (p_u, root-finder evaluations per user).
+    otherwise its cap is the peak of its utility, where beta_i = 1 - w_i.
     """
     return _caps(sc.w, sc.p_circuit, sc.delta, sc.p_max)
 
@@ -365,7 +351,7 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
     pc, p_max = (np.broadcast_to(a, shape) for a in (sc.p_circuit, sc.p_max))
     budget = np.full(shape[0], sc.p_sum_max)
 
-    p_u, newton = (a.reshape(shape) for a in _caps(*(a.ravel() for a in (w, pc, delta, p_max))))
+    p_u = _caps(w, pc, delta, p_max)
     p, lam = p_u.copy(), np.zeros(shape[0])
     iterations = np.zeros(shape[0], dtype=np.int64)
     tight = ~(p_u.sum(axis=1) <= budget)
@@ -383,9 +369,8 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
             f"(stationarity {kkt.stationarity[i].max():.3e}, "
             f"scaled {kkt.scaled_stationarity[i].max():.3e})"
         )
-    diagnostics = Diagnostics(kkt, newton, iterations)
     case = np.where(tight, BudgetCase.SUM_TIGHT, BudgetCase.SUM_SLACK)
-    return Allocation(p=p, p_u=p_u, lam=lam, case=case, diagnostics=diagnostics)
+    return Allocation(p=p, p_u=p_u, lam=lam, case=case, diagnostics=Diagnostics(kkt, iterations))
 
 
 def solve_centralized(sc: Scenario) -> Allocation:

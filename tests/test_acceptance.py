@@ -145,7 +145,7 @@ def test_criterion_7_individual_cap_structure():
         d = float(10.0 ** rng.uniform(-2.0, 2.0))
         p_max = float(rng.uniform(0.3, 2.0))
         w = float(rng.uniform(0.0, 1.0))
-        (pu,), _ = compute_pu(Scenario(w, pc, p_max, (d,), p_sum_max=p_max))
+        (pu,) = compute_pu(Scenario(w, pc, p_max, (d,), p_sum_max=p_max))
         assert 0.0 < pu <= p_max
         below = np.linspace(pu * 1e-6, pu * (1.0 - 1e-6), 100)
         assert np.all(utility_grad(below, w, pc, d) > 0.0)
@@ -192,7 +192,7 @@ def test_criterion_9_basin_of_attraction():
     loaded = load_scenario(SCENARIOS / "fig4.yaml")
     sc = loaded.scenario
     alloc = solve_centralized(sc)
-    p_u, _ = compute_pu(sc)
+    p_u = compute_pu(sc)
     rng = np.random.default_rng(99)
     for trial in range(10):
         pd = PdSettings(

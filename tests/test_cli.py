@@ -168,6 +168,13 @@ def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
     assert "w must lie in [0, 1]" in capsys.readouterr().err
 
 
+def test_solve_p_max_below_the_floor_exits_one(tmp_path, capsys):
+    path = write_scenario(tmp_path, BASE.replace("p_max_individual_watts: 1.0", "p_max_individual_watts: 1.0e-12"))
+    code = main(["solve", "--scenario", str(path)])
+    assert code == 1
+    assert "p_max must be > 0 and at least the power floor P_FLOOR = 1e-09 W, got 1e-12" in capsys.readouterr().err
+
+
 def test_solve_missing_file_exits_one(capsys):
     assert main(["solve", "--scenario", "/nonexistent.yaml"]) == 1
 

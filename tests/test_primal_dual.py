@@ -30,7 +30,7 @@ def fig4_scenario() -> Scenario:
 
 
 def caps_for(sc: Scenario) -> np.ndarray:
-    return compute_pu(sc)[0]
+    return compute_pu(sc)
 
 
 # --------------------------------------------------------------------- step

@@ -16,15 +16,16 @@ from mupower import (
     solve_centralized,
     summarize,
 )
-from mupower.solver import _TOL_ROOT, P_FLOOR, TOL_KKT, Allocation, solve_batch
+from mupower.solver import P_FLOOR, TOL_KKT, Allocation, solve_batch
 from mupower.utility import beta, utility_grad
 
+from oracles import beta as oracle_beta
 from oracles import grid_search_2user, pu_by_bisection, random_2user_scenario, tight_optimum_by_bisection
 
 
 def cap(w, p_circuit, p_max, delta):
     """The cap of one user, from a one-user scenario."""
-    (pu,), _ = compute_pu(Scenario(w, p_circuit, p_max, (delta,), p_sum_max=p_max))
+    (pu,) = compute_pu(Scenario(w, p_circuit, p_max, (delta,), p_sum_max=p_max))
     return pu
 
 
@@ -42,7 +43,7 @@ def test_pu_threshold_branch():
 
 def test_pu_root_branch_matches_bisection():
     pu = cap(0.0, 0.1, 1.0, 100.0)
-    assert abs(float(beta(pu, 0.1, 100.0)) - 1.0) <= _TOL_ROOT
+    assert abs(float(beta(pu, 0.1, 100.0)) - 1.0) <= 1e-14
     assert pu == pytest.approx(pu_by_bisection(0.0, 0.1, 100.0, 1.0), abs=1e-10)
     assert 0.0 < pu <= 1.0
 
@@ -60,9 +61,49 @@ def test_pu_random_draws_against_bisection():
         w = float(rng.uniform(0.0, headroom))
         pu = cap(w, pc, p_max, d)
         assert 0.0 < pu <= p_max
-        assert abs(float(beta(pu, pc, d)) - (1.0 - w)) <= _TOL_ROOT
+        assert abs(float(beta(pu, pc, d)) - (1.0 - w)) <= 1e-14
         assert pu == pytest.approx(pu_by_bisection(w, pc, d, p_max), abs=1e-10)
         done += 1
+
+
+# (w, p_circuit, delta, p_max) where the closed-form cap is hardest to evaluate
+CAP_CORNERS = [
+    # w = 0 with delta * p_circuit -> 0: W0's argument at the branch point -1/e
+    *[(0.0, dpc, 1.0, 1.0) for dpc in (1e-6, 1e-10, 1e-14)],
+    # tiny weights, with an ordinary gain and next to the branch point
+    *[(w, 0.1, 100.0, 1.0) for w in (1e-12, 1e-6)],
+    *[(w, 1e-14, 1.0, 1.0) for w in (1e-12, 1e-6)],
+    # 1 / (1 - w) = 1e9: e^(1/c) overflows, the cap is p_max
+    (1.0 - 1e-9, 0.1, 1e8, 1.0),
+    (1.0, 0.1, 100.0, 1.0),
+    # the root exactly at p_max (beta(p_max) in [0.5, 1], so 1 - (1 - beta) == beta)
+    (1.0 - float(oracle_beta(0.1, 0.1, 100.0)), 0.1, 100.0, 0.1),
+    # 1 - w is 1e-15 below beta(P_FLOOR): the root lies 5e-14 (relative) above the floor
+    (1.0 - float(oracle_beta(P_FLOOR, 1e-12, 1e12)) + 1e-15, 1e-12, 1e12, 1.0),
+]
+
+
+@pytest.mark.parametrize("w, p_circuit, delta, p_max", CAP_CORNERS)
+def test_pu_closed_form_corners(w, p_circuit, delta, p_max):
+    pu = cap(w, p_circuit, p_max, delta)
+    excess = float(beta(pu, p_circuit, delta)) - (1.0 - w)
+    # a cap at p_max holds a root at or beyond it, where beta only exceeds 1 - w
+    assert abs(excess) <= 1e-14 or (pu == p_max and excess > 0.0)
+    assert pu == pytest.approx(pu_by_bisection(w, p_circuit, delta, p_max), abs=1e-10)
+
+
+def test_pu_root_below_the_floor_is_the_floor():
+    # beta(P_FLOOR) ~ 0.145 < 1 - w: the root, (e - 1) / delta ~ 1.7e-12 W, lies below the floor
+    assert cap(0.0, 1e-12, 1.0, 1e12) == P_FLOOR
+
+
+def test_batch_caps_equal_compute_pu_row_by_row():
+    sc = Scenario(w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, delta=gains_from_db([20.0, 20.0]), p_sum_max=1.5)
+    axis = np.linspace(0.0, 1.0, 41)
+    w = np.column_stack([np.repeat(axis, 41), np.tile(axis, 41)])
+    caps = solve_batch(sc, w=w).p_u
+    for row, row_caps in zip(w, caps):
+        np.testing.assert_array_equal(row_caps, compute_pu(replace(sc, w=row)))
 
 
 # ------------------------------------------------------------ solve_centralized
@@ -82,7 +123,7 @@ def test_symmetric_tight_case_splits_evenly():
         w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, delta=gains_from_db([20.0, 20.0]), p_sum_max=1.5
     )
     alloc = solve_centralized(sc)
-    pu = compute_pu(sc)[0][0]
+    pu = compute_pu(sc)[0]
     expected = min(pu, 0.75)
     assert np.allclose(alloc.p, [expected, expected], atol=1e-9)
     # the caps already fit the 1.5 W budget here
@@ -299,7 +340,7 @@ def test_kkt_zero_at_interior_roots():
     alloc = solve_centralized(sc)
     assert alloc.case is BudgetCase.SUM_SLACK
     report = kkt_residuals(sc, alloc)
-    bound = _TOL_ROOT / sc.p_circuit.min()
+    bound = 1e-12 / sc.p_circuit.min()
     assert np.all(report.stationarity <= bound)
     assert np.all(report.mu == 0.0)
     assert np.all(report.nu <= bound)
@@ -353,6 +394,14 @@ def test_scenario_validation():
     ):
         with pytest.raises(ValueError, match=message):
             replace(sc, **kwargs)
+
+
+def test_p_max_below_the_floor_rejected():
+    # a cap below the floor would leave the box [P_FLOOR, p_max] empty
+    for p_max, p_sum_max in ((1e-12, 1e-9), ((1e-12, 1.0), 2e-9)):
+        with pytest.raises(ValueError, match=r"p_max must be > 0 and at least the power floor P_FLOOR = 1e-09 W"):
+            Scenario(w=0.5, p_circuit=0.1, p_max=p_max, delta=(1.0,) * np.size(p_max), p_sum_max=p_sum_max)
+    assert compute_pu(Scenario(w=0.5, p_circuit=0.1, p_max=P_FLOOR, delta=(1.0,), p_sum_max=1e-9)) == P_FLOOR
 
 
 def test_scenario_compares_by_identity():

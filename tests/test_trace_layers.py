@@ -56,5 +56,5 @@ def test_traced_counters(monkeypatch, tmp_path, capsys):
     solves = [a for name, _, _, _, a in tracer.spans if name == "solver.solve_centralized"]
     runs = [a for name, _, _, _, a in tracer.spans if name == "primal_dual.integrate"]
     # one solve by cmd_solve, one reference solve by cmd_primal_dual
-    assert [(a["case"], a["newton"], a["refine"]) for a in solves] == [("sum_tight", 9, 7)] * 2
+    assert [(a["case"], a["newton"], a["refine"]) for a in solves] == [("sum_tight", 0, 8)] * 2
     assert [(a["steps"], a["uplink"]) for a in runs] == [(500, 2000)]
