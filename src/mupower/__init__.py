@@ -15,30 +15,19 @@ from .channel import (
     load_channel_csv,
     random_rayleigh_channel,
 )
-from .metrics import FairnessReport, jain_index, summarize
+from .metrics import jain_index, summarize
 from .primal_dual import PdSettings, Trajectory, integrate, lyapunov, step
 from .scenario import LoadedScenario, build_scenario, load_scenario
 from .solver import (
     Allocation,
     BudgetCase,
     ConvergenceError,
-    Diagnostics,
-    KktReport,
     Scenario,
     compute_pu,
     kkt_residuals,
     solve_centralized,
 )
-from .utility import (
-    beta,
-    beta_prime,
-    composite_u,
-    ee,
-    se,
-    utility,
-    utility_grad,
-    utility_hess,
-)
+from .utility import ee, se, utility, utility_grad, utility_hess
 
 __version__ = "0.1.0"
 
@@ -47,18 +36,12 @@ __all__ = [
     "BudgetCase",
     "ChannelRealization",
     "ConvergenceError",
-    "Diagnostics",
-    "FairnessReport",
-    "KktReport",
     "LoadedScenario",
     "PdSettings",
     "Scenario",
     "SingularGramError",
     "Trajectory",
-    "beta",
-    "beta_prime",
     "build_scenario",
-    "composite_u",
     "compute_effective_gains",
     "compute_pu",
     "ee",

@@ -42,10 +42,7 @@ def jain_index(utilities):
 
 def summarize(sc: Scenario, alloc: Allocation) -> FairnessReport:
     """Per-user utilities from the powers alone, their total and Jain index."""
-    p = np.asarray(alloc.p, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("allocation has non-positive powers")
-    utilities = utility(p, sc.w, sc.p_circuit, sc.delta)
+    utilities = utility(alloc.p, sc.w, sc.p_circuit, sc.delta)
     return FairnessReport(
         jain=jain_index(utilities),
         per_user_utility=utilities,

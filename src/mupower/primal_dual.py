@@ -23,6 +23,7 @@ are computed once the run ends.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +54,20 @@ class PdSettings:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.k) > 0):
-            raise ValueError("primal gains k must be > 0")
-        if not self.g > 0:
-            raise ValueError("dual gain g must be > 0")
-        if not self.init_lambda >= 0:
-            raise ValueError("init_lambda must be >= 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        k = np.asarray(self.k, dtype=float)
+        if not np.all(np.isfinite(k) & (k > 0)):
+            raise ValueError(f"primal gains k must be finite and > 0, got {self.k!r}")
+        if not (math.isfinite(self.g) and self.g > 0):
+            raise ValueError(f"dual gain g must be finite and > 0, got {self.g!r}")
+        if not (math.isfinite(self.init_lambda) and self.init_lambda >= 0):
+            raise ValueError(f"init_lambda must be finite and >= 0, got {self.init_lambda!r}")
+        # an integral count: 1e3 is 1000, while 2.5, inf and True are errors
+        steps = self.max_steps
+        if isinstance(steps, float) and steps.is_integer():
+            steps = int(steps)
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        object.__setattr__(self, "max_steps", int(steps))
 
 
 @dataclass

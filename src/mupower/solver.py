@@ -52,12 +52,16 @@ _MAX_ITER = 100_000
 
 _EPS = float(np.finfo(float).eps)
 
+# Gains (1/W) and circuit powers (W) are held well inside the range where the
+# closed-form caps are finite and raise no floating-point warning.
+_IN_RANGE = ("be > 0 and in [1e-30, 1e30]", lambda v: (v >= 1e-30) & (v <= 1e30))
+
 # Per-user input rules: what the values must satisfy, and the test.
 _RULES = {
     "w": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
-    "p_circuit": ("be > 0", lambda v: v > 0.0),
+    "p_circuit": _IN_RANGE,
     "p_max": (f"be > 0 and at least the power floor P_FLOOR = {P_FLOOR} W", lambda v: v >= P_FLOOR),
-    "delta": ("be > 0", lambda v: v > 0.0),
+    "delta": _IN_RANGE,
 }
 
 
@@ -96,12 +100,13 @@ class Scenario:
 
     delta (linear effective gains, 1/W) is a non-empty vector that sets the
     number of users N. w (SE/EE preference weight in [0, 1]), p_circuit
-    and p_max (W) hold one entry per user, and scalars broadcast to N. The
-    vectors are validated and stored as read-only float arrays, so
-    dataclasses.replace(sc, w=...) yields a checked variant. The budget
-    must cover every user at the floor: p_sum_max >= N * P_FLOOR.
-    Scenarios compare and hash by identity. The solver's tolerances are
-    module constants, not part of a scenario.
+    and p_max (W) hold one entry per user, and scalars broadcast to N;
+    delta and p_circuit lie in [1e-30, 1e30]. The vectors are validated
+    and stored as read-only float arrays, so dataclasses.replace(sc, w=...)
+    yields a checked variant. The budget must cover every user at the
+    floor: p_sum_max >= N * P_FLOOR. Scenarios compare and hash by
+    identity. The solver's tolerances are module constants, not part of a
+    scenario.
     """
 
     w: np.ndarray

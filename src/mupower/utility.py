@@ -1,4 +1,4 @@
-"""Per-user objective: SE, EE, their weighted composite, and derivatives.
+"""Per-user objective: SE, EE, the log of their weighted composite, and derivatives.
 
 For transmit power p (W), effective gain delta (1/W), circuit power pc (W)
 and preference weight w in [0, 1]:
@@ -8,8 +8,9 @@ and preference weight w in [0, 1]:
     u(p)         = se^w * ee^(1-w)                      (geometric tradeoff)
     utility(p)   = ln u = ln[ln(1 + delta p)] - (1 - w) ln(p + pc)
 
-The proportional-fair log makes utility -> -inf as p -> 0+, so every
-maximizer is strictly interior. The auxiliary function
+The composite u itself is exp(utility). The proportional-fair log makes
+utility -> -inf as p -> 0+, so every maximizer is strictly interior. The
+auxiliary function (computed by _beta, its derivative by _beta_prime)
 
     beta(p) = delta (p + pc) / [(1 + delta p) ln(1 + delta p)]
 
@@ -52,33 +53,18 @@ def utility(p, w, p_circuit, delta):
     return np.log(np.log1p(delta * p)) - (1.0 - w) * np.log(p + p_circuit)
 
 
-def composite_u(p, w, p_circuit, delta):
-    """Weighted geometric composite se^w * ee^(1-w) = exp(utility); p > 0."""
-    return np.exp(utility(p, w, p_circuit, delta))
-
-
 def _beta(p, pc, delta):
-    """beta without validation."""
+    """beta(p), strictly decreasing on p > 0; p is not checked."""
     dp = delta * p
     return delta * (p + pc) / ((1.0 + dp) * np.log1p(dp))
 
 
 def _beta_prime(p, pc, delta):
-    """d beta / dp without validation."""
+    """Analytic d beta / dp, negative on p > 0; p is not checked."""
     dp = delta * p
     log_term = np.log1p(dp)
     num = (log_term - dp) - pc * delta * (log_term + 1.0)
     return delta * num / ((1.0 + dp) * log_term) ** 2
-
-
-def beta(p, p_circuit, delta):
-    """delta (p + pc) / [(1 + delta p) ln(1 + delta p)]; strictly decreasing, p > 0."""
-    return _beta(_checked(p, "beta needs p > 0"), p_circuit, delta)
-
-
-def beta_prime(p, p_circuit, delta):
-    """Analytic d beta / dp; negative everywhere on p > 0."""
-    return _beta_prime(_checked(p, "beta_prime needs p > 0"), p_circuit, delta)
 
 
 def utility_grad(p, w, p_circuit, delta):
@@ -88,7 +74,7 @@ def utility_grad(p, w, p_circuit, delta):
     out to form p + p_circuit once, in _beta's operation order (the result
     is bit-identical).
     """
-    p = _checked(p, "beta needs p > 0")
+    p = _checked(p, "utility_grad needs p > 0")
     total = p + p_circuit
     dp = delta * p
     return (delta * total / ((1.0 + dp) * np.log1p(dp)) - (1.0 - w)) / total
@@ -96,7 +82,7 @@ def utility_grad(p, w, p_circuit, delta):
 
 def utility_hess(p, w, p_circuit, delta):
     """Analytic utility''(p); strictly negative below the stationary point."""
-    p = _checked(p, "beta needs p > 0")
+    p = _checked(p, "utility_hess needs p > 0")
     total = p + p_circuit
     excess = _beta(p, p_circuit, delta) - (1.0 - w)
     return (_beta_prime(p, p_circuit, delta) * total - excess) / total**2

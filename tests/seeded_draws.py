@@ -16,7 +16,8 @@ np.random.default_rng(seed), each in this order:
 and solves each with solve_centralized. It prints, per seed, how many
 draws were certified, how many raised ConvergenceError and the largest
 budget among those, and the largest |beta(p_u) - (1 - w)| over the caps
-strictly inside (P_FLOOR, p_max). Any other exception propagates.
+strictly inside (P_FLOOR, p_max), with beta from oracles.py. Any other
+exception propagates.
 
 The package is imported from PYTHONPATH when it is there (so another
 checkout's src/ can be measured with the same draws), else from this
@@ -36,7 +37,8 @@ except ImportError:
 
 from mupower import ConvergenceError, Scenario, compute_pu, gains_from_db, solve_centralized
 from mupower.solver import P_FLOOR
-from mupower.utility import beta
+
+from oracles import beta
 
 DRAWS = 3_000
 

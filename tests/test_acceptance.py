@@ -24,9 +24,9 @@ from mupower import (
 )
 from mupower.cli import cmd_sweep_diversity
 from mupower.scenario import load_scenario
-from mupower.utility import beta, utility_grad
+from mupower.utility import _beta_prime, utility_grad
 
-from oracles import grid_search_2user, pu_by_bisection, random_2user_scenario
+from oracles import beta, grid_search_2user, pu_by_bisection, random_2user_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -163,7 +163,7 @@ def test_criterion_7_individual_cap_structure():
 
 def test_criterion_8_derivatives_vs_finite_differences():
     t0 = time.perf_counter()
-    from mupower import beta_prime, utility, utility_hess
+    from mupower import utility, utility_hess
 
     rng = np.random.default_rng(88)
     grid = np.logspace(-4, 0, 40)
@@ -177,7 +177,7 @@ def test_criterion_8_derivatives_vs_finite_differences():
              (utility(grid + h, w, pc, d) - utility(grid - h, w, pc, d)) / (2 * h)),
             (utility_hess(grid, w, pc, d),
              (utility_grad(grid + h, w, pc, d) - utility_grad(grid - h, w, pc, d)) / (2 * h)),
-            (beta_prime(grid, pc, d),
+            (_beta_prime(grid, pc, d),
              (beta(grid + h, pc, d) - beta(grid - h, pc, d)) / (2 * h)),
         )
         for analytic, fd in checks:

@@ -162,10 +162,14 @@ def test_solve_huge_budget_returns_caps(tmp_path):
 
 
 def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
-    path = write_scenario(tmp_path, BASE.replace("w: [0.5, 0.5]", "w: [1.2, 0.5]"))
-    code = main(["solve", "--scenario", str(path)])
-    assert code == 1
-    assert "w must lie in [0, 1]" in capsys.readouterr().err
+    for old, new, message in (
+        ("w: [0.5, 0.5]", "w: [1.2, 0.5]", "w must lie in [0, 1]"),
+        ("delta_db: [20.0, 20.0]", "delta_db: 400", "delta must be > 0 and in [1e-30, 1e30], got 1e+40"),
+    ):
+        path = write_scenario(tmp_path, BASE.replace(old, new))
+        code = main(["solve", "--scenario", str(path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 def test_solve_p_max_below_the_floor_exits_one(tmp_path, capsys):

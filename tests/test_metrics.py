@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,3 +82,11 @@ def test_non_finite_rejected():
         jain_index([0.0, np.inf])
     with pytest.raises(ValueError):
         jain_index([[0.0, 1.0], [np.nan, 0.0]])
+
+
+def test_summarize_rejects_non_positive_or_nan_powers():
+    sc = Scenario(w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, delta=(10.0, 100.0), p_sum_max=0.8)
+    alloc = solve_centralized(sc)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            summarize(sc, replace(alloc, p=np.array([0.4, bad])))

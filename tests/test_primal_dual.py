@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -228,6 +229,16 @@ def test_pd_settings_validation():
         PdSettings(g=-1.0)
     with pytest.raises(ValueError):
         PdSettings(init_lambda=-0.1)
+    for kwargs in (
+        dict(k=math.inf), dict(k=[0.1, math.nan]), dict(g=math.inf), dict(g=math.nan),
+        dict(init_lambda=math.inf), dict(init_lambda=math.nan),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            PdSettings(**kwargs)
+    for max_steps in (2.5, math.nan, math.inf, True, 0, -3):
+        with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+            PdSettings(max_steps=max_steps)
+    assert PdSettings(max_steps=1e3).max_steps == 1000
 
 
 def test_trajectory_csv_format(tmp_path):

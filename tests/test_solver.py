@@ -1,5 +1,8 @@
+import ast
+import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +20,9 @@ from mupower import (
     summarize,
 )
 from mupower.solver import P_FLOOR, TOL_KKT, Allocation, solve_batch
-from mupower.utility import beta, utility_grad
+from mupower.utility import utility_grad
 
-from oracles import beta as oracle_beta
+from oracles import beta
 from oracles import grid_search_2user, pu_by_bisection, random_2user_scenario, tight_optimum_by_bisection
 
 
@@ -77,9 +80,9 @@ CAP_CORNERS = [
     (1.0 - 1e-9, 0.1, 1e8, 1.0),
     (1.0, 0.1, 100.0, 1.0),
     # the root exactly at p_max (beta(p_max) in [0.5, 1], so 1 - (1 - beta) == beta)
-    (1.0 - float(oracle_beta(0.1, 0.1, 100.0)), 0.1, 100.0, 0.1),
+    (1.0 - float(beta(0.1, 0.1, 100.0)), 0.1, 100.0, 0.1),
     # 1 - w is 1e-15 below beta(P_FLOOR): the root lies 5e-14 (relative) above the floor
-    (1.0 - float(oracle_beta(P_FLOOR, 1e-12, 1e12)) + 1e-15, 1e-12, 1e12, 1.0),
+    (1.0 - float(beta(P_FLOOR, 1e-12, 1e12)) + 1e-15, 1e-12, 1e12, 1.0),
 ]
 
 
@@ -314,6 +317,8 @@ def test_batch_overrides_checked_by_scenario_rules():
         (dict(w=[[0.5, 0.5, 0.5]]), "gains"),
         (dict(w=[0.5, 0.5]), r"w has shape \(2,\), expected a scalar or \(2, 2\) \(2 effective gains\)"),
         (dict(delta=[[1.0, 0.0]]), "delta must be > 0"),
+        (dict(delta=[[1.0, 1.0], [1.0, 1e-120]]), r"delta must be > 0 and in \[1e-30, 1e30\], got 1e-120"),
+        (dict(delta=[[1e200, 1.0]]), r"delta must be > 0 and in \[1e-30, 1e30\], got 1e\+200"),
         (
             dict(w=[[0.5, 0.5]], delta=[[1.0, 1.0], [1.0, 1.0]]),
             r"delta has shape \(2, 2\), expected a scalar or \(1, 2\)",
@@ -388,6 +393,10 @@ def test_scenario_validation():
         (dict(delta=[1.0]), "gains"),
         (dict(delta=(1.0, 0.0)), "delta must be > 0"),
         (dict(delta=(1.0, np.inf)), "delta must be > 0"),
+        (dict(delta=(1e-120, 1.0)), r"delta must be > 0 and in \[1e-30, 1e30\]"),
+        (dict(delta=(1.0, 1e200)), r"delta must be > 0 and in \[1e-30, 1e30\]"),
+        (dict(p_circuit=(1e-120, 0.1)), r"p_circuit must be > 0 and in \[1e-30, 1e30\]"),
+        (dict(p_circuit=(0.1, 1e200)), r"p_circuit must be > 0 and in \[1e-30, 1e30\]"),
         (dict(delta=()), "non-empty"),
         (dict(p_sum_max=0.0), "p_sum_max"),
         (dict(p_sum_max=1.5e-9), "p_sum_max"),  # below 2 users at the 1e-9 W floor
@@ -402,6 +411,21 @@ def test_p_max_below_the_floor_rejected():
         with pytest.raises(ValueError, match=r"p_max must be > 0 and at least the power floor P_FLOOR = 1e-09 W"):
             Scenario(w=0.5, p_circuit=0.1, p_max=p_max, delta=(1.0,) * np.size(p_max), p_sum_max=p_sum_max)
     assert compute_pu(Scenario(w=0.5, p_circuit=0.1, p_max=P_FLOOR, delta=(1.0,), p_sum_max=1e-9)) == P_FLOOR
+
+
+def test_range_corners_solve_or_raise_convergence_error():
+    # gains and circuit powers at the ends of their range give finite caps and
+    # no floating-point warning (tier-1 turns a RuntimeWarning into an error)
+    corners = (1e-30, 1.0, 1e30)
+    for delta in itertools.product(corners, repeat=2):
+        for p_circuit in itertools.product(corners, repeat=2):
+            for w in (0.0, 0.5, 1.0):
+                sc = Scenario(w=w, p_circuit=p_circuit, p_max=10.0, delta=delta, p_sum_max=1.0)
+                assert np.all(np.isfinite(compute_pu(sc)))
+                try:
+                    solve_centralized(sc)
+                except ConvergenceError:
+                    pass
 
 
 def test_scenario_compares_by_identity():
@@ -423,8 +447,21 @@ def test_scenario_vectors_cached_read_only():
             arr[0] = 0.5
 
 
+def _names_callers_import():
+    """Every name the CLI, the tests and the bench import from mupower or a submodule."""
+    root = Path(__file__).resolve().parent.parent
+    names = set()
+    for path in (root / "src" / "mupower" / "cli.py", *root.glob("tests/*.py"), *root.glob("bench/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "mupower"):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_public_names_resolve():
     import mupower
 
     assert len(set(mupower.__all__)) == len(mupower.__all__)
     assert [name for name in mupower.__all__ if not hasattr(mupower, name)] == []
+    # the public surface holds only what some caller imports
+    assert sorted(set(mupower.__all__) - _names_callers_import()) == []

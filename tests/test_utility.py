@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mupower import Scenario, beta, beta_prime, composite_u, ee, se, utility, utility_grad, utility_hess
+from mupower import Scenario, ee, se, utility, utility_grad, utility_hess
+from mupower.utility import _beta, _beta_prime
 
 # High-precision evaluations of the defining formulas (mpmath, 30 digits).
 LN101 = 4.615120516841259
@@ -40,15 +41,15 @@ def test_utility_examples():
 
 
 def test_composite_examples():
-    assert composite_u(1.0, 1.0, 0.1, 100.0) == pytest.approx(LN101, rel=1e-12)
-    assert composite_u(1.0, 0.0, 0.1, 100.0) == pytest.approx(EE_AT_1, rel=1e-12)
-    assert composite_u(1.0, 0.5, 0.1, 100.0) == pytest.approx(COMPOSITE_HALF, rel=1e-12)
+    assert math.exp(utility(1.0, 1.0, 0.1, 100.0)) == pytest.approx(LN101, rel=1e-12)
+    assert math.exp(utility(1.0, 0.0, 0.1, 100.0)) == pytest.approx(EE_AT_1, rel=1e-12)
+    assert math.exp(utility(1.0, 0.5, 0.1, 100.0)) == pytest.approx(COMPOSITE_HALF, rel=1e-12)
 
 
 def test_beta_examples():
-    assert beta(1.0, 0.1, 100.0) == pytest.approx(BETA_AT_1, rel=1e-14)
-    assert beta(0.01, 0.1, 100.0) == pytest.approx(BETA_AT_001, rel=1e-14)
-    assert beta(0.01, 0.1, 100.0) > beta(1.0, 0.1, 100.0)
+    assert _beta(1.0, 0.1, 100.0) == pytest.approx(BETA_AT_1, rel=1e-14)
+    assert _beta(0.01, 0.1, 100.0) == pytest.approx(BETA_AT_001, rel=1e-14)
+    assert _beta(0.01, 0.1, 100.0) > _beta(1.0, 0.1, 100.0)
 
 
 def test_grad_examples():
@@ -75,9 +76,9 @@ def test_beta_strictly_decreasing():
         d = float(10.0 ** rng.uniform(-2.0, 2.0))
         p_max = float(rng.uniform(0.2, 2.0))
         p = np.sort(rng.uniform(1e-6, p_max, 50))
-        values = beta(p, pc, d)
+        values = _beta(p, pc, d)
         assert np.all(np.diff(values) < 0)
-        assert np.all(beta_prime(p, pc, d) < 0)
+        assert np.all(_beta_prime(p, pc, d) < 0)
 
 
 def _fd_tolerance_check(analytic, fd, floor):
@@ -95,10 +96,10 @@ def test_derivatives_match_finite_differences():
         h = 1e-6 * grid  # relative step keeps truncation ~1e-13 at small p
         fd_grad = (utility(grid + h, w, pc, d) - utility(grid - h, w, pc, d)) / (2 * h)
         fd_hess = (utility_grad(grid + h, w, pc, d) - utility_grad(grid - h, w, pc, d)) / (2 * h)
-        fd_betap = (beta(grid + h, pc, d) - beta(grid - h, pc, d)) / (2 * h)
+        fd_betap = (_beta(grid + h, pc, d) - _beta(grid - h, pc, d)) / (2 * h)
         a_grad = utility_grad(grid, w, pc, d)
         a_hess = utility_hess(grid, w, pc, d)
-        a_betap = beta_prime(grid, pc, d)
+        a_betap = _beta_prime(grid, pc, d)
         # points with a near-zero derivative carry no relative information
         assert _fd_tolerance_check(a_grad, fd_grad, 1e-3 * np.max(np.abs(a_grad))) < 1e-6
         assert _fd_tolerance_check(a_hess, fd_hess, 1e-3 * np.max(np.abs(a_hess))) < 1e-6
@@ -112,14 +113,14 @@ def test_stationary_point_sign_structure():
         pc = float(rng.uniform(0.05, 0.3))
         d = float(10.0 ** rng.uniform(-1.0, 2.0))
         p_max = float(rng.uniform(0.5, 2.0))
-        b_end = float(beta(p_max, pc, d))
+        b_end = float(_beta(p_max, pc, d))
         w = float(rng.uniform(0.0, max(0.0, 1.0 - b_end)))
         if w > 1.0 - b_end:
             assert np.all(utility_grad(np.linspace(1e-6, p_max, 200), w, pc, d) > 0)
             continue
         from oracles import bisect_root
 
-        p0 = bisect_root(lambda p: float(beta(p, pc, d)) - (1 - w), 1e-9, p_max)
+        p0 = bisect_root(lambda p: float(_beta(p, pc, d)) - (1 - w), 1e-9, p_max)
         below = np.linspace(1e-6, p0 * (1 - 1e-6), 100)
         above = np.linspace(min(p0 * (1 + 1e-6), p_max), p_max, 100)
         assert np.all(utility_grad(below, w, pc, d) > 0)
@@ -129,7 +130,7 @@ def test_stationary_point_sign_structure():
 def test_grad_vanishes_at_stationary_point():
     from oracles import bisect_root
 
-    p0 = bisect_root(lambda p: float(beta(p, 0.1, 100.0)) - 0.6, 1e-9, 1.0)
+    p0 = bisect_root(lambda p: float(_beta(p, 0.1, 100.0)) - 0.6, 1e-9, 1.0)
     assert abs(utility_grad(p0, 0.4, 0.1, 100.0)) < 1e-12
 
 
@@ -156,9 +157,6 @@ def test_domain_errors():
                     fn(p)
     for fn in (
         lambda p: utility(p, 0.5, 0.1, 100.0),
-        lambda p: composite_u(p, 0.5, 0.1, 100.0),
-        lambda p: beta(p, 0.1, 100.0),
-        lambda p: beta_prime(p, 0.1, 100.0),
         lambda p: utility_grad(p, 0.5, 0.1, 100.0),
         lambda p: utility_hess(p, 0.5, 0.1, 100.0),
     ):
@@ -173,8 +171,8 @@ def test_empty_input_gives_empty_output():
         lambda p: se(p, 100.0),
         lambda p: ee(p, 0.1, 100.0),
         lambda p: utility(p, 0.5, 0.1, 100.0),
-        lambda p: beta(p, 0.1, 100.0),
-        lambda p: beta_prime(p, 0.1, 100.0),
+        lambda p: _beta(p, 0.1, 100.0),
+        lambda p: _beta_prime(p, 0.1, 100.0),
         lambda p: utility_grad(p, 0.5, 0.1, 100.0),
         lambda p: utility_hess(p, 0.5, 0.1, 100.0),
     ):
@@ -191,7 +189,7 @@ def test_grad_is_the_beta_formula_bit_for_bit():
         pc = 10.0 ** rng.uniform(-6.0, 3.0, n)
         d = 10.0 ** (rng.uniform(-60.0, 80.0, (b, n)) / 10.0)
         p = 10.0 ** rng.uniform(-9.0, 0.0, (b, n)) * 10.0 ** rng.uniform(-6.0, 2.0, n)
-        np.testing.assert_array_equal(utility_grad(p, w, pc, d), (beta(p, pc, d) - (1.0 - w)) / (p + pc))
+        np.testing.assert_array_equal(utility_grad(p, w, pc, d), (_beta(p, pc, d) - (1.0 - w)) / (p + pc))
 
 
 def test_user_params_validation():
@@ -214,4 +212,4 @@ def test_accurate_log_for_tiny_powers():
     d = 1.0
     assert se(p, d) == pytest.approx(p, rel=1e-12)
     # beta ~ pc / p in that regime
-    assert beta(p, 0.1, d) == pytest.approx(0.1 / p, rel=1e-9)
+    assert _beta(p, 0.1, d) == pytest.approx(0.1 / p, rel=1e-9)
