@@ -16,7 +16,7 @@ from .channel import (
     random_rayleigh_channel,
 )
 from .metrics import jain_index, summarize
-from .primal_dual import PdSettings, Trajectory, integrate, lyapunov, step
+from .primal_dual import PdSettings, Trajectory, integrate
 from .scenario import LoadedScenario, build_scenario, load_scenario
 from .solver import (
     Allocation,
@@ -51,11 +51,9 @@ __all__ = [
     "kkt_residuals",
     "load_channel_csv",
     "load_scenario",
-    "lyapunov",
     "random_rayleigh_channel",
     "se",
     "solve_centralized",
-    "step",
     "summarize",
     "utility",
     "utility_grad",

@@ -13,6 +13,7 @@ checks it (finite and > 0) by the same rule as its other per-user inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -114,20 +115,23 @@ def load_channel_csv(path, n_users: int) -> np.ndarray:
     row; blank lines are skipped.
     """
     with open(path) as f:
-        lines = [line for line in f if line.strip()]
-    if not lines:
-        raise ValueError(f"empty channel CSV: {path}")
-    width = lines[0].count(",") + 1
-    if width not in (n_users, 2 * n_users):
-        raise ValueError(
-            f"channel CSV has {width} columns; expected {n_users} complex "
-            f"or {2 * n_users} (re, im) columns"
-        )
-    dtype = complex if width == n_users else float
-    try:
-        cells = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"bad channel CSV {path}: {exc}") from exc
+        # rows are parsed as they are read: a list of every line would put
+        # the whole file's text on the heap at once
+        rows = (line for line in f if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"empty channel CSV: {path}")
+        width = first.count(",") + 1
+        if width not in (n_users, 2 * n_users):
+            raise ValueError(
+                f"channel CSV has {width} columns; expected {n_users} complex "
+                f"or {2 * n_users} (re, im) columns"
+            )
+        dtype = complex if width == n_users else float
+        try:
+            cells = np.loadtxt(chain([first], rows), delimiter=",", dtype=dtype, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"bad channel CSV {path}: {exc}") from exc
     if dtype is complex:
         return cells
     return cells[:, 0::2] + 1j * cells[:, 1::2]

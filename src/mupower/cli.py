@@ -164,6 +164,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if getattr(args, "grid", 1) < 1:
+            raise ValueError(f"--grid must be at least 1, got {args.grid}")
         loaded = load_scenario(args.scenario)
         if args.command == "solve":
             return cmd_solve(loaded, out=args.out)

@@ -6,10 +6,13 @@ price, while the receiver raises the price with the budget violation:
     dP_i/dt    = k_i * [U_i'(P_i) - lambda]  clamped to keep P_i in [0, p_u_i]
     dlambda/dt = g   * [sum(P) - p_sum_max]  clamped to keep lambda >= 0
 
-integrated here with explicit Euler steps of unit virtual time, each
-projected back onto that set, so k_i and g are the literal per-iteration
-gains. The only signalling is one price broadcast down and one power
-report per user up, per step.
+integrated here with explicit Euler steps of unit virtual time, so k_i
+and g are the literal per-iteration gains. Each step is projected onto
+the feasible set, the powers onto [P_FLOOR, p_u] (the floor stands in
+for P_i = 0) and the price onto lambda >= 0: the same state as clamping
+the drive at a boundary, with Euler overshoot absorbed. The only
+signalling is one price broadcast down and one power report per user up,
+per step.
 
 The quadratic distance to the centralized optimum,
 
@@ -87,34 +90,6 @@ class Trajectory:
     steps_taken: int            # also the number of price broadcasts
 
 
-def step(state, sc: Scenario, p_u: np.ndarray, settings: PdSettings):
-    """One explicit-Euler step of the primal-dual dynamics.
-
-    The Euler update is projected onto the feasible set: the powers onto
-    [P_FLOOR, p_u] (the floor stands in for p = 0) and the price onto
-    lambda >= 0. This gives the same state as clamping the drive at a
-    boundary and also absorbs Euler overshoot. Costs one price broadcast
-    plus one power report per user.
-
-    Finiteness is tested on max(p_new) and lambda_new alone: a projected
-    power lies in [P_FLOOR, p_u] unless it is NaN (an infinite drive is
-    clipped to a bound), and max propagates NaN, so this is the same test
-    as isfinite on every entry. A k whose shape broadcasts the powers to
-    another shape raises ValueError.
-    """
-    p, lam = state
-    drive = utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam
-    p_new = np.minimum(np.maximum(p + settings.k * drive, P_FLOOR), p_u)
-    if p_new.shape != p.shape:
-        raise ValueError(f"k has shape {np.shape(settings.k)}, expected a scalar or {p.shape}")
-    lam_new = max(0.0, lam + settings.g * (float(p.sum()) - sc.p_sum_max))
-    if not (math.isfinite(p_new.max()) and math.isfinite(lam_new)):
-        raise FloatingPointError(
-            "primal-dual state became non-finite; gains are likely too large"
-        )
-    return p_new, lam_new
-
-
 def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
     """Gain-weighted squared distance to the reference point (0 iff equal).
 
@@ -136,7 +111,10 @@ def integrate(
     """Run the primal-dual dynamics until per-step motion dies out.
 
     Convergence is declared when the largest coordinate move (powers and
-    price) in one step drops below TOL_EQ. The Lyapunov monitor needs the
+    price) in one step drops below TOL_EQ. A non-finite state raises
+    FloatingPointError; testing max(p) suffices, since a projected power
+    is NaN or lies in [P_FLOOR, p_u] (an infinite drive is clipped to a
+    bound) and max propagates NaN. The Lyapunov monitor needs the
     centralized optimum and the box needs its caps; both come from the
     reference allocation, which is solved internally when not supplied.
     """
@@ -144,9 +122,10 @@ def integrate(
     if reference is None:
         reference = solve_centralized(sc)
     p_u, p_star, lam_star = reference.p_u, reference.p, reference.lam
-    k = np.asarray(settings.k)
-    if k.ndim > 1 or k.size not in (1, p_u.size):
-        raise ValueError(f"k has shape {k.shape}, expected a scalar or {p_u.shape}")
+    k, g = settings.k, settings.g
+    if np.ndim(k) > 1 or np.size(k) not in (1, p_u.size):
+        raise ValueError(f"k has shape {np.shape(k)}, expected a scalar or {p_u.shape}")
+    w, p_circuit, delta, p_sum_max = sc.w, sc.p_circuit, sc.delta, sc.p_sum_max
 
     if settings.init_p is None:
         p = 0.5 * p_u
@@ -159,19 +138,21 @@ def integrate(
     p = np.clip(p, P_FLOOR, p_u)
     lam = float(settings.init_lambda)
 
-    # step returns a new p every call, so a record never aliases the state
+    # each step makes a new p, so a record never aliases the state
     records = [(0, p, lam)]
-    converged = False
     steps = 0
     for t in range(1, settings.max_steps + 1):
-        p_next, lam_next = step((p, lam), sc, p_u, settings)
+        drive = utility_grad(p, w, p_circuit, delta) - lam
+        p_next = np.minimum(np.maximum(p + k * drive, P_FLOOR), p_u)
+        lam_next = max(0.0, lam + g * (float(p.sum()) - p_sum_max))
+        if not (math.isfinite(p_next.max()) and math.isfinite(lam_next)):
+            raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
         motion = max(float(abs(p_next - p).max()), abs(lam_next - lam))
         p, lam = p_next, lam_next
         steps = t
         if t % RECORD_EVERY == 0:
             records.append((t, p, lam))
         if motion <= TOL_EQ:
-            converged = True
             break
     if steps % RECORD_EVERY != 0:
         records.append((steps, p, lam))
@@ -181,9 +162,9 @@ def integrate(
         t=t_rec,
         p=p_rec,
         lam=lam_rec,
-        total_utility=np.sum(utility(p_rec, sc.w, sc.p_circuit, sc.delta), axis=1),
+        total_utility=np.sum(utility(p_rec, w, p_circuit, delta), axis=1),
         v=lyapunov(p_rec, lam_rec, p_star, lam_star, settings),
         messages_uplink=sc.n_users * steps,
-        converged=converged,
+        converged=motion <= TOL_EQ,
         steps_taken=steps,
     )

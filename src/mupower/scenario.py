@@ -77,6 +77,15 @@ def _integer(doc, key, source):
     return value
 
 
+def _number(doc, key, source):
+    """A real number from the document; a list, a mapping or null is an error."""
+    value = doc[key]
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{source}: {key} must be a number, got {value!r}") from None
+
+
 def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> LoadedScenario:
     """Validate a scenario mapping and assemble the solver structures."""
     if not isinstance(doc, dict):
@@ -114,7 +123,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             raise ValueError(
                 f"{source}: channel CSV has {h.shape[0]} rows, expected receive_antennas {antennas}"
             )
-        delta = compute_effective_gains(ChannelRealization(h, float(doc["sigma2_watts"])))
+        delta = compute_effective_gains(ChannelRealization(h, _number(doc, "sigma2_watts", source)))
 
     for key in ("w", "p_max_individual_watts", "p_circuit_watts", "p_sum_max_watts"):
         if key not in doc:
@@ -125,7 +134,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
         p_circuit=_broadcast(doc["p_circuit_watts"], n, "p_circuit_watts"),
         p_max=_broadcast(doc["p_max_individual_watts"], n, "p_max_individual_watts"),
         delta=delta,
-        p_sum_max=float(doc["p_sum_max_watts"]),
+        p_sum_max=_number(doc, "p_sum_max_watts", source),
     )
 
     pd_kwargs = {}
@@ -140,7 +149,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
         elif attr == "max_steps":
             pd_kwargs[attr] = _integer(doc, key, source)
         else:
-            pd_kwargs[attr] = float(doc[key])
+            pd_kwargs[attr] = _number(doc, key, source)
     return LoadedScenario(scenario=scenario, pd=PdSettings(**pd_kwargs))
 
 

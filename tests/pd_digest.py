@@ -1,0 +1,78 @@
+"""Digests of the fig4 primal-dual runs, for checking bit-identity.
+
+    python tests/pd_digest.py
+
+This runs fig4's default start and the 10 starts of acceptance
+criterion 9 (np.random.default_rng(99), each start drawn in this order:
+init_p = uniform(0.02, 1, N) * compute_pu(sc), init_lambda = uniform(0, 1)),
+all with the scenario's gains and reference=solve_centralized(sc). It
+prints:
+
+    steps      the steps taken over all 11 runs
+    grad_in    SHA-256 of the bytes of the p passed to every
+               mupower.primal_dual.utility_grad call, in call order
+    records    SHA-256 of each trajectory's t, p, lam, total_utility and v
+               bytes, in that order, run after run
+
+Two checkouts whose three lines match ran the same Euler steps on the
+same states to the last bit. The package is imported from PYTHONPATH
+when it is there (so another checkout's src/ can be measured), else from
+this checkout's src/. Pytest does not collect this file.
+"""
+import hashlib
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+try:
+    import mupower  # noqa: F401
+except ImportError:
+    sys.path.insert(0, str(ROOT / "src"))
+    import mupower  # noqa: F401
+
+from mupower import compute_pu, integrate, primal_dual, solve_centralized
+from mupower.scenario import load_scenario
+
+
+def settings_of_runs(loaded):
+    """fig4's own settings, then the 10 seeded starts of criterion 9."""
+    sc = loaded.scenario
+    p_u = compute_pu(sc)
+    rng = np.random.default_rng(99)
+    runs = [loaded.pd]
+    for _ in range(10):
+        init_p = rng.uniform(0.02, 1.0, sc.n_users) * p_u
+        runs.append(replace(loaded.pd, init_p=init_p, init_lambda=float(rng.uniform(0.0, 1.0))))
+    return runs
+
+
+def main():
+    loaded = load_scenario(ROOT / "scenarios" / "fig4.yaml")
+    sc = loaded.scenario
+    reference = solve_centralized(sc)
+    grad_in, records = hashlib.sha256(), hashlib.sha256()
+    utility_grad = primal_dual.utility_grad
+
+    def hashed_grad(p, *args):
+        grad_in.update(np.ascontiguousarray(p, dtype=float).tobytes())
+        return utility_grad(p, *args)
+
+    steps = 0
+    primal_dual.utility_grad = hashed_grad
+    try:
+        for pd in settings_of_runs(loaded):
+            traj = integrate(sc, pd, reference=reference)
+            steps += traj.steps_taken
+            for col in (traj.t, traj.p, traj.lam, traj.total_utility, traj.v):
+                records.update(np.ascontiguousarray(col).tobytes())
+    finally:
+        primal_dual.utility_grad = utility_grad
+    print(f"steps: {steps:,}\ngrad_in: {grad_in.hexdigest()}\nrecords: {records.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

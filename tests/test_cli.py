@@ -122,6 +122,25 @@ def test_solver_and_pd_overrides(tmp_path):
     loaded = load_scenario(path)
     assert loaded.pd.g == 0.01
     assert loaded.pd.max_steps == 123
+    # integers and numeric strings load as numbers
+    path = write_scenario(tmp_path, BASE.replace("1.5", "'1.5'") + "pd_gain_dual: 1\npd_init_lambda: '0.25'\n")
+    loaded = load_scenario(path)
+    assert (loaded.scenario.p_sum_max, loaded.pd.g, loaded.pd.init_lambda) == (1.5, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p_sum_max_watts", "[1.5]"), ("p_sum_max_watts", "null"), ("p_sum_max_watts", "{a: 1}"),
+    pytest.param("p_sum_max_watts", "1" + "0" * 400, id="p_sum_max_watts-int-1e400"),
+    ("sigma2_watts", "[1.0]"), ("sigma2_watts", "null"),
+    ("pd_gain_dual", "[0.01]"), ("pd_init_lambda", "null"), ("pd_init_lambda", "abc"),
+])
+def test_scalar_key_not_a_number_exits_one(tmp_path, capsys, key, value):
+    (tmp_path / "h.csv").write_text("1+0j,0+0j\n0+0j,1+0j\n")
+    text = BASE.replace("delta_db: [20.0, 20.0]\n", "channel_csv: h.csv\nsigma2_watts: 1.0\n")
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key}:")]
+    path = write_scenario(tmp_path, "\n".join(lines + [f"{key}: {value}"]) + "\n")
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert f"{key} must be a number, got " in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- solve
@@ -214,6 +233,20 @@ def test_sweep_invalid_override_exits_one(monkeypatch, capsys):
     code = main(["sweep-diversity", "--scenario", str(SCENARIOS / "fig2.yaml"), "--grid", "1"])
     assert code == 1
     assert "w must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+
+def test_sweep_grid_below_one_exits_one(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    for command in ("sweep-diversity", "sweep-fairness"):
+        for grid in ("0", "-3"):
+            code = main([command, "--scenario", str(SCENARIOS / "fig2.yaml"), "--out", str(out), "--grid", grid])
+            assert code == 1
+            assert f"--grid must be at least 1, got {grid}" in capsys.readouterr().err
+            assert not out.exists()
+        # one point per axis stays valid
+        assert main([command, "--scenario", str(SCENARIOS / "fig2.yaml"), "--out", str(out), "--grid", "1"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + (1 if command == "sweep-diversity" else 3)
+        out.unlink()
 
 
 def test_sweep_fairness_anchors(tmp_path):

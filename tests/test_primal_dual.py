@@ -4,18 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from mupower import (
-    PdSettings,
-    Scenario,
-    compute_pu,
-    gains_from_db,
-    integrate,
-    lyapunov,
-    solve_centralized,
-    step,
-)
+from mupower import PdSettings, Scenario, compute_pu, gains_from_db, integrate, solve_centralized
 from mupower.cli import write_trajectory_csv
-from mupower.primal_dual import RECORD_EVERY, TOL_EQ
+from mupower.primal_dual import RECORD_EVERY, TOL_EQ, lyapunov
 from mupower.solver import P_FLOOR
 from mupower.utility import utility, utility_grad
 
@@ -36,13 +27,19 @@ def caps_for(sc: Scenario) -> np.ndarray:
 
 # --------------------------------------------------------------------- step
 
+def one_step(sc, p, lam, ref=None, **gains):
+    """The state after integrate's first Euler step from (p, lam)."""
+    pd = PdSettings(init_p=p, init_lambda=lam, max_steps=1, **gains)
+    traj = integrate(sc, pd, reference=ref or solve_centralized(sc))
+    return traj.p[-1], traj.lam[-1]
+
+
 def test_step_interior_is_plain_euler():
     sc = fig4_scenario()
     p_u = caps_for(sc)
-    pd = PdSettings()
     p = 0.5 * p_u
     lam = 0.05
-    p_new, _ = step((p, lam), sc, p_u, pd)
+    p_new, _ = one_step(sc, p, lam)
     expected = p + 1e-3 * (utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam)
     np.testing.assert_array_equal(p_new, np.clip(expected, P_FLOOR, p_u))
 
@@ -50,8 +47,7 @@ def test_step_interior_is_plain_euler():
 def test_step_fixed_at_centralized_optimum():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
-    pd = PdSettings()
-    p_new, lam_new = step((ref.p, ref.lam), sc, ref.p_u, pd)
+    p_new, lam_new = one_step(sc, ref.p, ref.lam, ref)
     assert np.max(np.abs(p_new - ref.p)) <= TOL_EQ
     assert abs(lam_new - ref.lam) <= TOL_EQ
 
@@ -59,51 +55,36 @@ def test_step_fixed_at_centralized_optimum():
 def test_step_lambda_parked_at_zero_under_slack():
     sc = fig4_scenario()
     p_u = caps_for(sc)
-    pd = PdSettings()
     p = 0.25 * p_u  # sum well under the budget
-    _, lam_new = step((p, 0.0), sc, p_u, pd)
+    _, lam_new = one_step(sc, p, 0.0)
     assert lam_new == 0.0
 
 
 def test_step_holds_the_boundaries():
     sc = fig4_scenario()
     p_u = caps_for(sc)
-    pd = PdSettings()
     floor = np.full(4, P_FLOOR)
     # U'(p_floor) is about 1e9 here, so this price pushes every power down
-    p_new, _ = step((floor, 1e12), sc, p_u, pd)
+    p_new, _ = one_step(sc, floor, 1e12)
     assert np.array_equal(p_new, floor)
     # with w = 1 every cap is p_max and U' > 0 there: the powers push up
     at_max = Scenario(w=1.0, p_circuit=0.1, p_max=1.0, delta=gains_from_db([0.0] * 4), p_sum_max=3.0)
     caps = caps_for(at_max)
-    p_new, _ = step((caps, 0.0), at_max, caps, pd)
+    p_new, _ = one_step(at_max, caps, 0.0)
     assert np.array_equal(p_new, caps)
     # a small price under a slack budget would step below zero
-    _, lam_new = step((0.25 * p_u, 1e-6), sc, p_u, pd)
+    _, lam_new = one_step(sc, 0.25 * p_u, 1e-6)
     assert lam_new == 0.0
 
 
 def test_step_overflow_detection():
-    # the box clamps bound everything reachable from finite state, so the
-    # non-finite guard is exercised with a corrupted price directly
+    # the box clamps every power, so only the price can overflow: a price
+    # near the float limit, raised by a huge gain on an over-budget start
     sc = fig4_scenario()
     p_u = caps_for(sc)
-    pd = PdSettings()
-    with pytest.raises(FloatingPointError):
-        step((0.5 * p_u, np.inf), sc, p_u, pd)
-    # max(0.0, nan) is 0.0, so only the test on the powers catches a NaN price
-    with pytest.raises(FloatingPointError):
-        step((0.5 * p_u, np.nan), sc, p_u, pd)
-
-
-def test_step_rejects_k_of_another_shape():
-    sc = fig4_scenario()
-    p_u = caps_for(sc)
-    for k in (np.full((4, 1), 1e-3), np.full((1, 4), 1e-3)):
-        with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
-            step((0.5 * p_u, 0.0), sc, p_u, PdSettings(k=k))
-    with pytest.raises(ValueError):
-        step((0.5 * p_u, 0.0), sc, p_u, PdSettings(k=np.full(3, 1e-3)))
+    assert p_u.sum() > sc.p_sum_max
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        one_step(sc, p_u, 1.7e308, g=1e308)
 
 
 # ----------------------------------------------------------------- lyapunov
@@ -217,7 +198,7 @@ def test_init_p_validation():
         integrate(sc, PdSettings(init_p=np.full(4, 10.0)))
     with pytest.raises(ValueError, match="init_p"):
         integrate(sc, PdSettings(init_p=np.array([np.nan, 0.1, 0.1, 0.1])))
-    for k in (np.full((4, 1), 1e-3), np.full(3, 1e-3)):
+    for k in (np.full((4, 1), 1e-3), np.full((1, 4), 1e-3), np.full(3, 1e-3)):
         with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
             integrate(sc, PdSettings(k=k))
 
