@@ -87,6 +87,17 @@ def test_step_overflow_detection():
         one_step(sc, p_u, 1.7e308, g=1e308)
 
 
+def test_step_rejects_k_of_another_shape():
+    # integrate checks k's shape once, before the first step
+    sc = fig4_scenario()
+    p_u = caps_for(sc)
+    for k in (np.full((4, 1), 1e-3), np.full((1, 4), 1e-3)):
+        with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
+            one_step(sc, 0.5 * p_u, 0.0, k=k)
+    with pytest.raises(ValueError):
+        one_step(sc, 0.5 * p_u, 0.0, k=np.full(3, 1e-3))
+
+
 # ----------------------------------------------------------------- lyapunov
 
 def test_lyapunov_reference_values():
@@ -198,7 +209,7 @@ def test_init_p_validation():
         integrate(sc, PdSettings(init_p=np.full(4, 10.0)))
     with pytest.raises(ValueError, match="init_p"):
         integrate(sc, PdSettings(init_p=np.array([np.nan, 0.1, 0.1, 0.1])))
-    for k in (np.full((4, 1), 1e-3), np.full((1, 4), 1e-3), np.full(3, 1e-3)):
+    for k in (np.full((4, 1), 1e-3), np.full(3, 1e-3)):
         with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
             integrate(sc, PdSettings(k=k))
 
