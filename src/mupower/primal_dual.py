@@ -12,7 +12,9 @@ the feasible set, the powers onto [P_FLOOR, p_u] (the floor stands in
 for P_i = 0) and the price onto lambda >= 0: the same state as clamping
 the drive at a boundary, with Euler overshoot absorbed. The only
 signalling is one price broadcast down and one power report per user up,
-per step.
+per step. As in that scheme, each user's update and the receiver's sum
+run on Python floats; sum(P) builds up left to right, bit-identical to
+numpy's sum for N < 8 users (numpy sums pairwise from 8 on).
 
 The quadratic distance to the centralized optimum,
 
@@ -112,9 +114,10 @@ def integrate(
 
     Convergence is declared when the largest coordinate move (powers and
     price) in one step drops below TOL_EQ. A non-finite state raises
-    FloatingPointError; testing max(p) suffices, since a projected power
-    is NaN or lies in [P_FLOOR, p_u] (an infinite drive is clipped to a
-    bound) and max propagates NaN. The Lyapunov monitor needs the
+    FloatingPointError; testing sum(p) and lambda suffices, since a
+    projected power is NaN or lies in [P_FLOOR, p_u] (an infinite drive
+    is clipped to a bound), and a NaN power passes the projection's
+    comparisons and makes the sum NaN. The Lyapunov monitor needs the
     centralized optimum and the box needs its caps; both come from the
     reference allocation, which is solved internally when not supplied.
     """
@@ -138,17 +141,29 @@ def integrate(
     p = np.clip(p, P_FLOOR, p_u)
     lam = float(settings.init_lambda)
 
-    # each step makes a new p, so a record never aliases the state
+    # per-user work on floats around the one array call, utility_grad; the
+    # two ifs are min(max(., P_FLOOR), p_u_i) without the calls, NaN passing both
+    users = list(zip(np.broadcast_to(np.asarray(k, dtype=float), p_u.shape).tolist(), p_u.tolist()))
+    x, p_sum = p.tolist(), float(p.sum())
     records = [(0, p, lam)]
     steps = 0
     for t in range(1, settings.max_steps + 1):
-        drive = utility_grad(p, w, p_circuit, delta) - lam
-        p_next = np.minimum(np.maximum(p + k * drive, P_FLOOR), p_u)
-        lam_next = max(0.0, lam + g * (float(p.sum()) - p_sum_max))
-        if not (math.isfinite(p_next.max()) and math.isfinite(lam_next)):
+        lam_next = max(0.0, lam + g * (p_sum - p_sum_max))
+        x_next, p_sum, motion = [], 0.0, abs(lam_next - lam)
+        for x_i, u_i, (k_i, p_u_i) in zip(x, utility_grad(p, w, p_circuit, delta).tolist(), users):
+            x_i_next = x_i + k_i * (u_i - lam)
+            if x_i_next < P_FLOOR:
+                x_i_next = P_FLOOR
+            if x_i_next > p_u_i:
+                x_i_next = p_u_i
+            x_next.append(x_i_next)
+            p_sum += x_i_next
+            if abs(x_i_next - x_i) > motion:
+                motion = abs(x_i_next - x_i)
+        if not (math.isfinite(p_sum) and math.isfinite(lam_next)):
             raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
-        motion = max(float(abs(p_next - p).max()), abs(lam_next - lam))
-        p, lam = p_next, lam_next
+        # a new array each step: the next gradient's input, never aliased by a record
+        x, lam, p = x_next, lam_next, np.array(x_next)
         steps = t
         if t % RECORD_EVERY == 0:
             records.append((t, p, lam))

@@ -58,12 +58,19 @@ class LoadedScenario:
     pd: PdSettings
 
 
-def _broadcast(value, n, key):
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+def _broadcast(doc, key, n, source):
+    """A per-user vector from a number or a list of n numbers."""
+    value = doc[key]
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != 1:
+        raise ValueError(f"{source}: {key} must be a number or a list of {n} numbers, got {value!r}")
     if arr.size == 1:
         return np.full(n, float(arr[0]))
     if arr.size != n:
-        raise ValueError(f"{key} has {arr.size} entries, expected {n} (n_users)")
+        raise ValueError(f"{source}: {key} has {arr.size} entries, expected {n} (n_users)")
     return arr.astype(float)
 
 
@@ -113,7 +120,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
     if has_db == has_csv:
         raise ValueError(f"{source}: exactly one of delta_db / channel_csv must be given")
     if has_db:
-        delta = gains_from_db(_broadcast(doc["delta_db"], n, "delta_db"))
+        delta = gains_from_db(_broadcast(doc, "delta_db", n, source))
     else:
         if "sigma2_watts" not in doc:
             raise ValueError(f"{source}: channel_csv requires sigma2_watts")
@@ -130,9 +137,9 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             raise ValueError(f"{source}: {key} is required")
 
     scenario = Scenario(
-        w=_broadcast(doc["w"], n, "w"),
-        p_circuit=_broadcast(doc["p_circuit_watts"], n, "p_circuit_watts"),
-        p_max=_broadcast(doc["p_max_individual_watts"], n, "p_max_individual_watts"),
+        w=_broadcast(doc, "w", n, source),
+        p_circuit=_broadcast(doc, "p_circuit_watts", n, source),
+        p_max=_broadcast(doc, "p_max_individual_watts", n, source),
         delta=delta,
         p_sum_max=_number(doc, "p_sum_max_watts", source),
     )
@@ -142,10 +149,10 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
         if key not in doc:
             continue
         if attr == "k":
-            val = np.asarray(doc[key], dtype=float)
-            pd_kwargs[attr] = _broadcast(val, n, key) if val.ndim else float(val)
+            k = _broadcast(doc, key, n, source)
+            pd_kwargs[attr] = k if np.ndim(doc[key]) else float(k[0])
         elif attr == "init_p":
-            pd_kwargs[attr] = _broadcast(doc[key], n, key)
+            pd_kwargs[attr] = _broadcast(doc, key, n, source)
         elif attr == "max_steps":
             pd_kwargs[attr] = _integer(doc, key, source)
         else:

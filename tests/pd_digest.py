@@ -1,6 +1,6 @@
 """Digests of the fig4 primal-dual runs, for checking bit-identity.
 
-    python tests/pd_digest.py
+    python tests/pd_digest.py [--expect STEPS GRAD_IN RECORDS]
 
 This runs fig4's default start and the 10 starts of acceptance
 criterion 9 (np.random.default_rng(99), each start drawn in this order:
@@ -15,10 +15,17 @@ prints:
                bytes, in that order, run after run
 
 Two checkouts whose three lines match ran the same Euler steps on the
-same states to the last bit. The package is imported from PYTHONPATH
-when it is there (so another checkout's src/ can be measured), else from
-this checkout's src/. Pytest does not collect this file.
+same states to the last bit. With --expect the run also compares its
+three values with the given ones (STEPS with or without thousands
+commas) and exits 1, naming each mismatch, when any differs. The digests
+hold for one numpy build on one CPU: the utility gradient uses numpy's
+SIMD log1p, which differs from libm's log1p in the last bit on some
+inputs, and which SIMD path runs depends on the CPU. The package is
+imported from PYTHONPATH when it is there (so another checkout's src/
+can be measured), else from this checkout's src/. Pytest does not
+collect this file.
 """
+import argparse
 import hashlib
 import sys
 from dataclasses import replace
@@ -49,7 +56,10 @@ def settings_of_runs(loaded):
     return runs
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digests of the fig4 primal-dual runs.")
+    parser.add_argument("--expect", nargs=3, metavar=("STEPS", "GRAD_IN", "RECORDS"))
+    args = parser.parse_args(argv)
     loaded = load_scenario(ROOT / "scenarios" / "fig4.yaml")
     sc = loaded.scenario
     reference = solve_centralized(sc)
@@ -70,8 +80,15 @@ def main():
                 records.update(np.ascontiguousarray(col).tobytes())
     finally:
         primal_dual.utility_grad = utility_grad
-    print(f"steps: {steps:,}\ngrad_in: {grad_in.hexdigest()}\nrecords: {records.hexdigest()}")
-    return 0
+    got = {"steps": f"{steps:,}", "grad_in": grad_in.hexdigest(), "records": records.hexdigest()}
+    print("\n".join(f"{name}: {value}" for name, value in got.items()))
+    if args.expect is None:
+        return 0
+    mismatched = [(name, want) for name, want in zip(got, args.expect)
+                  if got[name].replace(",", "") != want.replace(",", "")]
+    for name, want in mismatched:
+        print(f"MISMATCH {name}: expected {want}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

@@ -143,6 +143,18 @@ def test_scalar_key_not_a_number_exits_one(tmp_path, capsys, key, value):
     assert f"{key} must be a number, got " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("w", "{a: 1}"), ("p_circuit_watts", "[[0.1]]"), ("pd_gain_primal", "{a: 1}"),
+    ("delta_db", "[[20.0, 20.0]]"), ("p_max_individual_watts", "[1.0, abc]"),
+    pytest.param("pd_init_p_watts", "1" + "0" * 400, id="pd_init_p_watts-int-1e400"),
+])
+def test_vector_key_not_numbers_exits_one(tmp_path, capsys, key, value):
+    lines = [line for line in BASE.splitlines() if not line.startswith(f"{key}:")]
+    path = write_scenario(tmp_path, "\n".join(lines + [f"{key}: {value}"]) + "\n")
+    assert main(["primal-dual", "--scenario", str(path)]) == 1
+    assert f"{key} must be a number or a list of 2 numbers, got " in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- solve
 
 def run_main(argv):

@@ -203,6 +203,54 @@ def test_integrate_same_limit_from_random_starts():
         assert np.max(np.abs(p - ref.p)) <= 1e-3
 
 
+def numpy_euler(sc, pd, ref):
+    """The Euler loop written on arrays (np.minimum/np.maximum, p.sum()),
+    returning the recorded t, p and lam as integrate records them."""
+    p_u, k, g = ref.p_u, pd.k, pd.g
+    p = np.clip(0.5 * p_u if pd.init_p is None else np.array(pd.init_p, dtype=float), P_FLOOR, p_u)
+    lam = pd.init_lambda
+    records = [(0, p, lam)]
+    for t in range(1, pd.max_steps + 1):
+        drive = utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam
+        p_next = np.minimum(np.maximum(p + k * drive, P_FLOOR), p_u)
+        lam_next = max(0.0, lam + g * (float(p.sum()) - sc.p_sum_max))
+        motion = max(float(abs(p_next - p).max()), abs(lam_next - lam))
+        p, lam = p_next, lam_next
+        if t % RECORD_EVERY == 0:
+            records.append((t, p, lam))
+        if motion <= TOL_EQ:
+            break
+    if t % RECORD_EVERY != 0:
+        records.append((t, p, lam))
+    return [np.array(col) for col in zip(*records)]
+
+
+def test_integrate_matches_the_numpy_euler_loop():
+    sc = fig4_scenario()
+    ref = solve_centralized(sc)
+    rng = np.random.default_rng(99)  # criterion 9's first start
+    start = dict(init_p=rng.uniform(0.02, 1.0, 4) * ref.p_u, init_lambda=float(rng.uniform(0.0, 1.0)))
+    k_vec = np.array([5e-4, 1e-3, 2e-3, 1.5e-3])
+    # below 8 users numpy's sum adds left to right, as integrate does: every bit agrees
+    for pd in (PdSettings(max_steps=3000), PdSettings(max_steps=3000, **start),
+               PdSettings(k=k_vec, max_steps=1, **start)):
+        traj = integrate(sc, pd, reference=ref)
+        for got, want in zip((traj.t, traj.p, traj.lam), numpy_euler(sc, pd, ref)):
+            assert np.array_equal(got, want)
+    # from 8 users on numpy sums pairwise, so the price may differ in its last bits
+    n = 12
+    big = Scenario(w=np.linspace(0.0, 1.0, n), p_circuit=0.1, p_max=1.0,
+                   delta=gains_from_db(np.linspace(-5.0, 15.0, n)), p_sum_max=2.0)
+    ref = solve_centralized(big)
+    assert ref.p_u.sum() > big.p_sum_max
+    pd = PdSettings(k=np.linspace(5e-4, 2e-3, n), max_steps=3000)
+    traj = integrate(big, pd, reference=ref)
+    t, p, lam = numpy_euler(big, pd, ref)
+    assert np.array_equal(traj.t, t)
+    np.testing.assert_allclose(traj.p, p, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(traj.lam, lam, rtol=1e-12, atol=0)
+
+
 def test_init_p_validation():
     sc = fig4_scenario()
     with pytest.raises(ValueError, match="init_p"):
