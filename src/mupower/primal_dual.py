@@ -12,9 +12,9 @@ the feasible set, the powers onto [P_FLOOR, p_u] (the floor stands in
 for P_i = 0) and the price onto lambda >= 0: the same state as clamping
 the drive at a boundary, with Euler overshoot absorbed. The only
 signalling is one price broadcast down and one power report per user up,
-per step. As in that scheme, each user's update and the receiver's sum
-run on Python floats; sum(P) builds up left to right, bit-identical to
-numpy's sum for N < 8 users (numpy sums pairwise from 8 on).
+per step. As in that scheme, each user's update, U_i' included, and the
+receiver's sum run on Python floats; sum(P) builds up left to right,
+bit-identical to numpy's sum for N < 8 users (numpy sums pairwise from 8 on).
 
 The quadratic distance to the centralized optimum,
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import P_FLOOR, Allocation, Scenario, solve_centralized
-from .utility import utility, utility_grad
+from .utility import utility
 
 # Convergence: the largest per-step move of any power or of the price.
 TOL_EQ = 1e-10
@@ -112,14 +112,15 @@ def integrate(
 ) -> Trajectory:
     """Run the primal-dual dynamics until per-step motion dies out.
 
-    Convergence is declared when the largest coordinate move (powers and
-    price) in one step drops below TOL_EQ. A non-finite state raises
-    FloatingPointError; testing sum(p) and lambda suffices, since a
-    projected power is NaN or lies in [P_FLOOR, p_u] (an infinite drive
-    is clipped to a bound), and a NaN power passes the projection's
-    comparisons and makes the sum NaN. The Lyapunov monitor needs the
-    centralized optimum and the box needs its caps; both come from the
-    reference allocation, which is solved internally when not supplied.
+    Each step runs on Python floats, U_i' included, and only a recorded
+    state becomes an array. Convergence is declared when the largest
+    coordinate move (powers and price) in one step drops below TOL_EQ. A
+    non-finite state raises FloatingPointError; testing sum(p) and lambda
+    suffices, since a projected power is NaN or lies in [P_FLOOR, p_u] (an
+    infinite drive is clipped to a bound; U_i' needs no p > 0 check), and a
+    NaN power passes the projection's comparisons and makes the sum NaN.
+    The Lyapunov monitor needs the centralized optimum and the box its caps;
+    both come from the reference allocation, solved here when not supplied.
     """
     settings = settings or PdSettings()
     if reference is None:
@@ -141,16 +142,17 @@ def integrate(
     p = np.clip(p, P_FLOOR, p_u)
     lam = float(settings.init_lambda)
 
-    # per-user work on floats around the one array call, utility_grad; the
-    # two ifs are min(max(., P_FLOOR), p_u_i) without the calls, NaN passing both
-    users = list(zip(np.broadcast_to(np.asarray(k, dtype=float), p_u.shape).tolist(), p_u.tolist()))
+    # U_i' in utility_grad's operation order but with libm's log1p; the two
+    # ifs are min(max(., P_FLOOR), p_u_i) without the calls, NaN passing both
+    users = np.column_stack(np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w)).tolist()
     x, p_sum = p.tolist(), float(p.sum())
     records = [(0, p, lam)]
-    steps = 0
     for t in range(1, settings.max_steps + 1):
         lam_next = max(0.0, lam + g * (p_sum - p_sum_max))
         x_next, p_sum, motion = [], 0.0, abs(lam_next - lam)
-        for x_i, u_i, (k_i, p_u_i) in zip(x, utility_grad(p, w, p_circuit, delta).tolist(), users):
+        for x_i, (k_i, p_u_i, delta_i, p_c_i, c_i) in zip(x, users):
+            total, dp = x_i + p_c_i, delta_i * x_i
+            u_i = (delta_i * total / ((1.0 + dp) * math.log1p(dp)) - c_i) / total
             x_i_next = x_i + k_i * (u_i - lam)
             if x_i_next < P_FLOOR:
                 x_i_next = P_FLOOR
@@ -162,15 +164,13 @@ def integrate(
                 motion = abs(x_i_next - x_i)
         if not (math.isfinite(p_sum) and math.isfinite(lam_next)):
             raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
-        # a new array each step: the next gradient's input, never aliased by a record
-        x, lam, p = x_next, lam_next, np.array(x_next)
-        steps = t
+        x, lam = x_next, lam_next
         if t % RECORD_EVERY == 0:
-            records.append((t, p, lam))
+            records.append((t, np.array(x), lam))
         if motion <= TOL_EQ:
             break
-    if steps % RECORD_EVERY != 0:
-        records.append((steps, p, lam))
+    if t % RECORD_EVERY != 0:  # t is bound: PdSettings makes max_steps >= 1
+        records.append((t, np.array(x), lam))
 
     t_rec, p_rec, lam_rec = (np.array(col) for col in zip(*records))
     return Trajectory(
@@ -179,7 +179,7 @@ def integrate(
         lam=lam_rec,
         total_utility=np.sum(utility(p_rec, w, p_circuit, delta), axis=1),
         v=lyapunov(p_rec, lam_rec, p_star, lam_star, settings),
-        messages_uplink=sc.n_users * steps,
+        messages_uplink=sc.n_users * t,
         converged=motion <= TOL_EQ,
-        steps_taken=steps,
+        steps_taken=t,
     )

@@ -68,16 +68,9 @@ def _beta_prime(p, pc, delta):
 
 
 def utility_grad(p, w, p_circuit, delta):
-    """Analytic utility'(p) = [beta(p) - (1 - w)] / (p + p_circuit); p > 0.
-
-    The primal-dual integrator calls this every step, so _beta is written
-    out to form p + p_circuit once, in _beta's operation order (the result
-    is bit-identical).
-    """
+    """Analytic utility'(p) = [beta(p) - (1 - w)] / (p + p_circuit); p > 0."""
     p = _checked(p, "utility_grad needs p > 0")
-    total = p + p_circuit
-    dp = delta * p
-    return (delta * total / ((1.0 + dp) * np.log1p(dp)) - (1.0 - w)) / total
+    return (_beta(p, p_circuit, delta) - (1.0 - w)) / (p + p_circuit)
 
 
 def utility_hess(p, w, p_circuit, delta):

@@ -1,6 +1,6 @@
 """Digests of the fig4 primal-dual runs, for checking bit-identity.
 
-    python tests/pd_digest.py [--expect STEPS GRAD_IN RECORDS]
+    python tests/pd_digest.py [--expect STEPS RECORDS]
 
 This runs fig4's default start and the 10 starts of acceptance
 criterion 9 (np.random.default_rng(99), each start drawn in this order:
@@ -9,21 +9,19 @@ all with the scenario's gains and reference=solve_centralized(sc). It
 prints:
 
     steps      the steps taken over all 11 runs
-    grad_in    SHA-256 of the bytes of the p passed to every
-               mupower.primal_dual.utility_grad call, in call order
     records    SHA-256 of each trajectory's t, p, lam, total_utility and v
                bytes, in that order, run after run
 
-Two checkouts whose three lines match ran the same Euler steps on the
-same states to the last bit. With --expect the run also compares its
-three values with the given ones (STEPS with or without thousands
-commas) and exits 1, naming each mismatch, when any differs. The digests
-hold for one numpy build on one CPU: the utility gradient uses numpy's
-SIMD log1p, which differs from libm's log1p in the last bit on some
-inputs, and which SIMD path runs depends on the CPU. The package is
-imported from PYTHONPATH when it is there (so another checkout's src/
-can be measured), else from this checkout's src/. Pytest does not
-collect this file.
+Two checkouts whose two lines match ran the same Euler steps on the
+same states to the last bit. With --expect the run also compares its two
+values with the given ones (STEPS with or without thousands commas) and
+exits 1, naming each mismatch, when any differs. The digests hold for
+one numpy build and libm on one CPU: the step's U' takes libm's log1p,
+while the records' total_utility takes numpy's SIMD log1p, which differs
+from libm's in the last bit on some inputs, and which SIMD path runs
+depends on the CPU. The package is imported from PYTHONPATH when it is
+there (so another checkout's src/ can be measured), else from this
+checkout's src/. Pytest does not collect this file.
 """
 import argparse
 import hashlib
@@ -40,7 +38,7 @@ except ImportError:
     sys.path.insert(0, str(ROOT / "src"))
     import mupower  # noqa: F401
 
-from mupower import compute_pu, integrate, primal_dual, solve_centralized
+from mupower import compute_pu, integrate, solve_centralized
 from mupower.scenario import load_scenario
 
 
@@ -58,29 +56,19 @@ def settings_of_runs(loaded):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Digests of the fig4 primal-dual runs.")
-    parser.add_argument("--expect", nargs=3, metavar=("STEPS", "GRAD_IN", "RECORDS"))
+    parser.add_argument("--expect", nargs=2, metavar=("STEPS", "RECORDS"))
     args = parser.parse_args(argv)
     loaded = load_scenario(ROOT / "scenarios" / "fig4.yaml")
     sc = loaded.scenario
     reference = solve_centralized(sc)
-    grad_in, records = hashlib.sha256(), hashlib.sha256()
-    utility_grad = primal_dual.utility_grad
-
-    def hashed_grad(p, *args):
-        grad_in.update(np.ascontiguousarray(p, dtype=float).tobytes())
-        return utility_grad(p, *args)
-
+    records = hashlib.sha256()
     steps = 0
-    primal_dual.utility_grad = hashed_grad
-    try:
-        for pd in settings_of_runs(loaded):
-            traj = integrate(sc, pd, reference=reference)
-            steps += traj.steps_taken
-            for col in (traj.t, traj.p, traj.lam, traj.total_utility, traj.v):
-                records.update(np.ascontiguousarray(col).tobytes())
-    finally:
-        primal_dual.utility_grad = utility_grad
-    got = {"steps": f"{steps:,}", "grad_in": grad_in.hexdigest(), "records": records.hexdigest()}
+    for pd in settings_of_runs(loaded):
+        traj = integrate(sc, pd, reference=reference)
+        steps += traj.steps_taken
+        for col in (traj.t, traj.p, traj.lam, traj.total_utility, traj.v):
+            records.update(np.ascontiguousarray(col).tobytes())
+    got = {"steps": f"{steps:,}", "records": records.hexdigest()}
     print("\n".join(f"{name}: {value}" for name, value in got.items()))
     if args.expect is None:
         return 0

@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from mupower import PdSettings, Scenario, compute_pu, gains_from_db, integrate, 
 from mupower.cli import write_trajectory_csv
 from mupower.primal_dual import RECORD_EVERY, TOL_EQ, lyapunov
 from mupower.solver import P_FLOOR
-from mupower.utility import utility, utility_grad
+from mupower.utility import _beta, utility, utility_grad
 
 
 def fig4_scenario() -> Scenario:
@@ -27,6 +29,14 @@ def caps_for(sc: Scenario) -> np.ndarray:
 
 # --------------------------------------------------------------------- step
 
+def libm_grad(p, w, p_circuit, delta):
+    """utility_grad's expression on arrays, with log1p taken elementwise
+    from libm (math.log1p) as integrate takes it."""
+    total, dp = p + p_circuit, delta * p
+    log1p = np.array([math.log1p(v) for v in dp.ravel().tolist()]).reshape(dp.shape)
+    return (delta * total / ((1.0 + dp) * log1p) - (1.0 - w)) / total
+
+
 def one_step(sc, p, lam, ref=None, **gains):
     """The state after integrate's first Euler step from (p, lam)."""
     pd = PdSettings(init_p=p, init_lambda=lam, max_steps=1, **gains)
@@ -40,8 +50,23 @@ def test_step_interior_is_plain_euler():
     p = 0.5 * p_u
     lam = 0.05
     p_new, _ = one_step(sc, p, lam)
-    expected = p + 1e-3 * (utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam)
+    expected = p + 1e-3 * (libm_grad(p, sc.w, sc.p_circuit, sc.delta) - lam)
     np.testing.assert_array_equal(p_new, np.clip(expected, P_FLOOR, p_u))
+
+
+def test_libm_grad_is_utility_grad_to_a_few_ulps():
+    # a seeded draw over the valid domain: delta and p_circuit in [1e-30, 1e30],
+    # p in [P_FLOOR, 1e30], w in [0, 1]. numpy's and libm's log1p may differ
+    # in the last bit, and beta - (1 - w) rounds at the scale of its larger
+    # term, so the ulps are those of max(beta, 1 - w) / (p + p_circuit)
+    rng = np.random.default_rng(7)
+    n = 20_000
+    w = rng.uniform(0.0, 1.0, n)
+    pc, delta = 10.0 ** rng.uniform(-30.0, 30.0, (2, n))
+    p = P_FLOOR * 10.0 ** rng.uniform(0.0, 39.0, n)
+    got, want = libm_grad(p, w, pc, delta), utility_grad(p, w, pc, delta)
+    ulp = np.spacing(np.maximum(_beta(p, pc, delta), 1.0 - w) / (p + pc))
+    assert np.max(np.abs(got - want) / ulp) <= 16.0
 
 
 def test_step_fixed_at_centralized_optimum():
@@ -211,7 +236,7 @@ def numpy_euler(sc, pd, ref):
     lam = pd.init_lambda
     records = [(0, p, lam)]
     for t in range(1, pd.max_steps + 1):
-        drive = utility_grad(p, sc.w, sc.p_circuit, sc.delta) - lam
+        drive = libm_grad(p, sc.w, sc.p_circuit, sc.delta) - lam
         p_next = np.minimum(np.maximum(p + k * drive, P_FLOOR), p_u)
         lam_next = max(0.0, lam + g * (float(p.sum()) - sc.p_sum_max))
         motion = max(float(abs(p_next - p).max()), abs(lam_next - lam))
@@ -249,6 +274,24 @@ def test_integrate_matches_the_numpy_euler_loop():
     assert np.array_equal(traj.t, t)
     np.testing.assert_allclose(traj.p, p, rtol=1e-12, atol=0)
     np.testing.assert_allclose(traj.lam, lam, rtol=1e-12, atol=0)
+
+
+def test_scalar_step_at_the_valid_domain_extremes():
+    # one user at every corner of the valid domain: each run returns, its
+    # records in the box, or raises FloatingPointError; never a Python
+    # float error (ZeroDivisionError, OverflowError) nor a RuntimeWarning
+    corners = itertools.product((1e-30, 1.0, 1e30), (1e-30, 1.0, 1e30), (1e-9, 1.0, 1e30),
+                                (1e-9, 1.0, 1e30), (1e-3, 1e30), (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta, p_c, p_max, p_sum_max, gain, w in corners:
+            sc = Scenario(w=w, p_circuit=p_c, p_max=p_max, delta=(delta,), p_sum_max=p_sum_max)
+            ref = solve_centralized(sc)
+            try:
+                traj = integrate(sc, PdSettings(k=gain, g=gain, max_steps=200), reference=ref)
+            except FloatingPointError:
+                continue
+            assert np.all((traj.p >= P_FLOOR) & (traj.p <= ref.p_u))
 
 
 def test_init_p_validation():
