@@ -8,12 +8,10 @@ instrumentation.
 """
 
 from .channel import (
-    ChannelRealization,
     SingularGramError,
     compute_effective_gains,
     gains_from_db,
     load_channel_csv,
-    random_rayleigh_channel,
 )
 from .metrics import jain_index, summarize
 from .primal_dual import PdSettings, Trajectory, integrate
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "BudgetCase",
-    "ChannelRealization",
     "ConvergenceError",
     "LoadedScenario",
     "PdSettings",
@@ -51,7 +48,6 @@ __all__ = [
     "kkt_residuals",
     "load_channel_csv",
     "load_scenario",
-    "random_rayleigh_channel",
     "se",
     "solve_centralized",
     "summarize",

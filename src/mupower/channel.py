@@ -7,12 +7,12 @@ where the effective gain is
     delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii)        [1/W]
 
 Experiments usually specify delta directly in dB, so the raw matrix path
-is optional. Both paths return delta as a plain float vector; Scenario
-checks it (finite and > 0) by the same rule as its other per-user inputs.
+is optional: compute_effective_gains takes H and sigma2 and returns delta.
+Both paths return delta as a plain float vector; Scenario checks it
+(finite and > 0) by the same rule as its other per-user inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -26,63 +26,45 @@ class SingularGramError(ValueError):
     """Channel Gram matrix H^H H is singular or too ill-conditioned to invert."""
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Complex M x N uplink channel matrix plus receiver noise power (W).
-
-    Rows index receive antennas, columns index users. Requires M >= N and
-    full column rank; construction fails otherwise. The Gram matrix
-    H^H H is formed once and kept read-only as gram.
-    """
-
-    h: np.ndarray
-    sigma2: float
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        h = np.array(self.h, dtype=complex)
-        if h.ndim != 2:
-            raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
-        m, n = h.shape
-        if m < n:
-            raise ValueError(
-                f"need at least as many receive antennas as users, got M={m} < N={n}"
-            )
-        if not np.all(np.isfinite(h)):
-            raise ValueError("channel matrix has non-finite entries")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"noise power must be positive, got {self.sigma2}")
-        gram = h.conj().T @ h
-        eig = np.linalg.eigvalsh(gram)
-        cond = eig[-1] / eig[0] if eig[0] > 0 else np.inf
-        if cond > GRAM_CONDITION_LIMIT:
-            raise SingularGramError(
-                f"Gram matrix condition estimate {cond:.3e} exceeds "
-                f"{GRAM_CONDITION_LIMIT:.0e}; channel columns are not independent"
-            )
-        h.setflags(write=False)
-        gram.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-
-
-def compute_effective_gains(ch: ChannelRealization) -> np.ndarray:
+def compute_effective_gains(h, sigma2: float) -> np.ndarray:
     """Effective ZF gains delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii).
 
-    The channel's Gram matrix is inverted through its Cholesky factor L
-    (it is Hermitian positive definite for any full-column-rank H, which
-    ChannelRealization has already checked):
-    (H^H H)^-1 = L^-H L^-1, so its diagonal holds the squared column
-    norms of L^-1.
+    h is the complex M x N channel matrix (rows index receive antennas,
+    columns index users) and sigma2 the receiver noise power in W. It
+    requires M >= N and full column rank. The Gram matrix H^H H is
+    inverted through its Cholesky factor L: (H^H H)^-1 = L^-H L^-1, so its
+    diagonal holds the squared column norms of L^-1.
     """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2:
+        raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
+    m, n = h.shape
+    if m < n:
+        raise ValueError(
+            f"need at least as many receive antennas as users, got M={m} < N={n}"
+        )
+    if not np.all(np.isfinite(h)):
+        raise ValueError("channel matrix has non-finite entries")
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"noise power must be positive, got {sigma2}")
+    gram = h.conj().T @ h
+    eig = np.linalg.eigvalsh(gram)
+    cond = eig[-1] / eig[0] if eig[0] > 0 else np.inf
+    if cond > GRAM_CONDITION_LIMIT:
+        raise SingularGramError(
+            f"Gram matrix condition estimate {cond:.3e} exceeds "
+            f"{GRAM_CONDITION_LIMIT:.0e}; channel columns are not independent"
+        )
     try:
-        chol = np.linalg.cholesky(ch.gram)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularGramError(f"Gram matrix is not positive definite: {exc}") from exc
+    # the Gram matrix is not needed past its factor; freeing it here keeps
+    # it from sitting beside inv's output at the stage's peak
+    del gram
     l_inv = np.linalg.inv(chol)
     diag = np.sum(np.abs(l_inv) ** 2, axis=0)
-    return 1.0 / (ch.sigma2 * diag)
+    return 1.0 / (float(sigma2) * diag)
 
 
 def gains_from_db(delta_db) -> np.ndarray:
@@ -91,18 +73,6 @@ def gains_from_db(delta_db) -> np.ndarray:
     if not np.all(np.isfinite(delta_db)):
         raise ValueError("dB gains must be finite")
     return 10.0 ** (delta_db / 10.0)
-
-
-def random_rayleigh_channel(
-    n_antennas: int, n_users: int, seed: int, sigma2: float = 1.0
-) -> ChannelRealization:
-    """I.i.d. unit-variance circularly-symmetric complex Gaussian channel."""
-    rng = np.random.default_rng(seed)
-    h = (
-        rng.standard_normal((n_antennas, n_users))
-        + 1j * rng.standard_normal((n_antennas, n_users))
-    ) / np.sqrt(2.0)
-    return ChannelRealization(h, sigma2)
 
 
 def load_channel_csv(path, n_users: int) -> np.ndarray:

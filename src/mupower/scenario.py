@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .channel import ChannelRealization, compute_effective_gains, gains_from_db, load_channel_csv
+from .channel import compute_effective_gains, gains_from_db, load_channel_csv
 from .primal_dual import PdSettings
 from .solver import Scenario
 
@@ -130,7 +130,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             raise ValueError(
                 f"{source}: channel CSV has {h.shape[0]} rows, expected receive_antennas {antennas}"
             )
-        delta = compute_effective_gains(ChannelRealization(h, _number(doc, "sigma2_watts", source)))
+        delta = compute_effective_gains(h, _number(doc, "sigma2_watts", source))
 
     for key in ("w", "p_max_individual_watts", "p_circuit_watts", "p_sum_max_watts"):
         if key not in doc:

@@ -1,19 +1,22 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mupower
-from mupower import (
-    ChannelRealization,
-    SingularGramError,
-    compute_effective_gains,
-    gains_from_db,
-    load_channel_csv,
-    random_rayleigh_channel,
-)
+from mupower import SingularGramError, compute_effective_gains, gains_from_db, load_channel_csv
+
+
+def random_rayleigh_channel(n_antennas, n_users, seed):
+    """I.i.d. unit-variance circularly-symmetric complex Gaussian channel."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.standard_normal((n_antennas, n_users))
+        + 1j * rng.standard_normal((n_antennas, n_users))
+    ) / np.sqrt(2.0)
 
 
 def pinv_row_norm_gains(h, sigma2):
@@ -23,20 +26,18 @@ def pinv_row_norm_gains(h, sigma2):
 
 
 def test_identity_channel():
-    ch = ChannelRealization(np.eye(2, dtype=complex), sigma2=1.0)
-    assert np.allclose(compute_effective_gains(ch), [1.0, 1.0])
+    assert np.allclose(compute_effective_gains(np.eye(2, dtype=complex), sigma2=1.0), [1.0, 1.0])
 
 
 def test_orthogonal_scaled_columns():
     h = np.array([[2.0, 0.0], [0.0, 3.0]], dtype=complex)
-    ch = ChannelRealization(h, sigma2=1.0)
-    assert np.allclose(compute_effective_gains(ch), [4.0, 9.0], rtol=1e-14)
+    assert np.allclose(compute_effective_gains(h, sigma2=1.0), [4.0, 9.0], rtol=1e-14)
 
 
 def test_pinv_oracle_seeded_4x2():
-    ch = random_rayleigh_channel(4, 2, seed=7, sigma2=0.5)
-    delta = compute_effective_gains(ch)
-    assert np.allclose(delta, pinv_row_norm_gains(ch.h, ch.sigma2), rtol=1e-10)
+    h = random_rayleigh_channel(4, 2, seed=7)
+    delta = compute_effective_gains(h, 0.5)
+    assert np.allclose(delta, pinv_row_norm_gains(h, 0.5), rtol=1e-10)
 
 
 def test_pinv_oracle_sweep_sizes():
@@ -45,28 +46,28 @@ def test_pinv_oracle_sweep_sizes():
     seed = 0
     for m, n in cases:
         for _ in range(20):
-            ch = random_rayleigh_channel(m, n, seed=seed, sigma2=1.3)
+            h = random_rayleigh_channel(m, n, seed=seed)
             seed += 1
-            delta = compute_effective_gains(ch)
-            assert np.allclose(delta, pinv_row_norm_gains(ch.h, ch.sigma2), rtol=1e-8)
+            delta = compute_effective_gains(h, 1.3)
+            assert np.allclose(delta, pinv_row_norm_gains(h, 1.3), rtol=1e-8)
 
 
 def test_unitary_invariance():
     rng = np.random.default_rng(11)
-    ch = random_rayleigh_channel(6, 3, seed=3)
-    base = compute_effective_gains(ch)
+    h = random_rayleigh_channel(6, 3, seed=3)
+    base = compute_effective_gains(h, 1.0)
     for _ in range(10):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         q, _ = np.linalg.qr(a)
-        rotated = compute_effective_gains(ChannelRealization(q @ ch.h, ch.sigma2))
+        rotated = compute_effective_gains(q @ h, 1.0)
         assert np.allclose(rotated, base, rtol=1e-10)
 
 
 def test_scaling_is_quadratic():
-    ch = random_rayleigh_channel(5, 3, seed=21)
-    base = compute_effective_gains(ch)
+    h = random_rayleigh_channel(5, 3, seed=21)
+    base = compute_effective_gains(h, 1.0)
     for c in (0.25, 3.0, 17.5):
-        scaled = compute_effective_gains(ChannelRealization(c * ch.h, ch.sigma2))
+        scaled = compute_effective_gains(c * h, 1.0)
         assert np.allclose(scaled, c**2 * base, rtol=1e-10)
 
 
@@ -79,7 +80,7 @@ def test_gains_from_db_examples():
 def test_rank_deficient_rejected():
     h = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(SingularGramError):
-        ChannelRealization(h, sigma2=1.0)
+        compute_effective_gains(h, sigma2=1.0)
 
 
 def test_gram_condition_limit_from_one_read_only_gram():
@@ -90,22 +91,19 @@ def test_gram_condition_limit_from_one_read_only_gram():
         h = q[:, :3] @ np.diag([1.0, 0.5, cond**-0.5])
         if rejected:
             with pytest.raises(SingularGramError, match="condition estimate"):
-                ChannelRealization(h, sigma2=1.0)
+                compute_effective_gains(h, sigma2=1.0)
             continue
-        ch = ChannelRealization(h, sigma2=1.0)
-        np.testing.assert_array_equal(ch.gram, ch.h.conj().T @ ch.h)
-        with pytest.raises(ValueError):
-            ch.gram[0, 0] = 1.0
+        assert np.all(compute_effective_gains(h, sigma2=1.0) > 0)
 
 
 def test_wide_matrix_rejected():
     with pytest.raises(ValueError, match="receive antennas"):
-        ChannelRealization(np.ones((2, 3), dtype=complex), sigma2=1.0)
+        compute_effective_gains(np.ones((2, 3), dtype=complex), sigma2=1.0)
 
 
 def test_bad_noise_power_rejected():
     with pytest.raises(ValueError):
-        ChannelRealization(np.eye(2, dtype=complex), sigma2=0.0)
+        compute_effective_gains(np.eye(2, dtype=complex), sigma2=0.0)
 
 
 def test_gains_validation():
@@ -147,17 +145,31 @@ def test_channel_csv_blank_lines_and_bad_rows(tmp_path):
 
 
 def test_channel_csv_round_trips_17_digits(tmp_path):
-    h = random_rayleigh_channel(6, 3, seed=5).h
+    h = random_rayleigh_channel(6, 3, seed=5)
     path = tmp_path / "h.csv"
     path.write_text("".join(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n" for row in h))
     assert np.array_equal(load_channel_csv(path, n_users=3), h)
 
 
-def test_effective_gains_typed_error_on_singular_gram():
-    ch = ChannelRealization(np.eye(2, dtype=complex), sigma2=1.0)
-    object.__setattr__(ch, "gram", np.zeros((2, 2), dtype=complex))  # skip the constructor's check
-    with pytest.raises(SingularGramError):
-        compute_effective_gains(ch)
+def test_effective_gains_typed_error_on_singular_gram(monkeypatch):
+    # with no condition limit the singular Gram matrix reaches cholesky,
+    # whose LinAlgError must come out typed
+    monkeypatch.setattr(mupower.channel, "GRAM_CONDITION_LIMIT", np.inf)
+    with pytest.raises(SingularGramError, match="not positive definite"):
+        compute_effective_gains(np.array([[1.0, 0.0], [0.0, 0.0]]), sigma2=1.0)
+
+
+def test_effective_gains_peak_memory_is_twice_the_channel():
+    # the h.conj() temporary and the Gram matrix; no copy of h itself
+    h = random_rayleigh_channel(512, 256, seed=918)
+    tracemalloc.start()
+    try:
+        compute_effective_gains(h, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * h.nbytes, f"peak {peak / h.nbytes:.2f} x h.nbytes"
+    assert h.flags.writeable
 
 
 def test_import_leaves_scipy_unloaded():

@@ -114,6 +114,17 @@ def test_channel_csv_scenario(tmp_path):
         load_scenario(path)
 
 
+def test_rank_deficient_channel_csv_exits_one(tmp_path, capsys):
+    # two equal columns: the Gram matrix is singular
+    (tmp_path / "h.csv").write_text("1+0j,1+0j\n0.5+0j,0.5+0j\n0+1j,0+1j\n")
+    path = write_scenario(tmp_path, BASE.replace("delta_db: [20.0, 20.0]\n", "channel_csv: h.csv\nsigma2_watts: 1.0\n")
+                          .replace("receive_antennas: 2", "receive_antennas: 3"))
+    assert main(["solve", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "condition estimate" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_solver_and_pd_overrides(tmp_path):
     path = write_scenario(
         tmp_path,
