@@ -10,6 +10,12 @@ Experiments usually specify delta directly in dB, so the raw matrix path
 is optional: compute_effective_gains takes H and sigma2 and returns delta.
 Both paths return delta as a plain float vector; Scenario checks it
 (finite and > 0) by the same rule as its other per-user inputs.
+
+A channel is rejected when the upper bound kappa_2(G) <= ||G||_1 * tr(G^-1)
+on the condition number of G = H^H H exceeds GRAM_CONDITION_LIMIT. It
+costs no eigenvalues: tr(G^-1) sums the diagonal the gains come from. The
+bound is at most N^1.5 times kappa_2, so it also rejects some channels with
+kappa_2 between GRAM_CONDITION_LIMIT / N^1.5 and the limit.
 """
 from __future__ import annotations
 
@@ -17,9 +23,13 @@ from itertools import chain
 
 import numpy as np
 
-# Gram matrices with condition estimates above this are treated as rank
-# deficient (ZF noise amplification blows up well before this point).
+# Gram matrices whose condition estimate ||G||_1 * tr(G^-1), an upper bound
+# on kappa_2(G), exceeds this are treated as rank deficient (ZF noise
+# amplification blows up well before this point).
 GRAM_CONDITION_LIMIT = 1e12
+# Triangular blocks of at most this many rows are inverted by np.linalg.inv,
+# so channels with N <= 64 users get the bits of a plain inv of the factor.
+_INV_LEAF = 64
 
 
 class SingularGramError(ValueError):
@@ -47,24 +57,46 @@ def compute_effective_gains(h, sigma2: float) -> np.ndarray:
         raise ValueError("channel matrix has non-finite entries")
     if not (np.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"noise power must be positive, got {sigma2}")
-    gram = h.conj().T @ h
-    eig = np.linalg.eigvalsh(gram)
-    cond = eig[-1] / eig[0] if eig[0] > 0 else np.inf
-    if cond > GRAM_CONDITION_LIMIT:
-        raise SingularGramError(
-            f"Gram matrix condition estimate {cond:.3e} exceeds "
-            f"{GRAM_CONDITION_LIMIT:.0e}; channel columns are not independent"
-        )
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGramError(f"Gram matrix is not positive definite: {exc}") from exc
-    # the Gram matrix is not needed past its factor; freeing it here keeps
-    # it from sitting beside inv's output at the stage's peak
-    del gram
-    l_inv = np.linalg.inv(chol)
-    diag = np.sum(np.abs(l_inv) ** 2, axis=0)
-    return 1.0 / (float(sigma2) * diag)
+    # an overflowing Gram matrix or inverse shows up as an inf or nan
+    # condition estimate and a tiny sigma2 as inf gains; the check below and
+    # Scenario report them, not RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gram = h.conj().T @ h
+        gram_norm1 = float(np.abs(gram).sum(axis=0).max())
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise SingularGramError(
+                f"Gram matrix is not positive definite, so its condition estimate is "
+                f"infinite; channel columns are not independent ({exc})"
+            ) from exc
+        # the Gram matrix is not needed past its factor; freeing it here keeps
+        # it from sitting beside the inverse at the stage's peak
+        del gram
+        diag = np.sum(np.abs(_lower_inv(chol)) ** 2, axis=0)
+        bound = gram_norm1 * float(diag.sum())
+        if not bound <= GRAM_CONDITION_LIMIT:
+            raise SingularGramError(
+                f"Gram matrix condition estimate {bound:.3e} exceeds "
+                f"{GRAM_CONDITION_LIMIT:.0e}; channel columns are not independent"
+            )
+        return 1.0 / (float(sigma2) * diag)
+
+
+def _lower_inv(l):
+    """Inverse of a lower-triangular l: [[A, 0], [C, D]]^-1 is
+    [[A^-1, 0], [-D^-1 C A^-1, D^-1]], split at n // 2 down to leaves for
+    np.linalg.inv. About a third of the flops of a general inverse, and
+    stable (Du Croz and Higham, IMA J. Numer. Anal. 1992)."""
+    n = l.shape[0]
+    if n <= _INV_LEAF:
+        return np.linalg.inv(l)
+    k = n // 2
+    out = np.zeros_like(l)
+    out[:k, :k] = _lower_inv(l[:k, :k])
+    out[k:, k:] = _lower_inv(l[k:, k:])
+    out[k:, :k] = -(out[k:, k:] @ (l[k:, :k] @ out[:k, :k]))
+    return out
 
 
 def gains_from_db(delta_db) -> np.ndarray:
@@ -72,7 +104,10 @@ def gains_from_db(delta_db) -> np.ndarray:
     delta_db = np.atleast_1d(np.asarray(delta_db, dtype=float))
     if not np.all(np.isfinite(delta_db)):
         raise ValueError("dB gains must be finite")
-    return 10.0 ** (delta_db / 10.0)
+    # beyond about 3,080 dB the gain overflows to inf, which Scenario's range
+    # check reports
+    with np.errstate(over="ignore"):
+        return 10.0 ** (delta_db / 10.0)
 
 
 def load_channel_csv(path, n_users: int) -> np.ndarray:

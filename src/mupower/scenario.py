@@ -30,6 +30,10 @@ from .channel import compute_effective_gains, gains_from_db, load_channel_csv
 from .primal_dual import PdSettings
 from .solver import Scenario
 
+# libyaml's parser where PyYAML was built with it, else the pure-Python one;
+# the resolver and the constructor are PyYAML's safe ones in both
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _PD_KEYS = {
     "pd_gain_primal": "k",
     "pd_gain_dual": "g",
@@ -163,5 +167,9 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
 def load_scenario(path) -> LoadedScenario:
     """Read and validate a scenario YAML file."""
     with open(path) as f:
-        doc = yaml.safe_load(f)
+        try:
+            doc = yaml.load(f, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            # the parser's message spans several lines; the CLI prints one
+            raise ValueError(f"{path}: malformed YAML: {' '.join(str(exc).split())}") from exc
     return build_scenario(doc, base_dir=os.path.dirname(os.path.abspath(path)), source=str(path))

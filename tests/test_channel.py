@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mupower
-from mupower import SingularGramError, compute_effective_gains, gains_from_db, load_channel_csv
+from mupower import Scenario, SingularGramError, compute_effective_gains, gains_from_db, load_channel_csv
 
 
 def random_rayleigh_channel(n_antennas, n_users, seed):
@@ -52,6 +52,15 @@ def test_pinv_oracle_sweep_sizes():
             assert np.allclose(delta, pinv_row_norm_gains(h, 1.3), rtol=1e-8)
 
 
+def test_pinv_oracle_blocked_inverse_sizes():
+    # N straddles the 64-row leaf of the blocked triangular inverse, and
+    # 65, 129 and 300 split into halves of unequal size
+    for n in (63, 64, 65, 129, 300, 512):
+        h = random_rayleigh_channel(2 * n, n, seed=n)
+        delta = compute_effective_gains(h, 0.7)
+        assert np.allclose(delta, pinv_row_norm_gains(h, 0.7), rtol=1e-10), n
+
+
 def test_unitary_invariance():
     rng = np.random.default_rng(11)
     h = random_rayleigh_channel(6, 3, seed=3)
@@ -86,7 +95,7 @@ def test_rank_deficient_rejected():
 def test_gram_condition_limit_from_one_read_only_gram():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    for cond, rejected in ((1e11, False), (1e13, True)):
+    for cond, rejected in ((1e6, False), (1e11, False), (1e12 * (1 + 1e-6), True), (1e13, True), (1e14, True)):
         # singular values 1 and cond^-1/2, so H^H H has condition number cond
         h = q[:, :3] @ np.diag([1.0, 0.5, cond**-0.5])
         if rejected:
@@ -94,6 +103,19 @@ def test_gram_condition_limit_from_one_read_only_gram():
                 compute_effective_gains(h, sigma2=1.0)
             continue
         assert np.all(compute_effective_gains(h, sigma2=1.0) > 0)
+
+
+def test_extreme_scales_raise_without_warnings():
+    # RuntimeWarnings are errors in the test run, so an overflow inside the
+    # gains would fail here before any check could report the input
+    h = random_rayleigh_channel(6, 3, seed=13)
+    for scale in (1e200, 1e-200):
+        with pytest.raises(SingularGramError, match="condition estimate"):
+            compute_effective_gains(scale * h, sigma2=1.0)
+    delta = compute_effective_gains(h, sigma2=1e-320)
+    assert np.all(delta == np.inf)
+    with pytest.raises(ValueError, match="delta must be > 0"):
+        Scenario(w=0.5, p_circuit=0.1, p_max=1.0, delta=delta, p_sum_max=1.0)
 
 
 def test_wide_matrix_rejected():

@@ -204,14 +204,24 @@ def test_solve_huge_budget_returns_caps(tmp_path):
 
 
 def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
+    (tmp_path / "h.csv").write_text("1+0j,0+0j\n0+0j,1+0j\n")
     for old, new, message in (
         ("w: [0.5, 0.5]", "w: [1.2, 0.5]", "w must lie in [0, 1]"),
         ("delta_db: [20.0, 20.0]", "delta_db: 400", "delta must be > 0 and in [1e-30, 1e30], got 1e+40"),
+        # 10^400 and 1 / 1e-320 overflow to inf gains, with no RuntimeWarning
+        ("delta_db: [20.0, 20.0]", "delta_db: 4000", "delta must be > 0 and in [1e-30, 1e30], got inf"),
+        ("delta_db: [20.0, 20.0]", "channel_csv: h.csv\nsigma2_watts: 1.0e-320",
+         "delta must be > 0 and in [1e-30, 1e30], got inf"),
+        # an unclosed flow sequence and a tab indent
+        ("w: [0.5, 0.5]", "w: [0.5, 0.5", "sc.yaml: malformed YAML: "),
+        ("w: [0.5, 0.5]", "\tw: [0.5, 0.5]", "sc.yaml: malformed YAML: "),
     ):
         path = write_scenario(tmp_path, BASE.replace(old, new))
         code = main(["solve", "--scenario", str(path)])
         assert code == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
 
 
 def test_solve_p_max_below_the_floor_exits_one(tmp_path, capsys):
