@@ -16,6 +16,14 @@ per step. As in that scheme, each user's update, U_i' included, and the
 receiver's sum run on Python floats; sum(P) builds up left to right,
 bit-identical to numpy's sum for N < 8 users (numpy sums pairwise from 8 on).
 
+A user parked at its cap, P_i = p_u_i with lambda <= U_i'(p_u_i), keeps
+p_u_i without evaluating U_i' again: U_i'(p_u_i) is computed once per run
+by the step's own expression, and with k_i > 0 and U_i' - lambda >= 0 the
+Euler step lands at or above p_u_i, where the projection puts it back.
+The skip is exact, so the states are those of the full update bit for
+bit; a parked user still reports its unchanged power, so the uplink count
+stays N reports per step. The floor is not skipped: U_i' is large there.
+
 The quadratic distance to the centralized optimum,
 
     V = 1/2 sum_i (P_i - P_i*)^2 / k_i + (lambda - lambda*)^2 / (2 g),
@@ -113,12 +121,19 @@ def integrate(
     """Run the primal-dual dynamics until per-step motion dies out.
 
     Each step runs on Python floats, U_i' included, and only a recorded
-    state becomes an array. Convergence is declared when the largest
-    coordinate move (powers and price) in one step drops below TOL_EQ. A
-    non-finite state raises FloatingPointError; testing sum(p) and lambda
-    suffices, since a projected power is NaN or lies in [P_FLOOR, p_u] (an
-    infinite drive is clipped to a bound; U_i' needs no p > 0 check), and a
-    NaN power passes the projection's comparisons and makes the sum NaN.
+    state becomes an array. A user at its cap p_u_i whose U_i'(p_u_i),
+    computed once before the first step, is at least the current price
+    skips its update and keeps p_u_i: the full update gives the same float,
+    since its step is non-negative (k_i > 0, U_i' - lambda >= 0) and the
+    projection clips it back to p_u_i. A NaN U_i'(p_u_i) fails the test and
+    takes the full update. A parked user still counts in messages_uplink,
+    as it reports its unchanged power. Convergence is declared when the
+    largest coordinate move (powers and price) in one step drops below
+    TOL_EQ. A non-finite state raises FloatingPointError; testing sum(p)
+    and lambda suffices, since a projected power is NaN or lies in
+    [P_FLOOR, p_u] (an infinite drive is clipped to a bound; U_i' needs no
+    p > 0 check), and a NaN power passes the projection's comparisons and
+    makes the sum NaN.
     The Lyapunov monitor needs the centralized optimum and the box its caps;
     both come from the reference allocation, solved here when not supplied.
     """
@@ -143,26 +158,41 @@ def integrate(
     lam = float(settings.init_lambda)
 
     # U_i' in utility_grad's operation order but with libm's log1p; the two
-    # ifs are min(max(., P_FLOOR), p_u_i) without the calls, NaN passing both
-    users = np.column_stack(np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w)).tolist()
+    # ifs are min(max(., P_FLOOR), p_u_i) without the calls, NaN passing both.
+    # u_cap_i is U_i'(p_u_i) by the same expression, for the parked skip
+    log1p, isfinite, floor = math.log1p, math.isfinite, P_FLOOR
+    users = []
+    for k_i, p_u_i, delta_i, p_c_i, c_i in np.column_stack(
+            np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w)).tolist():
+        total, dp = p_u_i + p_c_i, delta_i * p_u_i
+        u_cap_i = (delta_i * total / ((1.0 + dp) * log1p(dp)) - c_i) / total
+        users.append((k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i))
     x, p_sum = p.tolist(), float(p.sum())
     records = [(0, p, lam)]
     for t in range(1, settings.max_steps + 1):
-        lam_next = max(0.0, lam + g * (p_sum - p_sum_max))
+        lam_next = lam + g * (p_sum - p_sum_max)
+        lam_next = lam_next if lam_next > 0.0 else 0.0  # max(0.0, .), NaN to 0.0 too
         x_next, p_sum, motion = [], 0.0, abs(lam_next - lam)
-        for x_i, (k_i, p_u_i, delta_i, p_c_i, c_i) in zip(x, users):
+        for x_i, (k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i) in zip(x, users):
+            if x_i == p_u_i and lam <= u_cap_i:
+                x_next.append(x_i)
+                p_sum += x_i
+                continue
             total, dp = x_i + p_c_i, delta_i * x_i
-            u_i = (delta_i * total / ((1.0 + dp) * math.log1p(dp)) - c_i) / total
+            u_i = (delta_i * total / ((1.0 + dp) * log1p(dp)) - c_i) / total
             x_i_next = x_i + k_i * (u_i - lam)
-            if x_i_next < P_FLOOR:
-                x_i_next = P_FLOOR
+            if x_i_next < floor:
+                x_i_next = floor
             if x_i_next > p_u_i:
                 x_i_next = p_u_i
             x_next.append(x_i_next)
             p_sum += x_i_next
-            if abs(x_i_next - x_i) > motion:
-                motion = abs(x_i_next - x_i)
-        if not (math.isfinite(p_sum) and math.isfinite(lam_next)):
+            move = x_i_next - x_i
+            if move > motion:
+                motion = move
+            elif -move > motion:
+                motion = -move
+        if not (isfinite(p_sum) and isfinite(lam_next)):
             raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
         x, lam = x_next, lam_next
         if t % RECORD_EVERY == 0:

@@ -11,11 +11,16 @@ prints:
     steps      the steps taken over all 11 runs
     records    SHA-256 of each trajectory's t, p, lam, total_utility and v
                bytes, in that order, run after run
+    step_us    the median over the 11 runs of each run's integrate time
+               (time.perf_counter) divided by its steps, in microseconds
 
-Two checkouts whose two lines match ran the same Euler steps on the
-same states to the last bit. With --expect the run also compares its two
-values with the given ones (STEPS with or without thousands commas) and
-exits 1, naming each mismatch, when any differs. The digests hold for
+Two checkouts whose first two lines match ran the same Euler steps on
+the same states to the last bit. step_us is a timing, not a digest: it
+moves with the host's load, so compare two checkouts by alternating
+their runs on one machine. With --expect the run also compares steps and
+records with the given values (STEPS with or without thousands commas)
+and exits 1, naming each mismatch, when either differs; step_us is never
+compared. The digests hold for
 one numpy build and libm on one CPU: the step's U' takes libm's log1p,
 while the records' total_utility takes numpy's SIMD log1p, which differs
 from libm's in the last bit on some inputs, and which SIMD path runs
@@ -25,7 +30,9 @@ checkout's src/. Pytest does not collect this file.
 """
 import argparse
 import hashlib
+import statistics
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,14 +69,17 @@ def main(argv=None):
     sc = loaded.scenario
     reference = solve_centralized(sc)
     records = hashlib.sha256()
-    steps = 0
+    steps, step_us = 0, []
     for pd in settings_of_runs(loaded):
+        start = time.perf_counter()
         traj = integrate(sc, pd, reference=reference)
+        step_us.append((time.perf_counter() - start) / traj.steps_taken * 1e6)
         steps += traj.steps_taken
         for col in (traj.t, traj.p, traj.lam, traj.total_utility, traj.v):
             records.update(np.ascontiguousarray(col).tobytes())
     got = {"steps": f"{steps:,}", "records": records.hexdigest()}
     print("\n".join(f"{name}: {value}" for name, value in got.items()))
+    print(f"step_us: {statistics.median(step_us):.3f}")
     if args.expect is None:
         return 0
     mismatched = [(name, want) for name, want in zip(got, args.expect)

@@ -276,10 +276,53 @@ def test_integrate_matches_the_numpy_euler_loop():
     np.testing.assert_allclose(traj.lam, lam, rtol=1e-12, atol=0)
 
 
+def test_integrate_matches_the_numpy_euler_loop_to_convergence():
+    # two fig4 runs to convergence: the default start, and 0.99 p_u at
+    # lam = 0, where user 3 parks at its cap, is released while the price
+    # overshoots U_3'(p_u), and parks again. integrate skips a parked
+    # user's update; the oracle never skips, and every bit must agree
+    sc = fig4_scenario()
+    ref = solve_centralized(sc)
+    for pd in (PdSettings(), PdSettings(init_p=0.99 * ref.p_u)):
+        traj = integrate(sc, pd, reference=ref)
+        assert traj.converged
+        t, p, lam = numpy_euler(sc, pd, ref)
+        for got, want in zip((traj.t, traj.p, traj.lam), (t, p, lam)):
+            assert np.array_equal(got, want)
+    # the oracle's records of the second run hold both events
+    u_cap = libm_grad(ref.p_u, sc.w, sc.p_circuit, sc.delta)
+    parked = p[:, 2] == ref.p_u[2]
+    first = np.argmax(parked)
+    left = first + np.argmax(~parked[first:])
+    back = left + np.argmax(parked[left:])
+    assert parked[first] and not parked[left] and parked[back]
+    assert lam[first:left + 1].max() > u_cap[2]
+
+
+def test_parked_skip_boundary_matches_the_numpy_step():
+    # one step from the caps of test_step_holds_the_boundaries' at_max
+    # scenario, at lam = U'(p_u) and one ulp either side of it: integrate
+    # skips the update only when lam <= U'(p_u), the oracle never skips
+    at_max = Scenario(w=1.0, p_circuit=0.1, p_max=1.0, delta=gains_from_db([0.0] * 4), p_sum_max=3.0)
+    ref = solve_centralized(at_max)
+    u_cap = libm_grad(ref.p_u, at_max.w, at_max.p_circuit, at_max.delta)
+    assert np.all(u_cap == u_cap[0])
+    below, above = np.nextafter(u_cap[0], 0.0), np.nextafter(u_cap[0], np.inf)
+    for k in (1e-3, 1.0):
+        for lam in (below, u_cap[0], above):
+            pd = PdSettings(k=k, init_p=ref.p_u, init_lambda=float(lam), max_steps=1)
+            traj = integrate(at_max, pd, reference=ref)
+            for got, want in zip((traj.t, traj.p, traj.lam), numpy_euler(at_max, pd, ref)):
+                assert np.array_equal(got, want)
+    # with k = 1 the price one ulp above U'(p_u) moves every power off its cap
+    assert np.all(traj.p[-1] == np.nextafter(ref.p_u, 0.0))
+
+
 def test_scalar_step_at_the_valid_domain_extremes():
-    # one user at every corner of the valid domain: each run returns, its
-    # records in the box, or raises FloatingPointError; never a Python
-    # float error (ZeroDivisionError, OverflowError) nor a RuntimeWarning
+    # one user at every corner of the valid domain, started at half its cap
+    # and at its cap: each run returns, its records in the box, or raises
+    # FloatingPointError; never a Python float error (ZeroDivisionError,
+    # OverflowError) nor a RuntimeWarning
     corners = itertools.product((1e-30, 1.0, 1e30), (1e-30, 1.0, 1e30), (1e-9, 1.0, 1e30),
                                 (1e-9, 1.0, 1e30), (1e-3, 1e30), (0.0, 1.0))
     with warnings.catch_warnings():
@@ -287,11 +330,14 @@ def test_scalar_step_at_the_valid_domain_extremes():
         for delta, p_c, p_max, p_sum_max, gain, w in corners:
             sc = Scenario(w=w, p_circuit=p_c, p_max=p_max, delta=(delta,), p_sum_max=p_sum_max)
             ref = solve_centralized(sc)
-            try:
-                traj = integrate(sc, PdSettings(k=gain, g=gain, max_steps=200), reference=ref)
-            except FloatingPointError:
-                continue
-            assert np.all((traj.p >= P_FLOOR) & (traj.p <= ref.p_u))
+            # from half the cap and from the cap itself, where U'(p_u) decides the skip
+            for init_p in (None, ref.p_u):
+                pd = PdSettings(k=gain, g=gain, init_p=init_p, max_steps=200)
+                try:
+                    traj = integrate(sc, pd, reference=ref)
+                except FloatingPointError:
+                    continue
+                assert np.all((traj.p >= P_FLOOR) & (traj.p <= ref.p_u))
 
 
 def test_init_p_validation():
