@@ -24,6 +24,19 @@ The skip is exact, so the states are those of the full update bit for
 bit; a parked user still reports its unchanged power, so the uplink count
 stays N reports per step. The floor is not skipped: U_i' is large there.
 
+The Euler loop is a kernel generated for the scenario's N users: one
+function whose step holds N straight-line user blocks, each the same
+template with only the user index put in, so no scenario data enters the
+source. Each run unpacks its per-user constants into locals once and
+updates each power in place, which is exact since user i's update reads
+only P_i and lambda. Every float operation keeps its expression and its
+order (U_i' with libm's log1p, the floor clamp before the cap clamp,
+sum(P) as one addition per user in index order): the kernel computes
+what a loop over the users computes, bit for bit, laid out without the
+interpreter's per-user loop work. It is compiled at the first run with a
+given N, at about 0.25 ms and 60 KB of compiler memory per user, and the
+kernels of the last KERNEL_CACHE_SIZE user counts are kept.
+
 The quadratic distance to the centralized optimum,
 
     V = 1/2 sum_i (P_i - P_i*)^2 / k_i + (lambda - lambda*)^2 / (2 g),
@@ -35,6 +48,7 @@ are computed once the run ends.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -113,6 +127,77 @@ def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
     return v if v.ndim else float(v)
 
 
+# The Euler loop, generated for N users from these templates: the step holds
+# one _USER block per user, with only the index {i} put in. U_i' is
+# utility_grad's expression with libm's log1p; the two ifs are
+# min(max(., P_FLOOR), p_u_i) without the calls, NaN passing both.
+_CONSTS = "k{i}, p_u{i}, delta{i}, p_c{i}, c{i}, u_cap{i}, "
+_USER = """\
+        if x{i} == p_u{i} and lam <= u_cap{i}:
+            p_sum += x{i}
+        else:
+            total, dp = x{i} + p_c{i}, delta{i} * x{i}
+            u = (delta{i} * total / ((1.0 + dp) * log1p(dp)) - c{i}) / total
+            x_next = x{i} + k{i} * (u - lam)
+            if x_next < floor:
+                x_next = floor
+            if x_next > p_u{i}:
+                x_next = p_u{i}
+            p_sum += x_next
+            move = x_next - x{i}
+            x{i} = x_next
+            if move > motion:
+                motion = move
+            elif -move > motion:
+                motion = -move
+"""
+_LOOP = """\
+def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records):
+    log1p, isfinite, floor, array = math.log1p, math.isfinite, P_FLOOR, np.array
+    {consts}= users
+    {xs}, = x
+    for t in range(1, max_steps + 1):
+        lam_next = lam + g * (p_sum - p_sum_max)
+        lam_next = lam_next if lam_next > 0.0 else 0.0  # max(0.0, .), NaN to 0.0 too
+        p_sum, motion = 0.0, abs(lam_next - lam)
+{users}
+        if not (isfinite(p_sum) and isfinite(lam_next)):
+            raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
+        lam = lam_next
+        if t % RECORD_EVERY == 0:
+            records.append((t, array([{xs}]), lam))
+        if motion <= TOL_EQ:
+            break
+    if t % RECORD_EVERY != 0:  # t is bound: PdSettings makes max_steps >= 1
+        records.append((t, array([{xs}]), lam))
+    return t, motion
+"""
+# Kernels kept built, one per user count.
+KERNEL_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel(n: int):
+    """The Euler loop for n users, compiled once per n.
+
+    euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records) runs
+    with users the per-user constants, _CONSTS's six per user in index
+    order, from the powers x, their sum p_sum and the price lam, appends
+    each recorded state to records and returns the last step and its
+    motion.
+    """
+    # one unpacking statement each for the constants and the powers: it
+    # compiles in less memory than a statement per user
+    src = _LOOP.format(
+        consts="".join(_CONSTS.format(i=i) for i in range(n)),
+        users="".join(_USER.format(i=i) for i in range(n)),
+        xs=", ".join(f"x{i}" for i in range(n)),
+    )
+    namespace = {}
+    exec(compile(src, f"<primal-dual kernel, {n} users>", "exec"), globals(), namespace)
+    return namespace["euler"]
+
+
 def integrate(
     sc: Scenario,
     settings: PdSettings | None = None,
@@ -120,30 +205,35 @@ def integrate(
 ) -> Trajectory:
     """Run the primal-dual dynamics until per-step motion dies out.
 
-    Each step runs on Python floats, U_i' included, and only a recorded
-    state becomes an array. A user at its cap p_u_i whose U_i'(p_u_i),
-    computed once before the first step, is at least the current price
-    skips its update and keeps p_u_i: the full update gives the same float,
-    since its step is non-negative (k_i > 0, U_i' - lambda >= 0) and the
-    projection clips it back to p_u_i. A NaN U_i'(p_u_i) fails the test and
-    takes the full update. A parked user still counts in messages_uplink,
-    as it reports its unchanged power. Convergence is declared when the
-    largest coordinate move (powers and price) in one step drops below
-    TOL_EQ. A non-finite state raises FloatingPointError; testing sum(p)
-    and lambda suffices, since a projected power is NaN or lies in
-    [P_FLOOR, p_u] (an infinite drive is clipped to a bound; U_i' needs no
-    p > 0 check), and a NaN power passes the projection's comparisons and
-    makes the sum NaN.
+    The steps run on Python floats, U_i' included, in the Euler kernel
+    generated for sc.n_users users: the per-user update written out once
+    per user with only its index put in, so the same expressions in the
+    same order as a loop over the users, bit for bit. The first run with a
+    given N compiles it (about 0.25 ms and 60 KB per user) and later runs
+    reuse it. Only a recorded state becomes an array.
+
+    A user at its cap p_u_i whose U_i'(p_u_i), computed once before the
+    first step, is at least the current price skips its update and keeps
+    p_u_i: the full update gives the same float, since its step is
+    non-negative (k_i > 0, U_i' - lambda >= 0) and the projection clips it
+    back to p_u_i. A NaN U_i'(p_u_i) fails the test and takes the full
+    update. A parked user still counts in messages_uplink, as it reports its
+    unchanged power. Convergence is declared when the largest coordinate
+    move (powers and price) in one step drops below TOL_EQ. A non-finite
+    state raises FloatingPointError; testing sum(p) and lambda suffices,
+    since a projected power is NaN or lies in [P_FLOOR, p_u] (an infinite
+    drive is clipped to a bound; U_i' needs no p > 0 check), and a NaN power
+    passes the projection's comparisons and makes the sum NaN.
     The Lyapunov monitor needs the centralized optimum and the box its caps;
     both come from the reference allocation, solved here when not supplied.
     """
     settings = settings or PdSettings()
+    k, g, n = settings.k, settings.g, sc.n_users
+    if np.ndim(k) > 1 or np.size(k) not in (1, n):
+        raise ValueError(f"k has shape {np.shape(k)}, expected a scalar or {(n,)}")
     if reference is None:
         reference = solve_centralized(sc)
     p_u, p_star, lam_star = reference.p_u, reference.p, reference.lam
-    k, g = settings.k, settings.g
-    if np.ndim(k) > 1 or np.size(k) not in (1, p_u.size):
-        raise ValueError(f"k has shape {np.shape(k)}, expected a scalar or {p_u.shape}")
     w, p_circuit, delta, p_sum_max = sc.w, sc.p_circuit, sc.delta, sc.p_sum_max
 
     if settings.init_p is None:
@@ -157,50 +247,16 @@ def integrate(
     p = np.clip(p, P_FLOOR, p_u)
     lam = float(settings.init_lambda)
 
-    # U_i' in utility_grad's operation order but with libm's log1p; the two
-    # ifs are min(max(., P_FLOOR), p_u_i) without the calls, NaN passing both.
-    # u_cap_i is U_i'(p_u_i) by the same expression, for the parked skip
-    log1p, isfinite, floor = math.log1p, math.isfinite, P_FLOOR
+    # u_cap_i is U_i'(p_u_i) by the step's own expression, for the parked skip
     users = []
     for k_i, p_u_i, delta_i, p_c_i, c_i in np.column_stack(
             np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w)).tolist():
         total, dp = p_u_i + p_c_i, delta_i * p_u_i
-        u_cap_i = (delta_i * total / ((1.0 + dp) * log1p(dp)) - c_i) / total
-        users.append((k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i))
-    x, p_sum = p.tolist(), float(p.sum())
+        u_cap_i = (delta_i * total / ((1.0 + dp) * math.log1p(dp)) - c_i) / total
+        users += k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i
     records = [(0, p, lam)]
-    for t in range(1, settings.max_steps + 1):
-        lam_next = lam + g * (p_sum - p_sum_max)
-        lam_next = lam_next if lam_next > 0.0 else 0.0  # max(0.0, .), NaN to 0.0 too
-        x_next, p_sum, motion = [], 0.0, abs(lam_next - lam)
-        for x_i, (k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i) in zip(x, users):
-            if x_i == p_u_i and lam <= u_cap_i:
-                x_next.append(x_i)
-                p_sum += x_i
-                continue
-            total, dp = x_i + p_c_i, delta_i * x_i
-            u_i = (delta_i * total / ((1.0 + dp) * log1p(dp)) - c_i) / total
-            x_i_next = x_i + k_i * (u_i - lam)
-            if x_i_next < floor:
-                x_i_next = floor
-            if x_i_next > p_u_i:
-                x_i_next = p_u_i
-            x_next.append(x_i_next)
-            p_sum += x_i_next
-            move = x_i_next - x_i
-            if move > motion:
-                motion = move
-            elif -move > motion:
-                motion = -move
-        if not (isfinite(p_sum) and isfinite(lam_next)):
-            raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
-        x, lam = x_next, lam_next
-        if t % RECORD_EVERY == 0:
-            records.append((t, np.array(x), lam))
-        if motion <= TOL_EQ:
-            break
-    if t % RECORD_EVERY != 0:  # t is bound: PdSettings makes max_steps >= 1
-        records.append((t, np.array(x), lam))
+    t, motion = _kernel(n)(users, p.tolist(), lam, float(p.sum()), g, p_sum_max,
+                           settings.max_steps, records)
 
     t_rec, p_rec, lam_rec = (np.array(col) for col in zip(*records))
     return Trajectory(
@@ -209,7 +265,7 @@ def integrate(
         lam=lam_rec,
         total_utility=np.sum(utility(p_rec, w, p_circuit, delta), axis=1),
         v=lyapunov(p_rec, lam_rec, p_star, lam_star, settings),
-        messages_uplink=sc.n_users * t,
+        messages_uplink=n * t,
         converged=motion <= TOL_EQ,
         steps_taken=t,
     )

@@ -13,14 +13,16 @@ prints:
                bytes, in that order, run after run
     step_us    the median over the 11 runs of each run's integrate time
                (time.perf_counter) divided by its steps, in microseconds
+    first_us   the first run's integrate time divided by its steps, in
+               microseconds: the one run that also builds the Euler kernel
 
 Two checkouts whose first two lines match ran the same Euler steps on
-the same states to the last bit. step_us is a timing, not a digest: it
-moves with the host's load, so compare two checkouts by alternating
-their runs on one machine. With --expect the run also compares steps and
-records with the given values (STEPS with or without thousands commas)
-and exits 1, naming each mismatch, when either differs; step_us is never
-compared. The digests hold for
+the same states to the last bit. step_us and first_us are timings, not
+digests: they move with the host's load, so compare two checkouts by
+alternating their runs on one machine. With --expect the run also
+compares steps and records with the given values (STEPS with or without
+thousands commas) and exits 1, naming each mismatch, when either
+differs; the timings are never compared. The digests hold for
 one numpy build and libm on one CPU: the step's U' takes libm's log1p,
 while the records' total_utility takes numpy's SIMD log1p, which differs
 from libm's in the last bit on some inputs, and which SIMD path runs
@@ -80,6 +82,7 @@ def main(argv=None):
     got = {"steps": f"{steps:,}", "records": records.hexdigest()}
     print("\n".join(f"{name}: {value}" for name, value in got.items()))
     print(f"step_us: {statistics.median(step_us):.3f}")
+    print(f"first_us: {step_us[0]:.3f}")
     if args.expect is None:
         return 0
     mismatched = [(name, want) for name, want in zip(got, args.expect)

@@ -250,6 +250,103 @@ def numpy_euler(sc, pd, ref):
     return [np.array(col) for col in zip(*records)]
 
 
+def float_euler(sc, pd, ref):
+    """The Euler loop on Python floats as one per-user loop over zipped
+    users, the form integrate's generated kernel replaced, returning the
+    recorded t, p and lam as integrate records them."""
+    p_u, k, g = ref.p_u, pd.k, pd.g
+    w, p_circuit, delta, p_sum_max = sc.w, sc.p_circuit, sc.delta, sc.p_sum_max
+    p = np.clip(0.5 * p_u if pd.init_p is None else np.array(pd.init_p, dtype=float), P_FLOOR, p_u)
+    lam = float(pd.init_lambda)
+    log1p, isfinite, floor = math.log1p, math.isfinite, P_FLOOR
+    users = []
+    for k_i, p_u_i, delta_i, p_c_i, c_i in np.column_stack(
+            np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w)).tolist():
+        total, dp = p_u_i + p_c_i, delta_i * p_u_i
+        u_cap_i = (delta_i * total / ((1.0 + dp) * log1p(dp)) - c_i) / total
+        users.append((k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i))
+    x, p_sum = p.tolist(), float(p.sum())
+    records = [(0, p, lam)]
+    for t in range(1, pd.max_steps + 1):
+        lam_next = lam + g * (p_sum - p_sum_max)
+        lam_next = lam_next if lam_next > 0.0 else 0.0  # max(0.0, .), NaN to 0.0 too
+        x_next, p_sum, motion = [], 0.0, abs(lam_next - lam)
+        for x_i, (k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i) in zip(x, users):
+            if x_i == p_u_i and lam <= u_cap_i:
+                x_next.append(x_i)
+                p_sum += x_i
+                continue
+            total, dp = x_i + p_c_i, delta_i * x_i
+            u_i = (delta_i * total / ((1.0 + dp) * log1p(dp)) - c_i) / total
+            x_i_next = x_i + k_i * (u_i - lam)
+            if x_i_next < floor:
+                x_i_next = floor
+            if x_i_next > p_u_i:
+                x_i_next = p_u_i
+            x_next.append(x_i_next)
+            p_sum += x_i_next
+            move = x_i_next - x_i
+            if move > motion:
+                motion = move
+            elif -move > motion:
+                motion = -move
+        if not (isfinite(p_sum) and isfinite(lam_next)):
+            raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
+        x, lam = x_next, lam_next
+        if t % RECORD_EVERY == 0:
+            records.append((t, np.array(x), lam))
+        if motion <= TOL_EQ:
+            break
+    if t % RECORD_EVERY != 0:
+        records.append((t, np.array(x), lam))
+    return [np.array(col) for col in zip(*records)]
+
+
+def spread_scenario(n: int) -> Scenario:
+    """n users with spread weights and gains under a tight budget: from 2
+    users on, some park at their caps at the optimum."""
+    return Scenario(w=np.linspace(0.0, 1.0, n), p_circuit=0.1, p_max=1.0,
+                    delta=gains_from_db(np.linspace(-5.0, 15.0, n)), p_sum_max=0.75 * n)
+
+
+def test_integrate_matches_the_float_euler_loop_for_any_user_count():
+    # the generated kernel runs the per-user loop's float operations in its
+    # order, so every bit agrees at every N, also from 8 users on where
+    # numpy_euler's pairwise sum parts from it. Each start is run with a
+    # scalar and with a per-user k: from the caps, from next to the floor
+    # under a price that then drives the powers back onto the floor, and
+    # from inside the box
+    for n in (1, 2, 3, 4, 7, 8, 9, 12, 33):
+        sc = spread_scenario(n)
+        ref = solve_centralized(sc)
+        assert ref.p_u.sum() > sc.p_sum_max
+        rng = np.random.default_rng(n)
+        starts = (dict(init_p=ref.p_u),
+                  dict(init_p=np.full(n, 2.0 * P_FLOOR), init_lambda=1e3),
+                  dict(init_p=rng.uniform(0.2, 0.8, n) * ref.p_u, init_lambda=float(rng.uniform(0.0, 1.0))))
+        at_floor = at_cap = False
+        for start, k in itertools.product(starts, (1e-3, np.linspace(5e-4, 2e-3, n))):
+            pd = PdSettings(k=k, max_steps=3000, **start)
+            traj = integrate(sc, pd, reference=ref)
+            for got, want in zip((traj.t, traj.p, traj.lam), float_euler(sc, pd, ref)):
+                assert np.array_equal(got, want)
+            at_floor |= bool(np.any(traj.p == P_FLOOR))
+            at_cap |= bool(np.any(traj.p[1:] == ref.p_u))
+        # both clamps hold some user at a recorded state after the start
+        assert at_floor and at_cap
+
+
+def test_integrate_builds_its_kernel_for_many_users():
+    # a kernel of 1024 user blocks compiles and runs as the per-user loop
+    sc = spread_scenario(1024)
+    ref = solve_centralized(sc)
+    pd = PdSettings(k=np.linspace(5e-4, 2e-3, 1024), max_steps=2)
+    traj = integrate(sc, pd, reference=ref)
+    assert traj.steps_taken == 2
+    for got, want in zip((traj.t, traj.p, traj.lam), float_euler(sc, pd, ref)):
+        assert np.array_equal(got, want)
+
+
 def test_integrate_matches_the_numpy_euler_loop():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
@@ -346,6 +443,17 @@ def test_init_p_validation():
         integrate(sc, PdSettings(init_p=np.full(4, 10.0)))
     with pytest.raises(ValueError, match="init_p"):
         integrate(sc, PdSettings(init_p=np.array([np.nan, 0.1, 0.1, 0.1])))
+    for k in (np.full((4, 1), 1e-3), np.full(3, 1e-3)):
+        with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
+            integrate(sc, PdSettings(k=k))
+
+
+def test_k_is_checked_before_the_reference_solve(monkeypatch):
+    def no_solve(sc):
+        raise AssertionError("solved the reference before checking k")
+
+    monkeypatch.setattr("mupower.primal_dual.solve_centralized", no_solve)
+    sc = fig4_scenario()
     for k in (np.full((4, 1), 1e-3), np.full(3, 1e-3)):
         with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
             integrate(sc, PdSettings(k=k))
