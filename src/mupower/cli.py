@@ -12,11 +12,11 @@ or gains are the rows of one (B, 2) array, checked once by the scenario's
 rules, and the first row that fails its certificate aborts the sweep.
 The solver returns powers; each command computes what it reports from them.
 
-Every CSV is built by _csv: 12 significant digits, comma delimiter, LF
-line endings, deterministic for a fixed scenario file. Each command writes
-stdout in one call, as a reader may close the pipe early (| head). Exit
-codes: 0 success, 1 input error, 2 solver non-convergence (primal-dual
-only fails this way under --strict).
+Every CSV is built by _csv: 12 significant digits, comma delimiter, LF line
+endings, deterministic for a fixed scenario file, each distinct float64 bit
+pattern of a table formatted once. Each command writes stdout in one call, as
+a reader may close the pipe early (| head). Exit codes: 0 success, 1 input
+error, 2 solver non-convergence (primal-dual only fails so under --strict).
 """
 from __future__ import annotations
 
@@ -35,14 +35,27 @@ from .utility import ee, se, utility
 _FAIRNESS_DELTA1_DB = (-20.0, 0.0, 20.0)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def _csv(header, rows) -> str:
-    """A numeric (rows, len(header)) table as CSV text, one format call per row."""
-    fmt = ",".join(["%.12g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(fmt % tuple(row) for row in np.asarray(rows).tolist())
+    """A numeric (rows, len(header)) table as CSV text, each cell "%.12g".
+
+    Each distinct float64 bit pattern is formatted once and the text is
+    joined from those strings. It keys on bits, not values: 0.0 and -0.0
+    compare equal but print 0 and -0, and NaN equals nothing.
+    """
+    k = len(header)
+    bits = np.asarray(rows, dtype=float).ravel().view(np.int64)
+    order = bits.argsort(kind="stable")  # pages in half the code of the default sort
+    bits = bits[order]
+    new = np.ones(bits.size, bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new)  # from 1: texts[0] is the "" before the first "\n"
+    values = tuple(bits[new].view(float).tolist())
+    texts = np.array(("\n%.12g," * len(values) % values).split("\n"), dtype=object)
+    cells = texts[group].tolist()
+    cells[k - 1::k] = [cell[:-1] + "\n" for cell in cells[k - 1::k]]
+    cells.insert(0, ",".join(header) + "\n")
+    return "".join(cells)
 
 
 def _write(path, text) -> None:
@@ -69,10 +82,10 @@ def cmd_solve(loaded: LoadedScenario, out=None) -> int:
     rows = [users, p, alloc.p_u, se(p, sc.delta), ee(p, sc.p_circuit, sc.delta), report.per_user_utility]
     table = _csv(["user", "P_watts", "P_u_watts", "SE", "EE", "U"], np.column_stack(rows))
     sys.stdout.write(
-        f"case: {case}\nlambda: {_fmt(alloc.lam)}\n"
-        f"sum_p_watts: {_fmt(np.sum(p))} (budget {_fmt(sc.p_sum_max)})\n{table}"
-        f"total_utility: {_fmt(report.total_utility)}\njain: {_fmt(report.jain)}\n"
-        f"max_kkt_residual: {_fmt(alloc.diagnostics.kkt.max_residual)}\n",
+        f"case: {case}\nlambda: {alloc.lam:.12g}\n"
+        f"sum_p_watts: {np.sum(p):.12g} (budget {sc.p_sum_max:.12g})\n{table}"
+        f"total_utility: {report.total_utility:.12g}\njain: {report.jain:.12g}\n"
+        f"max_kkt_residual: {alloc.diagnostics.kkt.max_residual:.12g}\n",
     )
     if out is not None:
         _write(out, table)
@@ -132,8 +145,8 @@ def cmd_primal_dual(loaded: LoadedScenario, out=None, strict: bool = False) -> i
     gap = float(np.max(np.abs(traj.p[-1] - reference.p)))
     sys.stdout.write(
         f"converged: {traj.converged}\nsteps: {traj.steps_taken}\n"
-        f"final_gap_vs_centralized: {_fmt(gap)}\n"
-        f"final_lambda: {_fmt(traj.lam[-1])} (centralized {_fmt(reference.lam)})\n"
+        f"final_gap_vs_centralized: {gap:.12g}\n"
+        f"final_lambda: {traj.lam[-1]:.12g} (centralized {reference.lam:.12g})\n"
         f"messages_broadcast: {traj.steps_taken}\nmessages_uplink: {traj.messages_uplink}\n",
     )
     if strict and not traj.converged:

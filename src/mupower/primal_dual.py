@@ -21,8 +21,9 @@ p_u_i without evaluating U_i' again: U_i'(p_u_i) is computed once per run
 by the step's own expression, and with k_i > 0 and U_i' - lambda >= 0 the
 Euler step lands at or above p_u_i, where the projection puts it back.
 The skip is exact, so the states are those of the full update bit for
-bit; a parked user still reports its unchanged power, so the uplink count
-stays N reports per step. The floor is not skipped: U_i' is large there.
+bit; a NaN U_i'(p_u_i) fails the test and takes the full update. A parked
+user still reports its unchanged power, so the uplink count stays N per
+step. The floor is not skipped: U_i' is large there.
 
 The Euler loop is a kernel generated for the scenario's N users: one
 function whose step holds N straight-line user blocks, each the same
@@ -130,7 +131,8 @@ def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
 # The Euler loop, generated for N users from these templates: the step holds
 # one _USER block per user, with only the index {i} put in. U_i' is
 # utility_grad's expression with libm's log1p; the two ifs are
-# min(max(., P_FLOOR), p_u_i) without the calls, NaN passing both.
+# min(max(., P_FLOOR), p_u_i) without the calls: a NaN passes both and makes
+# p_sum NaN, so the isfinite test of p_sum and lam finds any non-finite state.
 _CONSTS = "k{i}, p_u{i}, delta{i}, p_c{i}, c{i}, u_cap{i}, "
 _USER = """\
         if x{i} == p_u{i} and lam <= u_cap{i}:
@@ -203,29 +205,12 @@ def integrate(
     settings: PdSettings | None = None,
     reference: Allocation | None = None,
 ) -> Trajectory:
-    """Run the primal-dual dynamics until per-step motion dies out.
+    """Run the primal-dual dynamics until motion dies out; return the Trajectory.
 
-    The steps run on Python floats, U_i' included, in the Euler kernel
-    generated for sc.n_users users: the per-user update written out once
-    per user with only its index put in, so the same expressions in the
-    same order as a loop over the users, bit for bit. The first run with a
-    given N compiles it (about 0.25 ms and 60 KB per user) and later runs
-    reuse it. Only a recorded state becomes an array.
-
-    A user at its cap p_u_i whose U_i'(p_u_i), computed once before the
-    first step, is at least the current price skips its update and keeps
-    p_u_i: the full update gives the same float, since its step is
-    non-negative (k_i > 0, U_i' - lambda >= 0) and the projection clips it
-    back to p_u_i. A NaN U_i'(p_u_i) fails the test and takes the full
-    update. A parked user still counts in messages_uplink, as it reports its
-    unchanged power. Convergence is declared when the largest coordinate
-    move (powers and price) in one step drops below TOL_EQ. A non-finite
-    state raises FloatingPointError; testing sum(p) and lambda suffices,
-    since a projected power is NaN or lies in [P_FLOOR, p_u] (an infinite
-    drive is clipped to a bound; U_i' needs no p > 0 check), and a NaN power
-    passes the projection's comparisons and makes the sum NaN.
-    The Lyapunov monitor needs the centralized optimum and the box its caps;
-    both come from the reference allocation, solved here when not supplied.
+    settings defaults to PdSettings(); reference, which holds the caps and
+    the optimum V measures from, is solved here when None. Raises ValueError
+    for a k neither scalar nor per user or an init_p of another shape or
+    outside (0, p_u], and FloatingPointError once the state is non-finite.
     """
     settings = settings or PdSettings()
     k, g, n = settings.k, settings.g, sc.n_users

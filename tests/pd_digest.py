@@ -11,18 +11,21 @@ prints:
     steps      the steps taken over all 11 runs
     records    SHA-256 of each trajectory's t, p, lam, total_utility and v
                bytes, in that order, run after run
+    csv        SHA-256 of each trajectory's CSV text as write_trajectory_csv
+               writes it (the CLI's primal-dual --out), run after run
     step_us    the median over the 11 runs of each run's integrate time
                (time.perf_counter) divided by its steps, in microseconds
     first_us   the first run's integrate time divided by its steps, in
                microseconds: the one run that also builds the Euler kernel
 
 Two checkouts whose first two lines match ran the same Euler steps on
-the same states to the last bit. step_us and first_us are timings, not
+the same states to the last bit; a matching csv line also means they
+wrote the same trajectory CSV bytes. step_us and first_us are timings, not
 digests: they move with the host's load, so compare two checkouts by
 alternating their runs on one machine. With --expect the run also
 compares steps and records with the given values (STEPS with or without
 thousands commas) and exits 1, naming each mismatch, when either
-differs; the timings are never compared. The digests hold for
+differs; csv and the timings are never compared. The digests hold for
 one numpy build and libm on one CPU: the step's U' takes libm's log1p,
 while the records' total_utility takes numpy's SIMD log1p, which differs
 from libm's in the last bit on some inputs, and which SIMD path runs
@@ -31,7 +34,9 @@ there (so another checkout's src/ can be measured), else from this
 checkout's src/. Pytest does not collect this file.
 """
 import argparse
+import contextlib
 import hashlib
+import io
 import statistics
 import sys
 import time
@@ -48,6 +53,7 @@ except ImportError:
     import mupower  # noqa: F401
 
 from mupower import compute_pu, integrate, solve_centralized
+from mupower.cli import write_trajectory_csv
 from mupower.scenario import load_scenario
 
 
@@ -70,7 +76,7 @@ def main(argv=None):
     loaded = load_scenario(ROOT / "scenarios" / "fig4.yaml")
     sc = loaded.scenario
     reference = solve_centralized(sc)
-    records = hashlib.sha256()
+    records, csv = hashlib.sha256(), hashlib.sha256()
     steps, step_us = 0, []
     for pd in settings_of_runs(loaded):
         start = time.perf_counter()
@@ -79,8 +85,13 @@ def main(argv=None):
         steps += traj.steps_taken
         for col in (traj.t, traj.p, traj.lam, traj.total_utility, traj.v):
             records.update(np.ascontiguousarray(col).tobytes())
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            write_trajectory_csv(traj, None)
+        csv.update(text.getvalue().encode())
     got = {"steps": f"{steps:,}", "records": records.hexdigest()}
     print("\n".join(f"{name}: {value}" for name, value in got.items()))
+    print(f"csv: {csv.hexdigest()}")
     print(f"step_us: {statistics.median(step_us):.3f}")
     print(f"first_us: {step_us[0]:.3f}")
     if args.expect is None:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mupower import cli
 from mupower.cli import cmd_primal_dual, cmd_solve, cmd_sweep_diversity, cmd_sweep_fairness, main
 from mupower.scenario import build_scenario, load_scenario
 
@@ -363,3 +364,68 @@ def test_stdout_written_in_one_call(tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(argv) == 0
         assert stdout.writes == 1
+
+
+# ---------------------------------------------------------------- CSV format
+
+def per_row_csv(header, rows) -> str:
+    """The CSV formatter cli._csv replaced, copied verbatim: one "%.12g"
+    format call per row, every cell formatted where it stands."""
+    fmt = ",".join(["%.12g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(fmt % tuple(row) for row in np.asarray(rows).tolist())
+
+
+def special_table():
+    """Nine rows of five columns: the awkward floats, an integer-valued
+    column, values repeated down a column and across columns, and both
+    zeros, which compare equal but print apart."""
+    negative_nan = np.copysign(np.nan, -1.0)
+    assert np.signbit(negative_nan)
+    special = [0.0, -0.0, negative_nan, np.inf, -np.inf, 5e-324, 1e16, 123456789012.5, -1e-5]
+    return np.column_stack([
+        special,
+        np.arange(9.0) * 3 - 7,
+        special[::-1],
+        np.full(9, 0.25),
+        np.tile([0.0, -0.0, 0.25], 3),
+    ])
+
+
+def test_csv_matches_the_per_row_formatter_byte_for_byte():
+    table = special_table()
+    header = [f"c{j}" for j in range(5)]
+    assert cli._csv(header, table).splitlines()[1:3] == ["0,-7,-1e-05,0.25,0", "-0,-4,123456789012,0.25,-0"]
+    cases = [
+        (header, table),
+        (header, table.tolist()),
+        (header, np.asfortranarray(table)),
+        (header[::2], table[:, ::2]),  # column-sliced view
+        (header[:3], np.ascontiguousarray(table[:, :3].T).T),  # transposed view
+        (header[:2], table[::-2, 1:3]),
+        (header[:3], np.array([[1, -2, 2**53 + 1], [0, 7, 7]])),  # integers, one past float precision
+        (header, table[:1]),
+        (header[:3], np.empty((0, 3))),
+    ]
+    for head, rows in cases:
+        assert cli._csv(head, rows) == per_row_csv(head, rows)
+
+
+@pytest.mark.parametrize("command, scenario, options", [
+    ("sweep-diversity", "fig2.yaml", ["--grid", "41"]),
+    ("sweep-fairness", "fig3.yaml", []),
+    ("solve", "fig4.yaml", []),
+    ("primal-dual", "fig4.yaml", []),
+], ids=["sweep-diversity", "sweep-fairness", "solve", "primal-dual"])
+def test_cli_output_is_the_per_row_formatters(tmp_path, monkeypatch, command, scenario, options):
+    # pd_max_steps only shortens primal-dual: 2,500 steps record 26 states
+    path = write_scenario(tmp_path, (SCENARIOS / scenario).read_text() + "pd_max_steps: 2500\n")
+    outputs = []
+    for name in ("ours", "per-row"):
+        if name == "per-row":
+            monkeypatch.setattr(cli, "_csv", per_row_csv)
+        out = tmp_path / f"{name}.csv"
+        code, text = run_main([command, "--scenario", str(path), "--out", str(out), *options])
+        assert code == 0
+        outputs.append((text, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) > 1
