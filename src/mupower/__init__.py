@@ -13,7 +13,6 @@ from .channel import (
     gains_from_db,
     load_channel_csv,
 )
-from .metrics import jain_index, summarize
 from .primal_dual import PdSettings, Trajectory, integrate
 from .scenario import LoadedScenario, build_scenario, load_scenario
 from .solver import (
@@ -25,7 +24,7 @@ from .solver import (
     kkt_residuals,
     solve_centralized,
 )
-from .utility import ee, se, utility, utility_grad, utility_hess
+from .utility import ee, jain_index, se, utility, utility_grad, utility_hess
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,6 @@ __all__ = [
     "load_scenario",
     "se",
     "solve_centralized",
-    "summarize",
     "utility",
     "utility_grad",
     "utility_hess",

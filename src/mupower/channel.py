@@ -8,8 +8,8 @@ where the effective gain is
 
 Experiments usually specify delta directly in dB, so the raw matrix path
 is optional: compute_effective_gains takes H and sigma2 and returns delta.
-Both paths return delta as a plain float vector; Scenario checks it
-(finite and > 0) by the same rule as its other per-user inputs.
+Both paths return delta as a plain float vector; Scenario checks it by
+the same rule as its other per-user inputs.
 
 A channel is rejected when the upper bound kappa_2(G) <= ||G||_1 * tr(G^-1)
 on the condition number of G = H^H H exceeds GRAM_CONDITION_LIMIT. It
@@ -23,9 +23,8 @@ from itertools import chain
 
 import numpy as np
 
-# Gram matrices whose condition estimate ||G||_1 * tr(G^-1), an upper bound
-# on kappa_2(G), exceeds this are treated as rank deficient (ZF noise
-# amplification blows up well before this point).
+# Channels whose Gram condition estimate exceeds this are treated as rank
+# deficient: ZF noise amplification blows up well before this point.
 GRAM_CONDITION_LIMIT = 1e12
 # Triangular blocks of at most this many rows are inverted by np.linalg.inv,
 # so channels with N <= 64 users get the bits of a plain inv of the factor.

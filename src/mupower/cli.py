@@ -7,16 +7,15 @@ Subcommands (all read a scenario file, see scenario.py for the format):
     sweep-fairness   2-user channel-asymmetry sweep; CSV of Jain index
     primal-dual      distributed run; trajectory CSV via --out, summary to stdout
 
-Each sweep is one batched solve (solver.solve_batch): the grid's weights
-or gains are the rows of one (B, 2) array, checked once by the scenario's
-rules, and the first row that fails its certificate aborts the sweep.
-The solver returns powers; each command computes what it reports from them.
+Each sweep is one batched solve (solver.solve_batch), and the first row
+that fails its certificate aborts the sweep. The solver returns powers;
+each command computes what it reports from them, and every fairness report
+is jain_index of the users' utility.
 
-Every CSV is built by _csv: 12 significant digits, comma delimiter, LF line
-endings, deterministic for a fixed scenario file, each distinct float64 bit
-pattern of a table formatted once. Each command writes stdout in one call, as
-a reader may close the pipe early (| head). Exit codes: 0 success, 1 input
-error, 2 solver non-convergence (primal-dual only fails so under --strict).
+Every CSV is built by _csv, deterministic for a fixed scenario file. Each
+command writes stdout in one call, as a reader may close the pipe early
+(| head). Exit codes: 0 success, 1 input error, 2 solver non-convergence
+(primal-dual only fails so under --strict).
 """
 from __future__ import annotations
 
@@ -26,17 +25,16 @@ import sys
 import numpy as np
 
 from .channel import gains_from_db
-from .metrics import jain_index, summarize
 from .primal_dual import Trajectory, integrate
 from .scenario import LoadedScenario, load_scenario
 from .solver import P_FLOOR, BudgetCase, ConvergenceError, solve_batch, solve_centralized
-from .utility import ee, se, utility
+from .utility import ee, jain_index, se, utility
 
 _FAIRNESS_DELTA1_DB = (-20.0, 0.0, 20.0)
 
 
 def _csv(header, rows) -> str:
-    """A numeric (rows, len(header)) table as CSV text, each cell "%.12g".
+    """A numeric (rows, len(header)) table as CSV text: each cell "%.12g", LF endings.
 
     Each distinct float64 bit pattern is formatted once and the text is
     joined from those strings. It keys on bits, not values: 0.0 and -0.0
@@ -76,15 +74,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def cmd_solve(loaded: LoadedScenario, out=None) -> int:
     sc = loaded.scenario
     alloc = solve_centralized(sc)
-    p, report = alloc.p, summarize(sc, alloc)
+    p = alloc.p
+    u = utility(p, sc.w, sc.p_circuit, sc.delta)
     case = "SumTight" if alloc.case is BudgetCase.SUM_TIGHT else "SumSlack"
     users = np.arange(1, sc.n_users + 1)
-    rows = [users, p, alloc.p_u, se(p, sc.delta), ee(p, sc.p_circuit, sc.delta), report.per_user_utility]
+    rows = [users, p, alloc.p_u, se(p, sc.delta), ee(p, sc.p_circuit, sc.delta), u]
     table = _csv(["user", "P_watts", "P_u_watts", "SE", "EE", "U"], np.column_stack(rows))
     sys.stdout.write(
         f"case: {case}\nlambda: {alloc.lam:.12g}\n"
         f"sum_p_watts: {np.sum(p):.12g} (budget {sc.p_sum_max:.12g})\n{table}"
-        f"total_utility: {report.total_utility:.12g}\njain: {report.jain:.12g}\n"
+        f"total_utility: {np.sum(u):.12g}\njain: {jain_index(u):.12g}\n"
         f"max_kkt_residual: {alloc.diagnostics.kkt.max_residual:.12g}\n",
     )
     if out is not None:
@@ -114,12 +113,7 @@ def cmd_sweep_diversity(loaded: LoadedScenario, out=None, grid: int = 41) -> int
 
 
 def cmd_sweep_fairness(loaded: LoadedScenario, out=None, grid: int = 41) -> int:
-    """Jain index across channel asymmetry for a 2-user scenario.
-
-    delta1 steps through -20, 0 and +20 dB while delta2 sweeps grid
-    points on [-20, 20] dB; each (delta1, delta2) pair is one row of the
-    gains handed to solve_batch, which the scenario's delta rule checks.
-    """
+    """Jain index across channel asymmetry (delta1, delta2 in dB) for a 2-user scenario."""
     sc = loaded.scenario
     if sc.n_users != 2:
         raise ValueError(f"sweep-fairness needs a 2-user scenario, got N={sc.n_users}")

@@ -25,27 +25,24 @@ bit; a NaN U_i'(p_u_i) fails the test and takes the full update. A parked
 user still reports its unchanged power, so the uplink count stays N per
 step. The floor is not skipped: U_i' is large there.
 
-The Euler loop is a kernel generated for the scenario's N users: one
-function whose step holds N straight-line user blocks, each the same
-template with only the user index put in, so no scenario data enters the
-source. Each run unpacks its per-user constants into locals once and
-updates each power in place, which is exact since user i's update reads
-only P_i and lambda. Every float operation keeps its expression and its
-order (U_i' with libm's log1p, the floor clamp before the cap clamp,
-sum(P) as one addition per user in index order): the kernel computes
-what a loop over the users computes, bit for bit, laid out without the
-interpreter's per-user loop work. It is compiled at the first run with a
-given N, at about 0.25 ms and 60 KB of compiler memory per user, and the
-kernels of the last KERNEL_CACHE_SIZE user counts are kept.
+The Euler loop is a kernel generated for the scenario's N users: its
+step holds N straight-line user blocks, each the same template with only
+the user index put in, so no scenario data enters the source. Updating
+each power in place is exact since user i's update reads only P_i and
+lambda. Every float operation keeps its expression and its order (U_i'
+with libm's log1p, the floor clamp before the cap clamp, sum(P) as one
+addition per user in index order), so the kernel computes what a loop
+over the users computes, bit for bit, without the interpreter's per-user
+loop work. Building it costs about 0.25 ms and 60 KB of compiler memory
+per user.
 
 The quadratic distance to the centralized optimum,
 
     V = 1/2 sum_i (P_i - P_i*)^2 / k_i + (lambda - lambda*)^2 / (2 g),
 
 is non-increasing along the continuous flow, a convergence certificate
-(up to explicit-Euler slack). A run records only its state (t, p, lambda)
-every RECORD_EVERY steps and at its last step; the records' utility and V
-are computed once the run ends.
+(up to explicit-Euler slack). A run records only its state (t, p, lambda);
+the records' utility and V are computed once the run ends.
 """
 from __future__ import annotations
 
@@ -59,7 +56,7 @@ import numpy as np
 from .solver import P_FLOOR, Allocation, Scenario, solve_centralized
 from .utility import utility
 
-# Convergence: the largest per-step move of any power or of the price.
+# A run has converged once neither a power nor the price moves more than this in a step.
 TOL_EQ = 1e-10
 # Steps between two recorded states of a run.
 RECORD_EVERY = 100
@@ -70,9 +67,7 @@ class PdSettings:
     """Gains, start and step budget for the primal-dual integrator.
 
     k may be a scalar (broadcast over users) or a per-user vector;
-    init_p defaults to half the individual caps when left as None. A run
-    stops when no coordinate moves more than TOL_EQ in one step, or after
-    max_steps steps; its state is recorded every RECORD_EVERY steps.
+    init_p defaults to half the individual caps when left as None.
     """
 
     k: float | np.ndarray = 1e-3
@@ -116,21 +111,15 @@ class Trajectory:
 
 
 def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
-    """Gain-weighted squared distance to the reference point (0 iff equal).
-
-    The users lie on the last axis of p. One state gives a float; states
-    stacked as p of shape (R, N) and lam of shape (R,) give R distances.
-    """
+    """Gain-weighted squared distance to the reference point (0 iff equal),
+    one per state when p stacks R states as (R, N) and lam as (R,)."""
     p = np.asarray(p, dtype=float)
     k = np.broadcast_to(np.asarray(settings.k, dtype=float), p.shape)
     dist_p = np.sum((p - np.asarray(p_star)) ** 2 / k, axis=-1)
-    v = 0.5 * dist_p + (lam - lam_star) ** 2 / (2.0 * settings.g)
-    return v if v.ndim else float(v)
+    return 0.5 * dist_p + (lam - lam_star) ** 2 / (2.0 * settings.g)
 
 
-# The Euler loop, generated for N users from these templates: the step holds
-# one _USER block per user, with only the index {i} put in. U_i' is
-# utility_grad's expression with libm's log1p; the two ifs are
+# U_i' is utility_grad's expression with libm's log1p; the two ifs are
 # min(max(., P_FLOOR), p_u_i) without the calls: a NaN passes both and makes
 # p_sum NaN, so the isfinite test of p_sum and lam finds any non-finite state.
 _CONSTS = "k{i}, p_u{i}, delta{i}, p_c{i}, c{i}, u_cap{i}, "
@@ -180,14 +169,7 @@ KERNEL_CACHE_SIZE = 8
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel(n: int):
-    """The Euler loop for n users, compiled once per n.
-
-    euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records) runs
-    with users the per-user constants, _CONSTS's six per user in index
-    order, from the powers x, their sum p_sum and the price lam, appends
-    each recorded state to records and returns the last step and its
-    motion.
-    """
+    """The Euler loop for n users, compiled at the first run with n users."""
     # one unpacking statement each for the constants and the powers: it
     # compiles in less memory than a statement per user
     src = _LOOP.format(

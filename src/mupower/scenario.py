@@ -152,13 +152,10 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
     for key, attr in _PD_KEYS.items():
         if key not in doc:
             continue
-        if attr == "k":
-            k = _broadcast(doc, key, n, source)
-            pd_kwargs[attr] = k if np.ndim(doc[key]) else float(k[0])
-        elif attr == "init_p":
+        if attr in ("k", "init_p"):
             pd_kwargs[attr] = _broadcast(doc, key, n, source)
         elif attr == "max_steps":
-            pd_kwargs[attr] = _integer(doc, key, source)
+            pd_kwargs[attr] = doc[key]  # PdSettings holds the integer rule
         else:
             pd_kwargs[attr] = _number(doc, key, source)
     return LoadedScenario(scenario=scenario, pd=PdSettings(**pd_kwargs))

@@ -22,17 +22,13 @@ principal branch (_caps; branch-point series: Corless et al., Adv. Comput. Math.
 A budget-tight row is then solved by the projected Newton method of
 Bertsekas ("Projected Newton methods for optimization problems with
 simple constraints", SIAM J. Control Optim. 20(2), 1982) applied to its
-KKT system: the Hessian of the sum utility is diagonal, so each joint
-step in (p, lambda) over the users not held at a bound has a closed form
-(see _projected_newton). No inner root is solved per price.
+KKT system, with no inner root solved per price.
 
 The solver works on a batch: B scenarios that share their users' circuit
 powers, power limits and budget and differ row by row in w or delta, held
 as (B, N) arrays. The caps of every row are found at once, and the
 budget-tight rows iterate together, each stopping on its own. A row's
 result depends only on that row, so solve_centralized is the B = 1 case.
-
-Every row is certified against the KKT system before it is returned.
 """
 from __future__ import annotations
 
@@ -52,15 +48,16 @@ _MAX_ITER = 100_000
 
 _EPS = float(np.finfo(float).eps)
 
-# Gains (1/W) and circuit powers (W) are held well inside the range where the
-# closed-form caps are finite and raise no floating-point warning.
+# Gains (1/W), circuit powers and power limits (W) are held well inside the
+# range where the closed-form caps are finite and raise no floating-point
+# warning; a limit below the floor would leave the box [P_FLOOR, p_max] empty.
 _IN_RANGE = ("be > 0 and in [1e-30, 1e30]", lambda v: (v >= 1e-30) & (v <= 1e30))
 
 # Per-user input rules: what the values must satisfy, and the test.
 _RULES = {
     "w": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "p_circuit": _IN_RANGE,
-    "p_max": (f"be > 0 and at least the power floor P_FLOOR = {P_FLOOR} W", lambda v: v >= P_FLOOR),
+    "p_max": (f"be > 0 and in [P_FLOOR = {P_FLOOR} W, 1e30]", lambda v: (v >= P_FLOOR) & (v <= 1e30)),
     "delta": _IN_RANGE,
 }
 
@@ -99,14 +96,11 @@ class Scenario:
     """A problem instance: per-user vectors and the budget (W).
 
     delta (linear effective gains, 1/W) is a non-empty vector that sets the
-    number of users N. w (SE/EE preference weight in [0, 1]), p_circuit
-    and p_max (W) hold one entry per user, and scalars broadcast to N;
-    delta and p_circuit lie in [1e-30, 1e30]. The vectors are validated
-    and stored as read-only float arrays, so dataclasses.replace(sc, w=...)
-    yields a checked variant. The budget must cover every user at the
-    floor: p_sum_max >= N * P_FLOOR. Scenarios compare and hash by
-    identity. The solver's tolerances are module constants, not part of a
-    scenario.
+    number of users N. w (SE/EE preference weight), p_circuit and p_max (W)
+    hold one entry per user, and scalars broadcast to N. The vectors are
+    checked by _RULES and stored as read-only float arrays, so
+    dataclasses.replace(sc, w=...) yields a checked variant. The budget must
+    cover every user at the floor. Scenarios compare and hash by identity.
     """
 
     w: np.ndarray
@@ -159,8 +153,7 @@ class KktReport:
     def max_residual(self):
         """The largest residual: a float, or one per row for a batch."""
         per_user = [self.stationarity, self.comp_lower, self.comp_upper, self.box_gap]
-        worst = np.maximum(np.max(per_user, axis=(0, -1)), np.maximum(self.comp_sum, self.sum_gap))
-        return worst if worst.ndim else float(worst)
+        return np.maximum(np.max(per_user, axis=(0, -1)), np.maximum(self.comp_sum, self.sum_gap))
 
 
 @dataclass
@@ -171,7 +164,7 @@ class Diagnostics:
     budget-tight row, and is 0 when the budget has slack (the caps have a
     closed form). In a batch each field has a leading row axis. An
     allocation's SE, EE and utilities are not kept here: they follow from
-    its powers (utility.se, utility.ee, metrics.summarize).
+    its powers (utility.se, utility.ee, utility.utility).
     """
 
     kkt: KktReport
@@ -246,20 +239,13 @@ def compute_pu(sc: Scenario) -> np.ndarray:
 
 
 def _projected_newton(w, pc, delta, p_u, budget):
-    """Solve budget-tight rows by projected Newton on their KKT system.
+    """(p, lam, iterations) of budget-tight rows: arrays (T, N), budget (T,).
 
-    Arrays are (T, N), budget (T,). Each row starts at p_u * budget / sum(p_u).
-    A user at a bound is held there while its marginal U' points out of the
-    box against the price lambda; the other users F take one joint Newton
-    step on U'(p) = lambda, sum(p) = budget. U'' is diagonal, so the step
-    has a closed form: lambda = (budget - sum p + sum_F U'/U'') / sum_F 1/U''
-    and dp_F = (lambda - U') / U''. The new p is projected onto
-    [max(P_FLOOR, p / 2), p_u]. A row stops once its held set repeats and
-    its largest relative step is at most 4 eps, or below 1e-10 and no
-    longer shrinking. Each interior power then moves to the float within
-    8 ulps whose U' is nearest the midpoint of the interior marginals, and
-    that midpoint is the row's price (with no interior user, the largest
-    marginal at the floor). Returns (p, lam, iterations), row by row.
+    Users whose marginal U' points out of the box at a bound are held there;
+    U'' is diagonal, so the free users' joint Newton step on U'(p) = lambda,
+    sum(p) = budget has a closed form. A step at most halves a power. Once a
+    row stops, its price is the midpoint of its interior marginals, and each
+    interior power moves to the float within 8 ulps whose U' is nearest it.
     """
     p = p_u * (budget / p_u.sum(axis=1))[:, None]
     lam = np.full(len(p), np.nan)
@@ -301,14 +287,7 @@ def _projected_newton(w, pc, delta, p_u, budget):
 
 
 def _certificate(w, pc, delta, budget, p, p_u, lam) -> KktReport:
-    """KKT residuals of allocations stacked on a leading axis (or of one).
-
-    Reconstructs the bound multipliers from the price: mu = max(0, lam - U')
-    where p sits at the floor, nu = max(0, U' - lam) where p sits at its
-    cap, then reports stationarity, complementary slackness, and primal
-    feasibility gaps. The lower bound is the floor P_FLOOR, so mu pairs
-    with p - P_FLOOR.
-    """
+    """KKT residuals of allocations stacked on a leading axis (or of one)."""
     grad = utility_grad(p, w, pc, delta)
     scale = np.maximum(1.0, p_u)
     at_lower = (p - P_FLOOR) <= 1e-10 * scale
@@ -343,11 +322,9 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
 
     w and delta, when given, are (B, N) arrays that replace the scenario's
     weights or gains row by row; they are checked by the scenario's rules.
-    p_circuit, p_max and p_sum_max are shared. Without either, B = 1.
-    Computes every cap and finishes the rows whose budget has slack; the
-    budget-tight rows share one projected Newton (see _projected_newton). Returns
-    the rows as one batched Allocation. Raises ConvergenceError naming the
-    first row whose KKT residual exceeds TOL_KKT.
+    Without either, B = 1. Returns the rows as one batched Allocation.
+    Raises ConvergenceError naming the first row whose KKT residual exceeds
+    TOL_KKT.
     """
     n = sc.n_users
     shape = next(((len(a), n) for a in (w, delta) if a is not None), (1, n))
@@ -379,9 +356,5 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
 
 
 def solve_centralized(sc: Scenario) -> Allocation:
-    """Optimal power allocation for a scenario, KKT-certified.
-
-    The one-row case of solve_batch. Raises ConvergenceError if the KKT
-    residual of the result exceeds TOL_KKT.
-    """
+    """solve_batch's one-row case: the optimal allocation of sc, KKT-certified."""
     return _row(solve_batch(sc), 0)

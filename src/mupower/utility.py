@@ -1,4 +1,5 @@
-"""Per-user objective: SE, EE, the log of their weighted composite, and derivatives.
+"""Per-user objective: SE, EE, the log of their weighted composite, its
+derivatives, and the Jain fairness index of a set of utilities.
 
 For transmit power p (W), effective gain delta (1/W), circuit power pc (W)
 and preference weight w in [0, 1]:
@@ -8,9 +9,10 @@ and preference weight w in [0, 1]:
     u(p)         = se^w * ee^(1-w)                      (geometric tradeoff)
     utility(p)   = ln u = ln[ln(1 + delta p)] - (1 - w) ln(p + pc)
 
-The composite u itself is exp(utility). The proportional-fair log makes
-utility -> -inf as p -> 0+, so every maximizer is strictly interior. The
-auxiliary function (computed by _beta, its derivative by _beta_prime)
+The composite u itself is exp(utility), and jain_index is the Jain index
+of the users' composites, the paper's fairness measure. The proportional-fair
+log makes utility -> -inf as p -> 0+, so every maximizer is strictly interior.
+The auxiliary function (computed by _beta, its derivative by _beta_prime)
 
     beta(p) = delta (p + pc) / [(1 + delta p) ln(1 + delta p)]
 
@@ -79,3 +81,20 @@ def utility_hess(p, w, p_circuit, delta):
     total = p + p_circuit
     excess = _beta(p, p_circuit, delta) - (1.0 - w)
     return (_beta_prime(p, p_circuit, delta) * total - excess) / total**2
+
+
+def jain_index(utilities):
+    """Jain fairness of exp(U_i): [sum exp(U)]^2 / (N * sum exp(U)^2).
+
+    The users lie on the last axis: one set of utilities gives a float,
+    sets stacked as (B, N) give B indices. Lies in [1/N, 1]; equals 1 iff
+    all exp(U_i) coincide. Computed on the max-shifted utilities, which
+    leaves the index unchanged and cannot overflow.
+    """
+    u = np.atleast_1d(np.asarray(utilities, dtype=float))
+    if not np.all(np.isfinite(u)):
+        raise ValueError("utilities must be finite")
+    x = np.exp(u - np.max(u, axis=-1, keepdims=True))
+    # s * s, not s ** 2: a numpy scalar squares through pow, an array does not
+    s = np.sum(x, axis=-1)
+    return s * s / (u.shape[-1] * np.sum(x * x, axis=-1))

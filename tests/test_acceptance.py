@@ -18,9 +18,10 @@ from mupower import (
     compute_pu,
     gains_from_db,
     integrate,
+    jain_index,
     kkt_residuals,
     solve_centralized,
-    summarize,
+    utility,
 )
 from mupower.cli import cmd_sweep_diversity
 from mupower.scenario import load_scenario
@@ -59,7 +60,7 @@ def _fairness_scenario(d1_db, d2_db) -> Scenario:
 def test_criterion_1_jain_asymmetric_point():
     t0 = time.perf_counter()
     sc = _fairness_scenario(-20.0, 20.0)
-    jain = summarize(sc, _solve_registered(sc)).jain
+    jain = jain_index(utility(_solve_registered(sc).p, sc.w, sc.p_circuit, sc.delta))
     assert jain == pytest.approx(0.5017, abs=1e-3)
     _report(1, "Jain = 0.5017 at -20/+20 dB", t0, 1.0)
 
@@ -68,7 +69,8 @@ def test_criterion_2_jain_symmetry_line():
     t0 = time.perf_counter()
     for level in (-20.0, 0.0, 20.0):
         sc = _fairness_scenario(level, level)
-        assert summarize(sc, _solve_registered(sc)).jain == pytest.approx(1.0, abs=1e-9)
+        u = utility(_solve_registered(sc).p, sc.w, sc.p_circuit, sc.delta)
+        assert jain_index(u) == pytest.approx(1.0, abs=1e-9)
     _report(2, "Jain = 1 on matched channels", t0, 1.0)
 
 
@@ -115,7 +117,7 @@ def test_criterion_5_grid_search_oracle_equivalence():
         alloc = _solve_registered(sc)
         p_ref, u_ref = grid_search_2user(sc)
         assert np.all(np.abs(alloc.p - p_ref) <= 5e-4), (alloc.p, p_ref)
-        assert abs(summarize(sc, alloc).total_utility - u_ref) <= 1e-6
+        assert abs(np.sum(utility(alloc.p, sc.w, sc.p_circuit, sc.delta)) - u_ref) <= 1e-6
     _report(5, "20 solves match exhaustive grid search", t0, 120.0)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mupower import cli
+from mupower import cli, jain_index, utility
 from mupower.cli import cmd_primal_dual, cmd_solve, cmd_sweep_diversity, cmd_sweep_fairness, main
 from mupower.scenario import build_scenario, load_scenario
 
@@ -189,6 +189,21 @@ def test_solve_fig4(tmp_path):
     assert len(lines) == 5
 
 
+def test_solve_reports_the_utilities_of_its_powers():
+    # U, total_utility and jain are those of the P_watts column as printed
+    sc = load_scenario(SCENARIOS / "fig4.yaml").scenario
+    code, text = run_main(["solve", "--scenario", str(SCENARIOS / "fig4.yaml")])
+    assert code == 0
+    lines = text.splitlines()
+    start = lines.index("user,P_watts,P_u_watts,SE,EE,U") + 1
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[start:start + sc.n_users]])
+    report = dict(line.split(": ", 1) for line in lines if ": " in line)
+    u = utility(table[:, 1], sc.w, sc.p_circuit, sc.delta)
+    np.testing.assert_allclose(table[:, 5], u, rtol=1e-9, atol=0)
+    assert float(report["total_utility"]) == pytest.approx(np.sum(u), rel=1e-9, abs=0)
+    assert float(report["jain"]) == pytest.approx(jain_index(u), rel=1e-9, abs=0)
+
+
 def test_solve_huge_budget_returns_caps(tmp_path):
     path = write_scenario(
         tmp_path,
@@ -208,6 +223,8 @@ def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
     (tmp_path / "h.csv").write_text("1+0j,0+0j\n0+0j,1+0j\n")
     for old, new, message in (
         ("w: [0.5, 0.5]", "w: [1.2, 0.5]", "w must lie in [0, 1]"),
+        ("p_max_individual_watts: 1.0", "p_max_individual_watts: 1.0e+31",
+         "p_max must be > 0 and in [P_FLOOR = 1e-09 W, 1e30], got 1e+31"),
         ("delta_db: [20.0, 20.0]", "delta_db: 400", "delta must be > 0 and in [1e-30, 1e30], got 1e+40"),
         # 10^400 and 1 / 1e-320 overflow to inf gains, with no RuntimeWarning
         ("delta_db: [20.0, 20.0]", "delta_db: 4000", "delta must be > 0 and in [1e-30, 1e30], got inf"),
@@ -229,7 +246,7 @@ def test_solve_p_max_below_the_floor_exits_one(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE.replace("p_max_individual_watts: 1.0", "p_max_individual_watts: 1.0e-12"))
     code = main(["solve", "--scenario", str(path)])
     assert code == 1
-    assert "p_max must be > 0 and at least the power floor P_FLOOR = 1e-09 W, got 1e-12" in capsys.readouterr().err
+    assert "p_max must be > 0 and in [P_FLOOR = 1e-09 W, 1e30], got 1e-12" in capsys.readouterr().err
 
 
 def test_solve_missing_file_exits_one(capsys):

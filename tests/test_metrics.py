@@ -1,11 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mupower import Scenario, gains_from_db, jain_index, solve_centralized, summarize
-from mupower.utility import utility
+from mupower import Scenario, gains_from_db, jain_index, solve_centralized, utility
 
 
 def test_equal_utilities_give_one():
@@ -23,8 +21,8 @@ def test_paper_asymmetric_point():
         w=(0.5, 0.5), p_circuit=0.1, p_max=1.0,
         delta=gains_from_db([-20.0, 20.0]), p_sum_max=1.5,
     )
-    alloc = solve_centralized(sc)
-    assert summarize(sc, alloc).jain == pytest.approx(0.5017, abs=1e-3)
+    u = utility(solve_centralized(sc).p, sc.w, sc.p_circuit, sc.delta)
+    assert jain_index(u) == pytest.approx(0.5017, abs=1e-3)
 
 
 def test_permutation_invariance():
@@ -56,37 +54,8 @@ def test_range_and_domination_limit():
     assert jain_index([0.0, math.log(1e6)]) <= 0.500001
 
 
-def test_summarize_recomputes_from_powers():
-    sc = Scenario(
-        w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, delta=(10.0, 100.0), p_sum_max=0.8
-    )
-    alloc = solve_centralized(sc)
-    report = summarize(sc, alloc)
-    u = utility(alloc.p, sc.w, sc.p_circuit, sc.delta)
-    assert np.allclose(report.per_user_utility, u, atol=1e-12)
-    assert report.total_utility == pytest.approx(float(np.sum(u)), abs=1e-12)
-    assert report.jain == pytest.approx(jain_index(u), abs=1e-15)
-
-
-def test_summarize_symmetric_scenario():
-    sc = Scenario(
-        w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, delta=gains_from_db([0.0, 0.0]), p_sum_max=1.5
-    )
-    report = summarize(sc, solve_centralized(sc))
-    assert report.jain == pytest.approx(1.0, abs=1e-12)
-    assert report.per_user_utility[0] == pytest.approx(report.per_user_utility[1], abs=1e-12)
-
-
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         jain_index([0.0, np.inf])
     with pytest.raises(ValueError):
         jain_index([[0.0, 1.0], [np.nan, 0.0]])
-
-
-def test_summarize_rejects_non_positive_or_nan_powers():
-    sc = Scenario(w=(0.3, 0.8), p_circuit=0.1, p_max=1.0, delta=(10.0, 100.0), p_sum_max=0.8)
-    alloc = solve_centralized(sc)
-    for bad in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError):
-            summarize(sc, replace(alloc, p=np.array([0.4, bad])))

@@ -17,7 +17,7 @@ from mupower import (
     gains_from_db,
     kkt_residuals,
     solve_centralized,
-    summarize,
+    utility,
 )
 from mupower.solver import P_FLOOR, TOL_KKT, Allocation, solve_batch
 from mupower.utility import utility_grad
@@ -151,7 +151,7 @@ def test_heterogeneous_matches_grid_oracle():
     alloc = solve_centralized(sc)
     p_ref, u_ref = grid_search_2user(sc)
     assert np.all(np.abs(alloc.p - p_ref) <= 5e-4)
-    assert abs(summarize(sc, alloc).total_utility - u_ref) <= 1e-6
+    assert abs(np.sum(utility(alloc.p, sc.w, sc.p_circuit, sc.delta)) - u_ref) <= 1e-6
 
 
 def test_cap_dominance_and_case_dichotomy():
@@ -389,6 +389,7 @@ def test_scenario_validation():
         (dict(w=(np.nan, 0.5)), r"w must lie in \[0, 1\]"),
         (dict(p_circuit=(0.1, 0.0)), "p_circuit must be > 0"),
         (dict(p_max=-1.0), "p_max must be > 0"),
+        (dict(p_max=1e31), r"p_max must be > 0 and in \[P_FLOOR = 1e-09 W, 1e30\], got 1e\+31"),
         (dict(w=(0.5, 0.5, 0.5)), "gains"),
         (dict(delta=[1.0]), "gains"),
         (dict(delta=(1.0, 0.0)), "delta must be > 0"),
@@ -408,7 +409,7 @@ def test_scenario_validation():
 def test_p_max_below_the_floor_rejected():
     # a cap below the floor would leave the box [P_FLOOR, p_max] empty
     for p_max, p_sum_max in ((1e-12, 1e-9), ((1e-12, 1.0), 2e-9)):
-        with pytest.raises(ValueError, match=r"p_max must be > 0 and at least the power floor P_FLOOR = 1e-09 W"):
+        with pytest.raises(ValueError, match=r"p_max must be > 0 and in \[P_FLOOR = 1e-09 W, 1e30\], got 1e-12"):
             Scenario(w=0.5, p_circuit=0.1, p_max=p_max, delta=(1.0,) * np.size(p_max), p_sum_max=p_sum_max)
     assert compute_pu(Scenario(w=0.5, p_circuit=0.1, p_max=P_FLOOR, delta=(1.0,), p_sum_max=1e-9)) == P_FLOOR
 
@@ -416,16 +417,17 @@ def test_p_max_below_the_floor_rejected():
 def test_range_corners_solve_or_raise_convergence_error():
     # gains and circuit powers at the ends of their range give finite caps and
     # no floating-point warning (tier-1 turns a RuntimeWarning into an error)
+    # power limits at 10 W and at the top of their range, under a tight budget
+    # and one above the limits' sum
     corners = (1e-30, 1.0, 1e30)
-    for delta in itertools.product(corners, repeat=2):
-        for p_circuit in itertools.product(corners, repeat=2):
-            for w in (0.0, 0.5, 1.0):
-                sc = Scenario(w=w, p_circuit=p_circuit, p_max=10.0, delta=delta, p_sum_max=1.0)
-                assert np.all(np.isfinite(compute_pu(sc)))
-                try:
-                    solve_centralized(sc)
-                except ConvergenceError:
-                    pass
+    for delta, p_circuit in itertools.product(itertools.product(corners, repeat=2), repeat=2):
+        for w, p_max, p_sum_max in itertools.product((0.0, 0.5, 1.0), (10.0, 1e30), (1.0, 1e308)):
+            sc = Scenario(w=w, p_circuit=p_circuit, p_max=p_max, delta=delta, p_sum_max=p_sum_max)
+            assert np.all(np.isfinite(compute_pu(sc)))
+            try:
+                solve_centralized(sc)
+            except ConvergenceError:
+                pass
 
 
 def test_scenario_compares_by_identity():

@@ -34,6 +34,7 @@ class _Recorder:
 # go once the worker stops wrapping the name.
 DROPPED = {
     "mupower.primal_dual.utility_grad": "integrate computes U' on floats and calls no utility_grad",
+    "mupower.cli.summarize": "cmd_solve calls utility and jain_index directly",
 }
 
 
