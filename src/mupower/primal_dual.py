@@ -62,6 +62,14 @@ TOL_EQ = 1e-10
 RECORD_EVERY = 100
 
 
+def integer(name, value, low) -> int:
+    """An integral count >= low: 1e3 is 1000, while 2.5, inf and True are errors."""
+    count = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(count)
+
+
 @dataclass(frozen=True)
 class PdSettings:
     """Gains, start and step budget for the primal-dual integrator.
@@ -84,13 +92,7 @@ class PdSettings:
             raise ValueError(f"dual gain g must be finite and > 0, got {self.g!r}")
         if not (math.isfinite(self.init_lambda) and self.init_lambda >= 0):
             raise ValueError(f"init_lambda must be finite and >= 0, got {self.init_lambda!r}")
-        # an integral count: 1e3 is 1000, while 2.5, inf and True are errors
-        steps = self.max_steps
-        if isinstance(steps, float) and steps.is_integer():
-            steps = int(steps)
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        object.__setattr__(self, "max_steps", int(steps))
+        object.__setattr__(self, "max_steps", integer("max_steps", self.max_steps, 1))
 
 
 @dataclass

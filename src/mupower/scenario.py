@@ -13,45 +13,33 @@ Example::
     pd_gain_dual: 0.001
 
 Exactly one of delta_db / channel_csv must be present; channel_csv paths
-are resolved relative to the scenario file and require sigma2_watts, and
-the CSV must have receive_antennas rows when that key is given.
-pd_* keys override primal-dual settings; the solver's tolerances and the
-record cadence are fixed and have no keys. Unknown keys are rejected.
+are resolved relative to the scenario file and require sigma2_watts, which
+applies only with channel_csv, and the CSV must have receive_antennas rows
+when that key is given. pd_* keys override primal-dual settings; the
+solver's tolerances and the record cadence are fixed and have no keys.
+Unknown keys are rejected.
+
+Every ValueError raised while reading or building a scenario, by the
+loader, Scenario, PdSettings or the channel code, is re-raised as
+"<file>: <message>", so every error names the file; a SingularGramError
+keeps its class.
 """
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .channel import compute_effective_gains, gains_from_db, load_channel_csv
-from .primal_dual import PdSettings
+from .channel import SingularGramError, compute_effective_gains, gains_from_db, load_channel_csv
+from .primal_dual import PdSettings, integer
 from .solver import Scenario
 
 # libyaml's parser where PyYAML was built with it, else the pure-Python one;
 # the resolver and the constructor are PyYAML's safe ones in both
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-_PD_KEYS = {
-    "pd_gain_primal": "k",
-    "pd_gain_dual": "g",
-    "pd_init_p_watts": "init_p",
-    "pd_init_lambda": "init_lambda",
-    "pd_max_steps": "max_steps",
-}
-_KNOWN_KEYS = {
-    "n_users",
-    "receive_antennas",
-    "delta_db",
-    "channel_csv",
-    "sigma2_watts",
-    "w",
-    "p_max_individual_watts",
-    "p_circuit_watts",
-    "p_sum_max_watts",
-} | set(_PD_KEYS)
 
 
 @dataclass
@@ -62,111 +50,106 @@ class LoadedScenario:
     pd: PdSettings
 
 
-def _broadcast(doc, key, n, source):
+def _broadcast(key, value, n):
     """A per-user vector from a number or a list of n numbers."""
-    value = doc[key]
     try:
         arr = np.atleast_1d(np.asarray(value, dtype=float))
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or arr.ndim != 1:
-        raise ValueError(f"{source}: {key} must be a number or a list of {n} numbers, got {value!r}")
+        raise ValueError(f"{key} must be a number or a list of {n} numbers, got {value!r}")
     if arr.size == 1:
         return np.full(n, float(arr[0]))
     if arr.size != n:
-        raise ValueError(f"{source}: {key} has {arr.size} entries, expected {n} (n_users)")
+        raise ValueError(f"{key} has {arr.size} entries, expected {n} (n_users)")
     return arr.astype(float)
 
 
-def _integer(doc, key, source):
-    """An integral count from the document; 2.7 is an error, not 2."""
-    value = doc[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{source}: {key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(doc, key, source):
-    """A real number from the document; a list, a mapping or null is an error."""
-    value = doc[key]
+def _number(key, value, n=None):
+    """A real number; a list, a mapping or null is an error."""
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{source}: {key} must be a number, got {value!r}") from None
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+# YAML key -> (constructor, field, reader). Every Scenario key is required;
+# a PdSettings key overrides its default. max_steps is passed as written,
+# since PdSettings holds its integer rule.
+_FIELDS = {
+    "w": (Scenario, "w", _broadcast),
+    "p_circuit_watts": (Scenario, "p_circuit", _broadcast),
+    "p_max_individual_watts": (Scenario, "p_max", _broadcast),
+    "p_sum_max_watts": (Scenario, "p_sum_max", _number),
+    "pd_gain_primal": (PdSettings, "k", _broadcast),
+    "pd_gain_dual": (PdSettings, "g", _number),
+    "pd_init_p_watts": (PdSettings, "init_p", _broadcast),
+    "pd_init_lambda": (PdSettings, "init_lambda", _number),
+    "pd_max_steps": (PdSettings, "max_steps", lambda key, value, n: value),
+}
+# the keys that set N and delta, which build_scenario reads itself
+_CHANNEL_KEYS = {"n_users", "receive_antennas", "delta_db", "channel_csv", "sigma2_watts"}
+
+
+@contextmanager
+def _naming(source):
+    """Re-raise a ValueError as "<source>: <message>"; SingularGramError keeps its class.
+
+    A plain ValueError is raised rather than type(exc)(...), since some
+    subclasses (UnicodeDecodeError) take other constructor arguments.
+    """
+    try:
+        yield
+    except SingularGramError as exc:
+        raise SingularGramError(f"{source}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> LoadedScenario:
     """Validate a scenario mapping and assemble the solver structures."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{source}: scenario document must be a mapping")
-    unknown = set(doc) - _KNOWN_KEYS
-    if unknown:
-        raise ValueError(f"{source}: unknown keys {sorted(unknown)}")
+    with _naming(source):
+        if not isinstance(doc, dict):
+            raise ValueError("scenario document must be a mapping")
+        unknown = set(doc) - set(_FIELDS) - _CHANNEL_KEYS
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        if "n_users" not in doc:
+            raise ValueError("n_users is required")
+        n = integer("n_users", doc["n_users"], 1)
+        antennas = doc.get("receive_antennas")
+        if antennas is not None:
+            antennas = integer("receive_antennas", antennas, n)
 
-    if "n_users" not in doc:
-        raise ValueError(f"{source}: n_users is required")
-    n = _integer(doc, "n_users", source)
-    if n < 1:
-        raise ValueError(f"{source}: n_users must be >= 1, got {n}")
-
-    antennas = None
-    if doc.get("receive_antennas") is not None:
-        antennas = _integer(doc, "receive_antennas", source)
-        if antennas < n:
-            raise ValueError(
-                f"{source}: receive_antennas {antennas} < n_users {n}"
-            )
-
-    has_db = "delta_db" in doc
-    has_csv = "channel_csv" in doc
-    if has_db == has_csv:
-        raise ValueError(f"{source}: exactly one of delta_db / channel_csv must be given")
-    if has_db:
-        delta = gains_from_db(_broadcast(doc, "delta_db", n, source))
-    else:
-        if "sigma2_watts" not in doc:
-            raise ValueError(f"{source}: channel_csv requires sigma2_watts")
-        path = os.path.join(base_dir, str(doc["channel_csv"]))
-        h = load_channel_csv(path, n)
-        if antennas is not None and h.shape[0] != antennas:
-            raise ValueError(
-                f"{source}: channel CSV has {h.shape[0]} rows, expected receive_antennas {antennas}"
-            )
-        delta = compute_effective_gains(h, _number(doc, "sigma2_watts", source))
-
-    for key in ("w", "p_max_individual_watts", "p_circuit_watts", "p_sum_max_watts"):
-        if key not in doc:
-            raise ValueError(f"{source}: {key} is required")
-
-    scenario = Scenario(
-        w=_broadcast(doc, "w", n, source),
-        p_circuit=_broadcast(doc, "p_circuit_watts", n, source),
-        p_max=_broadcast(doc, "p_max_individual_watts", n, source),
-        delta=delta,
-        p_sum_max=_number(doc, "p_sum_max_watts", source),
-    )
-
-    pd_kwargs = {}
-    for key, attr in _PD_KEYS.items():
-        if key not in doc:
-            continue
-        if attr in ("k", "init_p"):
-            pd_kwargs[attr] = _broadcast(doc, key, n, source)
-        elif attr == "max_steps":
-            pd_kwargs[attr] = doc[key]  # PdSettings holds the integer rule
+        if ("delta_db" in doc) == ("channel_csv" in doc):
+            raise ValueError("exactly one of delta_db / channel_csv must be given")
+        if "delta_db" in doc:
+            if "sigma2_watts" in doc:
+                raise ValueError("sigma2_watts applies only with channel_csv, not with delta_db")
+            delta = gains_from_db(_broadcast("delta_db", doc["delta_db"], n))
         else:
-            pd_kwargs[attr] = _number(doc, key, source)
-    return LoadedScenario(scenario=scenario, pd=PdSettings(**pd_kwargs))
+            if "sigma2_watts" not in doc:
+                raise ValueError("channel_csv requires sigma2_watts")
+            h = load_channel_csv(os.path.join(base_dir, str(doc["channel_csv"])), n)
+            if antennas is not None and h.shape[0] != antennas:
+                raise ValueError(f"channel CSV has {h.shape[0]} rows, expected receive_antennas {antennas}")
+            delta = compute_effective_gains(h, _number("sigma2_watts", doc["sigma2_watts"]))
+
+        kwargs = {Scenario: {"delta": delta}, PdSettings: {}}
+        for key, (cls, field, read) in _FIELDS.items():
+            if key in doc:
+                kwargs[cls][field] = read(key, doc[key], n)
+            elif cls is Scenario:
+                raise ValueError(f"{key} is required")
+        return LoadedScenario(scenario=Scenario(**kwargs[Scenario]), pd=PdSettings(**kwargs[PdSettings]))
 
 
 def load_scenario(path) -> LoadedScenario:
     """Read and validate a scenario YAML file."""
-    with open(path) as f:
+    with _naming(path), open(path) as f:
         try:
             doc = yaml.load(f, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             # the parser's message spans several lines; the CLI prints one
-            raise ValueError(f"{path}: malformed YAML: {' '.join(str(exc).split())}") from exc
+            raise ValueError(f"malformed YAML: {' '.join(str(exc).split())}") from exc
     return build_scenario(doc, base_dir=os.path.dirname(os.path.abspath(path)), source=str(path))

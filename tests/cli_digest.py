@@ -2,19 +2,26 @@
 
     python tests/cli_digest.py
 
-This runs 12 commands through mupower.cli.main, in this order:
+This runs 12 commands on the bundled scenarios through mupower.cli.main,
+in this order:
 
     solve            fig2, fig3 and fig4, each without and then with --out
     sweep-diversity  fig2 at --grid 41 (with --out) and --grid 7 (to stdout)
     sweep-fairness   fig3 at --grid 41 (with --out) and --grid 9 (to stdout)
     primal-dual      fig4 without and then with --out
 
-and prints one line per command: the command, its exit code, the SHA-256
-of what it wrote to stdout and the SHA-256 of its --out file ("-" when it
-was given none). Two checkouts that print the same lines on one host wrote
-the same bytes. The package is imported from PYTHONPATH when it is there
-(so another checkout's src/ can be measured), else from this checkout's
-src/. Pytest does not collect this file.
+Then it runs `solve` on three invalid variants of fig2 written to a
+temporary directory: with pd_gain_dual: -1, with p_max_individual_watts:
+1.0e+31, and with sigma2_watts next to delta_db.
+
+It prints one line per run: the command, its exit code, and the SHA-256
+of what it wrote to stdout, of its --out file ("-" when it was given none)
+and of its stderr, in which the temporary directory's path is replaced by
+"$TMP" so that the error lines hash the same from run to run. Two
+checkouts that print the same lines on one host wrote the same bytes. The
+package is imported from PYTHONPATH when it is there (so another
+checkout's src/ can be measured), else from this checkout's src/. Pytest
+does not collect this file.
 """
 import contextlib
 import hashlib
@@ -42,6 +49,12 @@ RUNS = [
     ("primal-dual", "fig4", [], False),
     ("primal-dual", "fig4", [], True),
 ]
+# (file name, line of fig2.yaml, its replacement); each makes solve exit 1
+INVALID = [
+    ("pd_gain_dual.yaml", "p_sum_max_watts: 1.5", "p_sum_max_watts: 1.5\npd_gain_dual: -1"),
+    ("p_max.yaml", "p_max_individual_watts: 1.0", "p_max_individual_watts: 1.0e+31"),
+    ("sigma2.yaml", "p_sum_max_watts: 1.5", "p_sum_max_watts: 1.5\nsigma2_watts: 1.0"),
+]
 
 
 def _sha256(data: bytes) -> str:
@@ -50,18 +63,29 @@ def _sha256(data: bytes) -> str:
 
 def main() -> int:
     lines = []
+    fig2 = (ROOT / "scenarios" / "fig2.yaml").read_text()
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (command, fig, extra, with_out) in enumerate(RUNS):
-            argv = [command, "--scenario", str(ROOT / "scenarios" / f"{fig}.yaml"), *extra]
+        runs = [(command, fig, str(ROOT / "scenarios" / f"{fig}.yaml"), extra, with_out)
+                for command, fig, extra, with_out in RUNS]
+        for name, old, new in INVALID:
+            assert old in fig2, old
+            Path(tmp, name).write_text(fig2.replace(old, new))
+            runs.append(("solve", name, os.path.join(tmp, name), [], False))
+        for i, (command, label, scenario, extra, with_out) in enumerate(runs):
+            argv = [command, "--scenario", scenario, *extra]
             out = os.path.join(tmp, f"{i}.csv")
             if with_out:
                 argv += ["--out", out]
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
             out_digest = _sha256(Path(out).read_bytes()) if with_out else "-"
-            name = " ".join([command, fig, *extra, *(["--out"] if with_out else [])])
-            lines.append(f"{name}: exit {code} stdout {_sha256(stdout.getvalue().encode())} out {out_digest}")
+            err = stderr.getvalue().replace(tmp, "$TMP")
+            name = " ".join([command, label, *extra, *(["--out"] if with_out else [])])
+            lines.append(
+                f"{name}: exit {code} stdout {_sha256(stdout.getvalue().encode())} out {out_digest}"
+                f" stderr {_sha256(err.encode())}"
+            )
     print("\n".join(lines))
     return 0
 

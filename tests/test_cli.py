@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mupower import cli, jain_index, utility
+from mupower import SingularGramError, cli, jain_index, utility
 from mupower.cli import cmd_primal_dual, cmd_solve, cmd_sweep_diversity, cmd_sweep_fairness, main
 from mupower.scenario import build_scenario, load_scenario
 
@@ -124,6 +125,9 @@ def test_rank_deficient_channel_csv_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "condition estimate" in err
     assert len(err.splitlines()) == 1
+    # the loader names the file and keeps the class
+    with pytest.raises(SingularGramError, match=f"^{re.escape(str(path))}: "):
+        load_scenario(path)
 
 
 def test_solver_and_pd_overrides(tmp_path):
@@ -221,6 +225,10 @@ def test_solve_huge_budget_returns_caps(tmp_path):
 
 def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
     (tmp_path / "h.csv").write_text("1+0j,0+0j\n0+0j,1+0j\n")
+    # two equal columns, and a byte that is not UTF-8
+    (tmp_path / "rank1.csv").write_text("1+0j,1+0j\n0.5+0j,0.5+0j\n0+1j,0+1j\n")
+    (tmp_path / "ff.csv").write_bytes(b"1+0j,0+0j\n0+0j,1\xff+0j\n")
+    tail = "p_sum_max_watts: 1.5"
     for old, new, message in (
         ("w: [0.5, 0.5]", "w: [1.2, 0.5]", "w must lie in [0, 1]"),
         ("p_max_individual_watts: 1.0", "p_max_individual_watts: 1.0e+31",
@@ -233,12 +241,19 @@ def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
         # an unclosed flow sequence and a tab indent
         ("w: [0.5, 0.5]", "w: [0.5, 0.5", "sc.yaml: malformed YAML: "),
         ("w: [0.5, 0.5]", "\tw: [0.5, 0.5]", "sc.yaml: malformed YAML: "),
+        (tail, tail + "\npd_gain_dual: -1", "dual gain g must be finite and > 0, got -1.0"),
+        (tail, tail + "\npd_max_steps: 250.5", "max_steps must be an integer >= 1, got 250.5"),
+        ("n_users: 2", "n_users: 2.7", "n_users must be an integer >= 1, got 2.7"),
+        ("receive_antennas: 2\ndelta_db: [20.0, 20.0]", "receive_antennas: 3\nchannel_csv: rank1.csv\nsigma2_watts: 1.0",
+         "condition estimate"),
+        ("delta_db: [20.0, 20.0]", "channel_csv: ff.csv\nsigma2_watts: 1.0", "can't decode byte 0xff"),
+        (tail, tail + "\nsigma2_watts: 1.0", "sigma2_watts applies only with channel_csv"),
     ):
         path = write_scenario(tmp_path, BASE.replace(old, new))
         code = main(["solve", "--scenario", str(path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith(f"error: {path}: ") and message in err
         assert len(err.splitlines()) == 1
 
 
