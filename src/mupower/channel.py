@@ -19,6 +19,7 @@ kappa_2 between GRAM_CONDITION_LIMIT / N^1.5 and the limit.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -33,6 +34,19 @@ _INV_LEAF = 64
 
 class SingularGramError(ValueError):
     """Channel Gram matrix H^H H is singular or too ill-conditioned to invert."""
+
+
+@contextmanager
+def _naming(source, names=None):
+    """Re-raise a ValueError as "<source>: <message>", its first word renamed by
+    names. A SingularGramError keeps its class and any other becomes a plain
+    ValueError, as some (UnicodeDecodeError) take other constructor arguments."""
+    try:
+        yield
+    except ValueError as exc:
+        first, space, rest = str(exc).partition(" ")
+        cls = SingularGramError if isinstance(exc, SingularGramError) else ValueError
+        raise cls(f"{source}: {(names or {}).get(first, first)}{space}{rest}") from exc
 
 
 def compute_effective_gains(h, sigma2: float) -> np.ndarray:
@@ -116,15 +130,15 @@ def load_channel_csv(path, n_users: int) -> np.ndarray:
       * N columns of complex literals, e.g. ``0.3+0.5j``;
       * 2N real columns as (re, im) pairs per user.
     The layout is inferred from the column count of the first non-blank
-    row; blank lines are skipped.
+    row; blank lines are skipped. Every ValueError names the file.
     """
-    with open(path) as f:
+    with _naming(path), open(path) as f:
         # rows are parsed as they are read: a list of every line would put
         # the whole file's text on the heap at once
         rows = (line for line in f if line.strip())
         first = next(rows, None)
         if first is None:
-            raise ValueError(f"empty channel CSV: {path}")
+            raise ValueError("empty channel CSV")
         width = first.count(",") + 1
         if width not in (n_users, 2 * n_users):
             raise ValueError(
@@ -132,10 +146,7 @@ def load_channel_csv(path, n_users: int) -> np.ndarray:
                 f"or {2 * n_users} (re, im) columns"
             )
         dtype = complex if width == n_users else float
-        try:
-            cells = np.loadtxt(chain([first], rows), delimiter=",", dtype=dtype, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"bad channel CSV {path}: {exc}") from exc
+        cells = np.loadtxt(chain([first], rows), delimiter=",", dtype=dtype, comments=None, ndmin=2)
     if dtype is complex:
         return cells
     return cells[:, 0::2] + 1j * cells[:, 1::2]

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import P_FLOOR, Allocation, Scenario, solve_centralized
+from .solver import P_FLOOR, Allocation, Scenario, _checked, solve_centralized
 from .utility import utility
 
 # A run has converged once neither a power nor the price moves more than this in a step.
@@ -74,8 +74,8 @@ def integer(name, value, low) -> int:
 class PdSettings:
     """Gains, start and step budget for the primal-dual integrator.
 
-    k may be a scalar (broadcast over users) or a per-user vector;
-    init_p defaults to half the individual caps when left as None.
+    k and init_p hold a scalar or one entry per user, and init_p = None starts
+    from half the caps. solver._RULES checks each number; integrate, the shapes.
     """
 
     k: float | np.ndarray = 1e-3
@@ -85,13 +85,11 @@ class PdSettings:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        k = np.asarray(self.k, dtype=float)
-        if not np.all(np.isfinite(k) & (k > 0)):
-            raise ValueError(f"primal gains k must be finite and > 0, got {self.k!r}")
-        if not (math.isfinite(self.g) and self.g > 0):
-            raise ValueError(f"dual gain g must be finite and > 0, got {self.g!r}")
-        if not (math.isfinite(self.init_lambda) and self.init_lambda >= 0):
-            raise ValueError(f"init_lambda must be finite and >= 0, got {self.init_lambda!r}")
+        shapes = {"k": np.shape(self.k), "g": (), "init_lambda": ()}
+        if self.init_p is not None:
+            shapes["init_p"] = np.shape(self.init_p)
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, _checked(name, getattr(self, name), shape))
         object.__setattr__(self, "max_steps", integer("max_steps", self.max_steps, 1))
 
 
@@ -116,8 +114,7 @@ def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
     """Gain-weighted squared distance to the reference point (0 iff equal),
     one per state when p stacks R states as (R, N) and lam as (R,)."""
     p = np.asarray(p, dtype=float)
-    k = np.broadcast_to(np.asarray(settings.k, dtype=float), p.shape)
-    dist_p = np.sum((p - np.asarray(p_star)) ** 2 / k, axis=-1)
+    dist_p = np.sum((p - np.asarray(p_star)) ** 2 / settings.k, axis=-1)
     return 0.5 * dist_p + (lam - lam_star) ** 2 / (2.0 * settings.g)
 
 
@@ -197,9 +194,8 @@ def integrate(
     outside (0, p_u], and FloatingPointError once the state is non-finite.
     """
     settings = settings or PdSettings()
-    k, g, n = settings.k, settings.g, sc.n_users
-    if np.ndim(k) > 1 or np.size(k) not in (1, n):
-        raise ValueError(f"k has shape {np.shape(k)}, expected a scalar or {(n,)}")
+    n, g, lam = sc.n_users, settings.g, settings.init_lambda
+    k = _checked("k", settings.k, (n,))
     if reference is None:
         reference = solve_centralized(sc)
     p_u, p_star, lam_star = reference.p_u, reference.p, reference.lam
@@ -208,13 +204,10 @@ def integrate(
     if settings.init_p is None:
         p = 0.5 * p_u
     else:
-        p = np.array(settings.init_p, dtype=float)
-        if p.shape != p_u.shape:
-            raise ValueError(f"init_p has shape {p.shape}, expected {p_u.shape}")
-        if not np.all((p > 0) & (p <= p_u)):
+        p = _checked("init_p", settings.init_p, (n,))
+        if not np.all(p <= p_u):
             raise ValueError("init_p must lie in (0, p_u]")
     p = np.clip(p, P_FLOOR, p_u)
-    lam = float(settings.init_lambda)
 
     # u_cap_i is U_i'(p_u_i) by the step's own expression, for the parked skip
     users = []

@@ -19,21 +19,23 @@ when that key is given. pd_* keys override primal-dual settings; the
 solver's tolerances and the record cadence are fixed and have no keys.
 Unknown keys are rejected.
 
-Every ValueError raised while reading or building a scenario, by the
-loader, Scenario, PdSettings or the channel code, is re-raised as
-"<file>: <message>", so every error names the file; a SingularGramError
+Errors name their source, all through channel._naming: every ValueError
+raised while reading or building a scenario is re-raised as "<file>:
+<message>", one from a channel CSV as "<file>: <csv>: <message>", and a
+Scenario or PdSettings message names the YAML key, not the field ("<file>:
+pd_gain_dual must be finite and > 0, got -1.0"). A SingularGramError
 keeps its class.
 """
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .channel import SingularGramError, compute_effective_gains, gains_from_db, load_channel_csv
+from .channel import _naming, compute_effective_gains, gains_from_db, load_channel_csv
 from .primal_dual import PdSettings, integer
 from .solver import Scenario
 
@@ -51,11 +53,11 @@ class LoadedScenario:
 
 
 def _broadcast(key, value, n):
-    """A per-user vector from a number or a list of n numbers."""
-    try:
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError, OverflowError):
-        arr = None
+    """A per-user vector from a number or a list of n numbers; a bool is not a number."""
+    arr = None
+    if not any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        with suppress(TypeError, ValueError, OverflowError):
+            arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr is None or arr.ndim != 1:
         raise ValueError(f"{key} must be a number or a list of {n} numbers, got {value!r}")
     if arr.size == 1:
@@ -66,11 +68,11 @@ def _broadcast(key, value, n):
 
 
 def _number(key, value, n=None):
-    """A real number; a list, a mapping or null is an error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    """A real number; a bool, a list, a mapping or null is an error."""
+    if not isinstance(value, bool):
+        with suppress(TypeError, ValueError, OverflowError):
+            return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 # YAML key -> (constructor, field, reader). Every Scenario key is required;
@@ -87,28 +89,15 @@ _FIELDS = {
     "pd_init_lambda": (PdSettings, "init_lambda", _number),
     "pd_max_steps": (PdSettings, "max_steps", lambda key, value, n: value),
 }
+# field -> YAML key, for the constructors' messages, which start with the field
+_KEYS = {field: key for key, (cls, field, read) in _FIELDS.items()}
 # the keys that set N and delta, which build_scenario reads itself
 _CHANNEL_KEYS = {"n_users", "receive_antennas", "delta_db", "channel_csv", "sigma2_watts"}
 
 
-@contextmanager
-def _naming(source):
-    """Re-raise a ValueError as "<source>: <message>"; SingularGramError keeps its class.
-
-    A plain ValueError is raised rather than type(exc)(...), since some
-    subclasses (UnicodeDecodeError) take other constructor arguments.
-    """
-    try:
-        yield
-    except SingularGramError as exc:
-        raise SingularGramError(f"{source}: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from exc
-
-
 def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> LoadedScenario:
     """Validate a scenario mapping and assemble the solver structures."""
-    with _naming(source):
+    with _naming(source, _KEYS):
         if not isinstance(doc, dict):
             raise ValueError("scenario document must be a mapping")
         unknown = set(doc) - set(_FIELDS) - _CHANNEL_KEYS

@@ -53,12 +53,18 @@ _EPS = float(np.finfo(float).eps)
 # warning; a limit below the floor would leave the box [P_FLOOR, p_max] empty.
 _IN_RANGE = ("be > 0 and in [1e-30, 1e30]", lambda v: (v >= 1e-30) & (v <= 1e30))
 
-# Per-user input rules: what the values must satisfy, and the test.
+# The rule of every number Scenario and PdSettings hold: what it must satisfy,
+# and the test, besides being finite; integrate tests init_p <= p_u itself.
 _RULES = {
     "w": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "p_circuit": _IN_RANGE,
     "p_max": (f"be > 0 and in [P_FLOOR = {P_FLOOR} W, 1e30]", lambda v: (v >= P_FLOOR) & (v <= 1e30)),
     "delta": _IN_RANGE,
+    "p_sum_max": ("be > 0", lambda v: v > 0),
+    "k": ("be finite and > 0", lambda v: v > 0),
+    "g": ("be finite and > 0", lambda v: v > 0),
+    "init_p": ("lie in (0, p_u]", lambda v: v > 0),
+    "init_lambda": ("be finite and >= 0", lambda v: v >= 0),
 }
 
 
@@ -74,21 +80,20 @@ class BudgetCase(enum.Enum):
 
 
 def _checked(name, value, shape):
-    """value as a read-only float array of the given shape, after name's rule.
-
-    A scalar or one-entry value broadcasts; the last axis holds the users.
-    """
+    """value after name's rule: a float for shape (), else a read-only float
+    array of that shape, to which a scalar or one-entry value broadcasts (the
+    last axis holds the users). Every error message starts with name."""
     rule, ok = _RULES[name]
     value = np.asarray(value, dtype=float)
     if value.ndim > len(shape) or (value.size != 1 and value.shape != shape):
-        expected = f"a scalar or {shape} ({shape[-1]} effective gains)"
+        expected = f"a scalar or {shape} ({shape[-1]} effective gains)" if shape else "a scalar"
         raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
     arr = np.broadcast_to(value, shape).copy()
     bad = ~(np.isfinite(arr) & ok(arr))
     if bad.any():
         raise ValueError(f"{name} must {rule}, got {arr[bad][0]}")
     arr.setflags(write=False)
-    return arr
+    return arr if shape else float(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +102,8 @@ class Scenario:
 
     delta (linear effective gains, 1/W) is a non-empty vector that sets the
     number of users N. w (SE/EE preference weight), p_circuit and p_max (W)
-    hold one entry per user, and scalars broadcast to N. The vectors are
-    checked by _RULES and stored as read-only float arrays, so
+    hold one entry per user, and scalars broadcast to N. Every field is
+    checked by _RULES, and the vectors are stored as read-only float arrays, so
     dataclasses.replace(sc, w=...) yields a checked variant. The budget must
     cover every user at the floor. Scenarios compare and hash by identity.
     """
@@ -115,14 +120,12 @@ class Scenario:
             raise ValueError(f"delta must be a non-empty vector, got shape {delta.shape}")
         for name in ("delta", "w", "p_circuit", "p_max"):
             object.__setattr__(self, name, _checked(name, getattr(self, name), delta.shape))
+        object.__setattr__(self, "p_sum_max", _checked("p_sum_max", self.p_sum_max, ()))
         n = delta.size
-        if not (np.isfinite(self.p_sum_max) and self.p_sum_max > 0):
-            raise ValueError(f"p_sum_max must be > 0, got {self.p_sum_max}")
         if self.p_sum_max < n * P_FLOOR:
             raise ValueError(
                 f"p_sum_max {self.p_sum_max} is below n_users * p_floor = {n * P_FLOOR}"
             )
-        object.__setattr__(self, "p_sum_max", float(self.p_sum_max))
 
     @property
     def n_users(self) -> int:

@@ -10,9 +10,10 @@ in this order:
     sweep-fairness   fig3 at --grid 41 (with --out) and --grid 9 (to stdout)
     primal-dual      fig4 without and then with --out
 
-Then it runs `solve` on three invalid variants of fig2 written to a
+Then it runs `solve` on five invalid variants of fig2 written to a
 temporary directory: with pd_gain_dual: -1, with p_max_individual_watts:
-1.0e+31, and with sigma2_watts next to delta_db.
+1.0e+31, with sigma2_watts next to delta_db, with p_sum_max_watts: true,
+and with a channel CSV holding the byte 0xff in place of delta_db.
 
 It prints one line per run: the command, its exit code, and the SHA-256
 of what it wrote to stdout, of its --out file ("-" when it was given none)
@@ -54,7 +55,11 @@ INVALID = [
     ("pd_gain_dual.yaml", "p_sum_max_watts: 1.5", "p_sum_max_watts: 1.5\npd_gain_dual: -1"),
     ("p_max.yaml", "p_max_individual_watts: 1.0", "p_max_individual_watts: 1.0e+31"),
     ("sigma2.yaml", "p_sum_max_watts: 1.5", "p_sum_max_watts: 1.5\nsigma2_watts: 1.0"),
+    ("p_sum_bool.yaml", "p_sum_max_watts: 1.5", "p_sum_max_watts: true"),
+    ("ff_csv.yaml", "delta_db: [20.0, 20.0]", "channel_csv: ff.csv\nsigma2_watts: 1.0"),
 ]
+# the channel CSV of ff_csv.yaml: not UTF-8
+FF_CSV = b"1+0j,0+0j\n0+0j,1\xff+0j\n"
 
 
 def _sha256(data: bytes) -> str:
@@ -65,6 +70,7 @@ def main() -> int:
     lines = []
     fig2 = (ROOT / "scenarios" / "fig2.yaml").read_text()
     with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "ff.csv").write_bytes(FF_CSV)
         runs = [(command, fig, str(ROOT / "scenarios" / f"{fig}.yaml"), extra, with_out)
                 for command, fig, extra, with_out in RUNS]
         for name, old, new in INVALID:

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mupower import SingularGramError, cli, jain_index, utility
+from mupower import SingularGramError, cli, jain_index, load_channel_csv, utility
 from mupower.cli import cmd_primal_dual, cmd_solve, cmd_sweep_diversity, cmd_sweep_fairness, main
-from mupower.scenario import build_scenario, load_scenario
+from mupower.scenario import _FIELDS, build_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -149,6 +149,8 @@ def test_solver_and_pd_overrides(tmp_path):
     pytest.param("p_sum_max_watts", "1" + "0" * 400, id="p_sum_max_watts-int-1e400"),
     ("sigma2_watts", "[1.0]"), ("sigma2_watts", "null"),
     ("pd_gain_dual", "[0.01]"), ("pd_init_lambda", "null"), ("pd_init_lambda", "abc"),
+    # YAML booleans are not numbers, as n_users: true is not a count
+    ("p_sum_max_watts", "true"), ("pd_gain_dual", "true"),
 ])
 def test_scalar_key_not_a_number_exits_one(tmp_path, capsys, key, value):
     (tmp_path / "h.csv").write_text("1+0j,0+0j\n0+0j,1+0j\n")
@@ -163,12 +165,40 @@ def test_scalar_key_not_a_number_exits_one(tmp_path, capsys, key, value):
     ("w", "{a: 1}"), ("p_circuit_watts", "[[0.1]]"), ("pd_gain_primal", "{a: 1}"),
     ("delta_db", "[[20.0, 20.0]]"), ("p_max_individual_watts", "[1.0, abc]"),
     pytest.param("pd_init_p_watts", "1" + "0" * 400, id="pd_init_p_watts-int-1e400"),
+    ("w", "[true, false]"),
 ])
 def test_vector_key_not_numbers_exits_one(tmp_path, capsys, key, value):
     lines = [line for line in BASE.splitlines() if not line.startswith(f"{key}:")]
     path = write_scenario(tmp_path, "\n".join(lines + [f"{key}: {value}"]) + "\n")
     assert main(["primal-dual", "--scenario", str(path)]) == 1
     assert f"{key} must be a number or a list of 2 numbers, got " in capsys.readouterr().err
+
+
+# a bad value of each constructor key, and the start of its message
+BAD_VALUES = {
+    "w": ("[0.5, 1.2]", "w must lie in [0, 1], got 1.2"),
+    "p_circuit_watts": ("-0.1", "p_circuit_watts must be > 0 and in [1e-30, 1e30], got -0.1"),
+    "p_max_individual_watts": ("1.0e+31", "p_max_individual_watts must be > 0 and in [P_FLOOR = 1e-09 W, 1e30], got 1e+31"),
+    "p_sum_max_watts": ("-1", "p_sum_max_watts must be > 0, got -1.0"),
+    "pd_gain_primal": ("[0.001, 0]", "pd_gain_primal must be finite and > 0, got 0.0"),
+    "pd_gain_dual": (".inf", "pd_gain_dual must be finite and > 0, got inf"),
+    "pd_init_p_watts": ("-0.5", "pd_init_p_watts must lie in (0, p_u], got -0.5"),
+    "pd_init_lambda": ("-1", "pd_init_lambda must be finite and >= 0, got -1.0"),
+    "pd_max_steps": ("0", "pd_max_steps must be an integer >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_VALUES))
+def test_bad_value_error_names_the_file_and_key(tmp_path, capsys, key):
+    # the constructors' messages start with the field; the loader names the key
+    assert set(BAD_VALUES) == set(_FIELDS)
+    value, message = BAD_VALUES[key]
+    lines = [line for line in BASE.splitlines() if not line.startswith(f"{key}:")]
+    path = write_scenario(tmp_path, "\n".join(lines + [f"{key}: {value}"]) + "\n")
+    assert main(["primal-dual", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+    assert len(err.splitlines()) == 1
 
 
 # -------------------------------------------------------------------- solve
@@ -232,7 +262,7 @@ def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
     for old, new, message in (
         ("w: [0.5, 0.5]", "w: [1.2, 0.5]", "w must lie in [0, 1]"),
         ("p_max_individual_watts: 1.0", "p_max_individual_watts: 1.0e+31",
-         "p_max must be > 0 and in [P_FLOOR = 1e-09 W, 1e30], got 1e+31"),
+         "p_max_individual_watts must be > 0 and in [P_FLOOR = 1e-09 W, 1e30], got 1e+31"),
         ("delta_db: [20.0, 20.0]", "delta_db: 400", "delta must be > 0 and in [1e-30, 1e30], got 1e+40"),
         # 10^400 and 1 / 1e-320 overflow to inf gains, with no RuntimeWarning
         ("delta_db: [20.0, 20.0]", "delta_db: 4000", "delta must be > 0 and in [1e-30, 1e30], got inf"),
@@ -241,13 +271,17 @@ def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
         # an unclosed flow sequence and a tab indent
         ("w: [0.5, 0.5]", "w: [0.5, 0.5", "sc.yaml: malformed YAML: "),
         ("w: [0.5, 0.5]", "\tw: [0.5, 0.5]", "sc.yaml: malformed YAML: "),
-        (tail, tail + "\npd_gain_dual: -1", "dual gain g must be finite and > 0, got -1.0"),
+        (tail, tail + "\npd_gain_dual: -1", "pd_gain_dual must be finite and > 0, got -1.0"),
         (tail, tail + "\npd_max_steps: 250.5", "max_steps must be an integer >= 1, got 250.5"),
         ("n_users: 2", "n_users: 2.7", "n_users must be an integer >= 1, got 2.7"),
         ("receive_antennas: 2\ndelta_db: [20.0, 20.0]", "receive_antennas: 3\nchannel_csv: rank1.csv\nsigma2_watts: 1.0",
          "condition estimate"),
         ("delta_db: [20.0, 20.0]", "channel_csv: ff.csv\nsigma2_watts: 1.0", "can't decode byte 0xff"),
         (tail, tail + "\nsigma2_watts: 1.0", "sigma2_watts applies only with channel_csv"),
+        (BASE, "- 1\n- 2\n", "scenario document must be a mapping"),
+        ("n_users: 2\n", "", "n_users is required"),
+        ("delta_db: [20.0, 20.0]", "channel_csv: h.csv", "channel_csv requires sigma2_watts"),
+        (tail, "", "p_sum_max_watts is required"),
     ):
         path = write_scenario(tmp_path, BASE.replace(old, new))
         code = main(["solve", "--scenario", str(path)])
@@ -255,13 +289,21 @@ def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
         assert len(err.splitlines()) == 1
+    # a CSV error names the CSV once, loaded directly or through the scenario
+    csv = str(tmp_path / "ff.csv")
+    with pytest.raises(ValueError, match=f"^{re.escape(csv)}: 'utf-8' codec can't decode byte 0xff"):
+        load_channel_csv(csv, 2)
+    path = write_scenario(tmp_path, BASE.replace("delta_db: [20.0, 20.0]", "channel_csv: ff.csv\nsigma2_watts: 1.0"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(csv)}: 'utf-8' codec") as info:
+        load_scenario(path)
+    assert str(info.value).count(csv) == 1
 
 
 def test_solve_p_max_below_the_floor_exits_one(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE.replace("p_max_individual_watts: 1.0", "p_max_individual_watts: 1.0e-12"))
     code = main(["solve", "--scenario", str(path)])
     assert code == 1
-    assert "p_max must be > 0 and in [P_FLOOR = 1e-09 W, 1e30], got 1e-12" in capsys.readouterr().err
+    assert "p_max_individual_watts must be > 0 and in [P_FLOOR = 1e-09 W, 1e30], got 1e-12" in capsys.readouterr().err
 
 
 def test_solve_missing_file_exits_one(capsys):
@@ -287,10 +329,14 @@ def test_sweep_diversity_small_grid(tmp_path):
             assert vals[2] == pytest.approx(vals[3], abs=1e-9)
 
 
-def test_sweep_diversity_rejects_other_sizes(capsys):
+def test_sweep_diversity_rejects_other_sizes(tmp_path, capsys):
     code = main(["sweep-diversity", "--scenario", str(SCENARIOS / "fig4.yaml")])
     assert code == 1
     assert "2-user" in capsys.readouterr().err
+    three = write_scenario(tmp_path, "n_users: 3\ndelta_db: 10.0\nw: 0.4\np_max_individual_watts: 1.0\n"
+                                     "p_circuit_watts: 0.1\np_sum_max_watts: 2.0\n")
+    assert main(["sweep-fairness", "--scenario", str(three)]) == 1
+    assert capsys.readouterr().err == "error: sweep-fairness needs a 2-user scenario, got N=3\n"
 
 
 def test_sweep_invalid_override_exits_one(monkeypatch, capsys):
@@ -373,6 +419,21 @@ def test_primal_dual_strict_nonconvergence(tmp_path, capsys):
     assert code == 2
     code = main(["primal-dual", "--scenario", str(path)])
     assert code == 0
+
+
+def test_kkt_failure_exits_two(tmp_path, capsys):
+    # a row whose tight solve fails its certificate: both commands solve it
+    path = write_scenario(
+        tmp_path,
+        "n_users: 2\nreceive_antennas: 2\ndelta_db: [0.0, 0.0]\nw: [0.0, 0.7]\n"
+        "p_max_individual_watts: 1.0e-3\np_circuit_watts: 1.0e-6\np_sum_max_watts: 1.0e-8\n",
+    )
+    for command in ("solve", "primal-dual"):
+        assert main([command, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: row 0: KKT residual ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class _ClosingPipe(io.StringIO):

@@ -443,6 +443,11 @@ def test_init_p_validation():
         integrate(sc, PdSettings(init_p=np.full(4, 10.0)))
     with pytest.raises(ValueError, match="init_p"):
         integrate(sc, PdSettings(init_p=np.array([np.nan, 0.1, 0.1, 0.1])))
+    with pytest.raises(ValueError, match=re.escape("init_p has shape (3,), expected a scalar or (4,)")):
+        integrate(sc, PdSettings(init_p=np.full(3, 0.01)))
+    # a scalar init_p broadcasts over the users
+    runs = [integrate(sc, PdSettings(init_p=p, max_steps=50)) for p in (0.01, np.full(4, 0.01))]
+    assert np.array_equal(runs[0].p, runs[1].p)
     for k in (np.full((4, 1), 1e-3), np.full(3, 1e-3)):
         with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
             integrate(sc, PdSettings(k=k))
