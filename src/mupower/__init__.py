@@ -7,19 +7,13 @@ primal-dual integration, both with full KKT / Lyapunov verification
 instrumentation.
 """
 
-from .channel import (
-    SingularGramError,
-    compute_effective_gains,
-    gains_from_db,
-    load_channel_csv,
-)
-from .primal_dual import PdSettings, Trajectory, integrate
-from .scenario import LoadedScenario, build_scenario, load_scenario
+from .channel import SingularGramError, compute_effective_gains, gains_from_db
+from .primal_dual import Trajectory, integrate
+from .scenario import LoadedScenario, PdSettings, Scenario, build_scenario, load_channel_csv, load_scenario
 from .solver import (
     Allocation,
     BudgetCase,
     ConvergenceError,
-    Scenario,
     compute_pu,
     kkt_residuals,
     solve_centralized,

@@ -6,10 +6,9 @@ where the effective gain is
 
     delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii)        [1/W]
 
-Experiments usually specify delta directly in dB, so the raw matrix path
-is optional: compute_effective_gains takes H and sigma2 and returns delta.
-Both paths return delta as a plain float vector; Scenario checks it by
-the same rule as its other per-user inputs.
+Experiments usually specify delta directly in dB, which gains_from_db
+converts; compute_effective_gains takes H and sigma2 instead. Both return
+delta as a plain float vector.
 
 A channel is rejected when the upper bound kappa_2(G) <= ||G||_1 * tr(G^-1)
 on the condition number of G = H^H H exceeds GRAM_CONDITION_LIMIT. It
@@ -18,9 +17,6 @@ bound is at most N^1.5 times kappa_2, so it also rejects some channels with
 kappa_2 between GRAM_CONDITION_LIMIT / N^1.5 and the limit.
 """
 from __future__ import annotations
-
-from contextlib import contextmanager
-from itertools import chain
 
 import numpy as np
 
@@ -34,19 +30,6 @@ _INV_LEAF = 64
 
 class SingularGramError(ValueError):
     """Channel Gram matrix H^H H is singular or too ill-conditioned to invert."""
-
-
-@contextmanager
-def _naming(source, names=None):
-    """Re-raise a ValueError as "<source>: <message>", its first word renamed by
-    names. A SingularGramError keeps its class and any other becomes a plain
-    ValueError, as some (UnicodeDecodeError) take other constructor arguments."""
-    try:
-        yield
-    except ValueError as exc:
-        first, space, rest = str(exc).partition(" ")
-        cls = SingularGramError if isinstance(exc, SingularGramError) else ValueError
-        raise cls(f"{source}: {(names or {}).get(first, first)}{space}{rest}") from exc
 
 
 def compute_effective_gains(h, sigma2: float) -> np.ndarray:
@@ -121,32 +104,3 @@ def gains_from_db(delta_db) -> np.ndarray:
     # check reports
     with np.errstate(over="ignore"):
         return 10.0 ** (delta_db / 10.0)
-
-
-def load_channel_csv(path, n_users: int) -> np.ndarray:
-    """Read an M x N complex channel matrix from CSV.
-
-    One row per receive antenna. Two cell layouts are accepted:
-      * N columns of complex literals, e.g. ``0.3+0.5j``;
-      * 2N real columns as (re, im) pairs per user.
-    The layout is inferred from the column count of the first non-blank
-    row; blank lines are skipped. Every ValueError names the file.
-    """
-    with _naming(path), open(path) as f:
-        # rows are parsed as they are read: a list of every line would put
-        # the whole file's text on the heap at once
-        rows = (line for line in f if line.strip())
-        first = next(rows, None)
-        if first is None:
-            raise ValueError("empty channel CSV")
-        width = first.count(",") + 1
-        if width not in (n_users, 2 * n_users):
-            raise ValueError(
-                f"channel CSV has {width} columns; expected {n_users} complex "
-                f"or {2 * n_users} (re, im) columns"
-            )
-        dtype = complex if width == n_users else float
-        cells = np.loadtxt(chain([first], rows), delimiter=",", dtype=dtype, comments=None, ndmin=2)
-    if dtype is complex:
-        return cells
-    return cells[:, 0::2] + 1j * cells[:, 1::2]

@@ -14,8 +14,8 @@ is jain_index of the users' utility.
 
 Every CSV is built by _csv, deterministic for a fixed scenario file. Each
 command writes stdout in one call, as a reader may close the pipe early
-(| head). Exit codes: 0 success, 1 input error, 2 solver non-convergence
-(primal-dual only fails so under --strict).
+(| head). Exit codes: 0 success, 1 input or usage error, 2 solver
+non-convergence (primal-dual only fails so under --strict).
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ import numpy as np
 
 from .channel import gains_from_db
 from .primal_dual import Trajectory, integrate
-from .scenario import LoadedScenario, load_scenario
-from .solver import P_FLOOR, BudgetCase, ConvergenceError, solve_batch, solve_centralized
+from .scenario import P_FLOOR, LoadedScenario, load_scenario
+from .solver import BudgetCase, ConvergenceError, solve_batch, solve_centralized
 from .utility import ee, jain_index, se, utility
 
 _FAIRNESS_DELTA1_DB = (-20.0, 0.0, 20.0)
@@ -168,7 +168,10 @@ def main(argv=None) -> int:
             p.add_argument("--grid", type=int, default=41, help="sweep points per axis")
         if name == "primal-dual":
             p.add_argument("--strict", action="store_true", help="nonzero exit on non-convergence")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 2, which means non-convergence here
+        return 1 if exc.code == 2 else exc.code
 
     try:
         if getattr(args, "grid", 1) < 1:

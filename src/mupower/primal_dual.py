@@ -48,49 +48,18 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import P_FLOOR, Allocation, Scenario, _checked, solve_centralized
+from .scenario import P_FLOOR, PdSettings, Scenario, _checked
+from .solver import Allocation, solve_centralized
 from .utility import utility
 
 # A run has converged once neither a power nor the price moves more than this in a step.
 TOL_EQ = 1e-10
 # Steps between two recorded states of a run.
 RECORD_EVERY = 100
-
-
-def integer(name, value, low) -> int:
-    """An integral count >= low: 1e3 is 1000, while 2.5, inf and True are errors."""
-    count = int(value) if isinstance(value, float) and value.is_integer() else value
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(count)
-
-
-@dataclass(frozen=True)
-class PdSettings:
-    """Gains, start and step budget for the primal-dual integrator.
-
-    k and init_p hold a scalar or one entry per user, and init_p = None starts
-    from half the caps. solver._RULES checks each number; integrate, the shapes.
-    """
-
-    k: float | np.ndarray = 1e-3
-    g: float = 1e-3
-    init_p: np.ndarray | None = None
-    init_lambda: float = 0.0
-    max_steps: int = 10_000_000
-
-    def __post_init__(self):
-        shapes = {"k": np.shape(self.k), "g": (), "init_lambda": ()}
-        if self.init_p is not None:
-            shapes["init_p"] = np.shape(self.init_p)
-        for name, shape in shapes.items():
-            object.__setattr__(self, name, _checked(name, getattr(self, name), shape))
-        object.__setattr__(self, "max_steps", integer("max_steps", self.max_steps, 1))
 
 
 @dataclass

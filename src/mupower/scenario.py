@@ -1,6 +1,7 @@
-"""Scenario files: flat key/value YAML with units spelled out in key names.
+"""The problem's inputs: the instance, the primal-dual settings, the rule of
+every number they hold, and the YAML and CSV files they are read from.
 
-Example::
+A scenario file is flat key/value YAML with units spelled out in key names::
 
     n_users: 2
     receive_antennas: 2
@@ -19,25 +20,174 @@ when that key is given. pd_* keys override primal-dual settings; the
 solver's tolerances and the record cadence are fixed and have no keys.
 Unknown keys are rejected.
 
-Errors name their source, all through channel._naming: every ValueError
-raised while reading or building a scenario is re-raised as "<file>:
-<message>", one from a channel CSV as "<file>: <csv>: <message>", and a
-Scenario or PdSettings message names the YAML key, not the field ("<file>:
+Errors name their source, all through _naming: every ValueError raised
+while reading or building a scenario is re-raised as "<file>: <message>",
+one from a channel CSV as "<file>: <csv>: <message>", and a Scenario or
+PdSettings message names the YAML key, not the field ("<file>:
 pd_gain_dual must be finite and > 0, got -1.0"). A SingularGramError
-keeps its class.
+keeps its class; any other becomes a plain ValueError, as some
+(UnicodeDecodeError) take other constructor arguments.
 """
 from __future__ import annotations
 
+import numbers
 import os
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import yaml
 
-from .channel import _naming, compute_effective_gains, gains_from_db, load_channel_csv
-from .primal_dual import PdSettings, integer
-from .solver import Scenario
+from .channel import SingularGramError, compute_effective_gains, gains_from_db
+
+# Arithmetic floor standing in for p = 0 (W); the lower bound of every power.
+P_FLOOR = 1e-9
+
+# Gains (1/W), circuit powers and power limits (W) are held well inside the
+# range where the closed-form caps are finite and raise no floating-point
+# warning; a limit below the floor would leave the box [P_FLOOR, p_max] empty.
+_IN_RANGE = ("be > 0 and in [1e-30, 1e30]", lambda v: (v >= 1e-30) & (v <= 1e30))
+
+# The rule of every number Scenario and PdSettings hold: what it must satisfy,
+# and the test, besides being finite; integrate tests init_p <= p_u itself.
+_RULES = {
+    "w": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "p_circuit": _IN_RANGE,
+    "p_max": (f"be > 0 and in [P_FLOOR = {P_FLOOR} W, 1e30]", lambda v: (v >= P_FLOOR) & (v <= 1e30)),
+    "delta": _IN_RANGE,
+    "p_sum_max": ("be > 0", lambda v: v > 0),
+    "k": ("be finite and > 0", lambda v: v > 0),
+    "g": ("be finite and > 0", lambda v: v > 0),
+    "init_p": ("lie in (0, p_u]", lambda v: v > 0),
+    "init_lambda": ("be finite and >= 0", lambda v: v >= 0),
+}
+
+
+def _checked(name, value, shape):
+    """value after name's rule: a float for shape (), else a read-only float
+    array of that shape, to which a scalar or one-entry value broadcasts (the
+    last axis holds the users). Every error message starts with name."""
+    rule, ok = _RULES[name]
+    value = np.asarray(value, dtype=float)
+    if value.ndim > len(shape) or (value.size != 1 and value.shape != shape):
+        expected = f"a scalar or {shape} ({shape[-1]} effective gains)" if shape else "a scalar"
+        raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
+    arr = np.broadcast_to(value, shape).copy()
+    bad = ~(np.isfinite(arr) & ok(arr))
+    if bad.any():
+        raise ValueError(f"{name} must {rule}, got {arr[bad][0]}")
+    arr.setflags(write=False)
+    return arr if shape else float(arr)
+
+
+def integer(name, value, low) -> int:
+    """An integral count >= low: 1e3 is 1000, while 2.5, inf and True are errors."""
+    count = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(count)
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A problem instance: per-user vectors and the budget (W).
+
+    delta (linear effective gains, 1/W) is a non-empty vector that sets the
+    number of users N. w (SE/EE preference weight), p_circuit and p_max (W)
+    hold one entry per user, and scalars broadcast to N. Every field is
+    checked by _RULES, and the vectors are stored as read-only float arrays, so
+    dataclasses.replace(sc, w=...) yields a checked variant. The budget must
+    cover every user at the floor. Scenarios compare and hash by identity.
+    """
+
+    w: np.ndarray
+    p_circuit: np.ndarray
+    p_max: np.ndarray
+    delta: np.ndarray
+    p_sum_max: float
+
+    def __post_init__(self):
+        delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
+        if delta.ndim != 1 or delta.size == 0:
+            raise ValueError(f"delta must be a non-empty vector, got shape {delta.shape}")
+        for name in ("delta", "w", "p_circuit", "p_max"):
+            object.__setattr__(self, name, _checked(name, getattr(self, name), delta.shape))
+        object.__setattr__(self, "p_sum_max", _checked("p_sum_max", self.p_sum_max, ()))
+        n = delta.size
+        if self.p_sum_max < n * P_FLOOR:
+            raise ValueError(
+                f"p_sum_max {self.p_sum_max} is below n_users * p_floor = {n * P_FLOOR}"
+            )
+
+    @property
+    def n_users(self) -> int:
+        return self.delta.size
+
+
+@dataclass(frozen=True, eq=False)
+class PdSettings:
+    """Gains, start and step budget for the primal-dual integrator.
+
+    k and init_p hold a scalar or one entry per user, and init_p = None starts
+    from half the caps. _RULES checks each number; integrate, the shapes.
+    Settings compare and hash by identity.
+    """
+
+    k: float | np.ndarray = 1e-3
+    g: float = 1e-3
+    init_p: np.ndarray | None = None
+    init_lambda: float = 0.0
+    max_steps: int = 10_000_000
+
+    def __post_init__(self):
+        shapes = {"k": np.shape(self.k), "g": (), "init_lambda": ()}
+        if self.init_p is not None:
+            shapes["init_p"] = np.shape(self.init_p)
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, _checked(name, getattr(self, name), shape))
+        object.__setattr__(self, "max_steps", integer("max_steps", self.max_steps, 1))
+
+
+@contextmanager
+def _naming(source, names=None):
+    """Re-raise a ValueError as the module docstring says, its first word renamed by names."""
+    try:
+        yield
+    except ValueError as exc:
+        first, space, rest = str(exc).partition(" ")
+        cls = SingularGramError if isinstance(exc, SingularGramError) else ValueError
+        raise cls(f"{source}: {(names or {}).get(first, first)}{space}{rest}") from exc
+
+
+def load_channel_csv(path, n_users: int) -> np.ndarray:
+    """Read an M x N complex channel matrix from CSV.
+
+    One row per receive antenna. Two cell layouts are accepted:
+      * N columns of complex literals, e.g. ``0.3+0.5j``;
+      * 2N real columns as (re, im) pairs per user.
+    The layout is inferred from the column count of the first non-blank
+    row; blank lines are skipped. Every ValueError names the file.
+    """
+    with _naming(path), open(path) as f:
+        # rows are parsed as they are read: a list of every line would put
+        # the whole file's text on the heap at once
+        rows = (line for line in f if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError("empty channel CSV")
+        width = first.count(",") + 1
+        if width not in (n_users, 2 * n_users):
+            raise ValueError(
+                f"channel CSV has {width} columns; expected {n_users} complex "
+                f"or {2 * n_users} (re, im) columns"
+            )
+        dtype = complex if width == n_users else float
+        cells = np.loadtxt(chain([first], rows), delimiter=",", dtype=dtype, comments=None, ndmin=2)
+    if dtype is complex:
+        return cells
+    return cells[:, 0::2] + 1j * cells[:, 1::2]
+
 
 # libyaml's parser where PyYAML was built with it, else the pure-Python one;
 # the resolver and the constructor are PyYAML's safe ones in both
@@ -119,9 +269,11 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
         else:
             if "sigma2_watts" not in doc:
                 raise ValueError("channel_csv requires sigma2_watts")
-            h = load_channel_csv(os.path.join(base_dir, str(doc["channel_csv"])), n)
-            if antennas is not None and h.shape[0] != antennas:
-                raise ValueError(f"channel CSV has {h.shape[0]} rows, expected receive_antennas {antennas}")
+            csv = os.path.join(base_dir, str(doc["channel_csv"]))
+            h = load_channel_csv(csv, n)
+            with _naming(csv):
+                if antennas is not None and len(h) != antennas:
+                    raise ValueError(f"channel CSV has {len(h)} rows, expected receive_antennas {antennas}")
             delta = compute_effective_gains(h, _number("sigma2_watts", doc["sigma2_watts"]))
 
         kwargs = {Scenario: {"delta": delta}, PdSettings: {}}

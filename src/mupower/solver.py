@@ -37,35 +37,15 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
+from .scenario import P_FLOOR, Scenario, _checked
 from .utility import _beta, _beta_prime, utility_grad, utility_hess
 
-# Arithmetic floor standing in for p = 0 (W); the lower bound of every power.
-P_FLOOR = 1e-9
 # Largest KKT residual a returned allocation may have.
 TOL_KKT = 1e-8
 # Iteration budget of the projected Newton solve of a budget-tight row.
 _MAX_ITER = 100_000
 
 _EPS = float(np.finfo(float).eps)
-
-# Gains (1/W), circuit powers and power limits (W) are held well inside the
-# range where the closed-form caps are finite and raise no floating-point
-# warning; a limit below the floor would leave the box [P_FLOOR, p_max] empty.
-_IN_RANGE = ("be > 0 and in [1e-30, 1e30]", lambda v: (v >= 1e-30) & (v <= 1e30))
-
-# The rule of every number Scenario and PdSettings hold: what it must satisfy,
-# and the test, besides being finite; integrate tests init_p <= p_u itself.
-_RULES = {
-    "w": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
-    "p_circuit": _IN_RANGE,
-    "p_max": (f"be > 0 and in [P_FLOOR = {P_FLOOR} W, 1e30]", lambda v: (v >= P_FLOOR) & (v <= 1e30)),
-    "delta": _IN_RANGE,
-    "p_sum_max": ("be > 0", lambda v: v > 0),
-    "k": ("be finite and > 0", lambda v: v > 0),
-    "g": ("be finite and > 0", lambda v: v > 0),
-    "init_p": ("lie in (0, p_u]", lambda v: v > 0),
-    "init_lambda": ("be finite and >= 0", lambda v: v >= 0),
-}
 
 
 class ConvergenceError(RuntimeError):
@@ -77,59 +57,6 @@ class BudgetCase(enum.Enum):
 
     SUM_SLACK = "sum_slack"
     SUM_TIGHT = "sum_tight"
-
-
-def _checked(name, value, shape):
-    """value after name's rule: a float for shape (), else a read-only float
-    array of that shape, to which a scalar or one-entry value broadcasts (the
-    last axis holds the users). Every error message starts with name."""
-    rule, ok = _RULES[name]
-    value = np.asarray(value, dtype=float)
-    if value.ndim > len(shape) or (value.size != 1 and value.shape != shape):
-        expected = f"a scalar or {shape} ({shape[-1]} effective gains)" if shape else "a scalar"
-        raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
-    arr = np.broadcast_to(value, shape).copy()
-    bad = ~(np.isfinite(arr) & ok(arr))
-    if bad.any():
-        raise ValueError(f"{name} must {rule}, got {arr[bad][0]}")
-    arr.setflags(write=False)
-    return arr if shape else float(arr)
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A problem instance: per-user vectors and the budget (W).
-
-    delta (linear effective gains, 1/W) is a non-empty vector that sets the
-    number of users N. w (SE/EE preference weight), p_circuit and p_max (W)
-    hold one entry per user, and scalars broadcast to N. Every field is
-    checked by _RULES, and the vectors are stored as read-only float arrays, so
-    dataclasses.replace(sc, w=...) yields a checked variant. The budget must
-    cover every user at the floor. Scenarios compare and hash by identity.
-    """
-
-    w: np.ndarray
-    p_circuit: np.ndarray
-    p_max: np.ndarray
-    delta: np.ndarray
-    p_sum_max: float
-
-    def __post_init__(self):
-        delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
-        if delta.ndim != 1 or delta.size == 0:
-            raise ValueError(f"delta must be a non-empty vector, got shape {delta.shape}")
-        for name in ("delta", "w", "p_circuit", "p_max"):
-            object.__setattr__(self, name, _checked(name, getattr(self, name), delta.shape))
-        object.__setattr__(self, "p_sum_max", _checked("p_sum_max", self.p_sum_max, ()))
-        n = delta.size
-        if self.p_sum_max < n * P_FLOOR:
-            raise ValueError(
-                f"p_sum_max {self.p_sum_max} is below n_users * p_floor = {n * P_FLOOR}"
-            )
-
-    @property
-    def n_users(self) -> int:
-        return self.delta.size
 
 
 @dataclass

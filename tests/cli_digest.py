@@ -10,10 +10,11 @@ in this order:
     sweep-fairness   fig3 at --grid 41 (with --out) and --grid 9 (to stdout)
     primal-dual      fig4 without and then with --out
 
-Then it runs `solve` on five invalid variants of fig2 written to a
+Then it runs `solve` on six invalid variants of fig2 written to a
 temporary directory: with pd_gain_dual: -1, with p_max_individual_watts:
 1.0e+31, with sigma2_watts next to delta_db, with p_sum_max_watts: true,
-and with a channel CSV holding the byte 0xff in place of delta_db.
+with a channel CSV holding the byte 0xff in place of delta_db, and with
+receive_antennas: 3 beside a 2-row channel CSV.
 
 It prints one line per run: the command, its exit code, and the SHA-256
 of what it wrote to stdout, of its --out file ("-" when it was given none)
@@ -57,9 +58,13 @@ INVALID = [
     ("sigma2.yaml", "p_sum_max_watts: 1.5", "p_sum_max_watts: 1.5\nsigma2_watts: 1.0"),
     ("p_sum_bool.yaml", "p_sum_max_watts: 1.5", "p_sum_max_watts: true"),
     ("ff_csv.yaml", "delta_db: [20.0, 20.0]", "channel_csv: ff.csv\nsigma2_watts: 1.0"),
+    ("csv_rows.yaml", "receive_antennas: 2\ndelta_db: [20.0, 20.0]",
+     "receive_antennas: 3\nchannel_csv: h.csv\nsigma2_watts: 1.0"),
 ]
 # the channel CSV of ff_csv.yaml: not UTF-8
 FF_CSV = b"1+0j,0+0j\n0+0j,1\xff+0j\n"
+# the channel CSV of csv_rows.yaml: 2 rows, where the file says 3 antennas
+H_CSV = "1+0j,0+0j\n0+0j,1+0j\n"
 
 
 def _sha256(data: bytes) -> str:
@@ -71,6 +76,7 @@ def main() -> int:
     fig2 = (ROOT / "scenarios" / "fig2.yaml").read_text()
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "ff.csv").write_bytes(FF_CSV)
+        Path(tmp, "h.csv").write_text(H_CSV)
         runs = [(command, fig, str(ROOT / "scenarios" / f"{fig}.yaml"), extra, with_out)
                 for command, fig, extra, with_out in RUNS]
         for name, old, new in INVALID:

@@ -276,6 +276,9 @@ def test_solve_invalid_scenario_exits_one(tmp_path, capsys):
         ("n_users: 2", "n_users: 2.7", "n_users must be an integer >= 1, got 2.7"),
         ("receive_antennas: 2\ndelta_db: [20.0, 20.0]", "receive_antennas: 3\nchannel_csv: rank1.csv\nsigma2_watts: 1.0",
          "condition estimate"),
+        # the row count is checked against the file, which the message names
+        ("receive_antennas: 2\ndelta_db: [20.0, 20.0]", "receive_antennas: 3\nchannel_csv: h.csv\nsigma2_watts: 1.0",
+         f"{tmp_path / 'h.csv'}: channel CSV has 2 rows, expected receive_antennas 3"),
         ("delta_db: [20.0, 20.0]", "channel_csv: ff.csv\nsigma2_watts: 1.0", "can't decode byte 0xff"),
         (tail, tail + "\nsigma2_watts: 1.0", "sigma2_watts applies only with channel_csv"),
         (BASE, "- 1\n- 2\n", "scenario document must be a mapping"),
@@ -308,6 +311,16 @@ def test_solve_p_max_below_the_floor_exits_one(tmp_path, capsys):
 
 def test_solve_missing_file_exits_one(capsys):
     assert main(["solve", "--scenario", "/nonexistent.yaml"]) == 1
+
+
+def test_usage_error_exits_one(capsys):
+    # argparse exits 2 on a usage error, the code the CLI keeps for non-convergence
+    for argv in (["solve"], ["sweep-diversity", "--scenario", str(SCENARIOS / "fig2.yaml"), "--grid", "abc"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mupower {argv[0]} ") and f"mupower {argv[0]}: error: " in err
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mupower ")
 
 
 # -------------------------------------------------------------------- sweeps

@@ -2,11 +2,12 @@ import itertools
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mupower import PdSettings, Scenario, compute_pu, gains_from_db, integrate, solve_centralized
+from mupower import PdSettings, Scenario, compute_pu, gains_from_db, integrate, load_scenario, solve_centralized
 from mupower.cli import write_trajectory_csv
 from mupower.primal_dual import RECORD_EVERY, TOL_EQ, lyapunov
 from mupower.solver import P_FLOOR
@@ -481,6 +482,15 @@ def test_pd_settings_validation():
         with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
             PdSettings(max_steps=max_steps)
     assert PdSettings(max_steps=1e3).max_steps == 1000
+
+
+def test_pd_settings_compare_by_identity():
+    # the loader passes k as a per-user array, which an element-wise __eq__ could not compare
+    fig4 = Path(__file__).resolve().parent.parent / "scenarios" / "fig4.yaml"
+    a, b = (load_scenario(fig4).pd for _ in range(2))
+    assert isinstance(a.k, np.ndarray)
+    assert a == a and a != b
+    assert {a} == {a} and len({a, b}) == 2
 
 
 def test_trajectory_csv_format(tmp_path):
