@@ -184,9 +184,16 @@ def load_channel_csv(path, n_users: int) -> np.ndarray:
             )
         dtype = complex if width == n_users else float
         cells = np.loadtxt(chain([first], rows), delimiter=",", dtype=dtype, comments=None, ndmin=2)
-    if dtype is complex:
-        return cells
-    return cells[:, 0::2] + 1j * cells[:, 1::2]
+    return cells if dtype is complex else cells.view(complex)  # (re, im) pairs: no copy
+
+
+def _channel(csv, n, antennas):
+    """The channel CSV's matrix, with receive_antennas rows when that is given."""
+    h = load_channel_csv(csv, n)
+    with _naming(csv):
+        if antennas is not None and len(h) != antennas:
+            raise ValueError(f"channel CSV has {len(h)} rows, expected receive_antennas {antennas}")
+    return h
 
 
 # libyaml's parser where PyYAML was built with it, else the pure-Python one;
@@ -270,11 +277,9 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             if "sigma2_watts" not in doc:
                 raise ValueError("channel_csv requires sigma2_watts")
             csv = os.path.join(base_dir, str(doc["channel_csv"]))
-            h = load_channel_csv(csv, n)
-            with _naming(csv):
-                if antennas is not None and len(h) != antennas:
-                    raise ValueError(f"channel CSV has {len(h)} rows, expected receive_antennas {antennas}")
-            delta = compute_effective_gains(h, _number("sigma2_watts", doc["sigma2_watts"]))
+            sigma2 = doc["sigma2_watts"]
+            # H is passed as a temporary: on CPython 3.11+ the gains free it before the factorisation
+            delta = compute_effective_gains(_channel(csv, n, antennas), _number("sigma2_watts", sigma2))
 
         kwargs = {Scenario: {"delta": delta}, PdSettings: {}}
         for key, (cls, field, read) in _FIELDS.items():

@@ -82,8 +82,10 @@ class KktReport:
     @property
     def max_residual(self):
         """The largest residual: a float, or one per row for a batch."""
-        per_user = [self.stationarity, self.comp_lower, self.comp_upper, self.box_gap]
-        return np.maximum(np.max(per_user, axis=(0, -1)), np.maximum(self.comp_sum, self.sum_gap))
+        worst = np.maximum(self.comp_sum, self.sum_gap)
+        for per_user in (self.stationarity, self.comp_lower, self.comp_upper, self.box_gap):
+            worst = np.maximum(worst, per_user.max(axis=-1))  # no (4, B, N) stack
+        return worst
 
 
 @dataclass

@@ -14,7 +14,11 @@ Then it runs `solve` on six invalid variants of fig2 written to a
 temporary directory: with pd_gain_dual: -1, with p_max_individual_watts:
 1.0e+31, with sigma2_watts next to delta_db, with p_sum_max_watts: true,
 with a channel CSV holding the byte 0xff in place of delta_db, and with
-receive_antennas: 3 beside a 2-row channel CSV.
+receive_antennas: 3 beside a 2-row channel CSV. Last, it runs `solve` on
+one seeded channel of M = 160 antennas and N = 130 users, so that the ZF
+gains form the Gram matrix in three blocks, under a budget of 0.2 W per
+user that binds: first from a CSV of complex literals, then from the same
+channel as (re, im) pairs. The two lines print the same stdout digest.
 
 It prints one line per run: the command, its exit code, and the SHA-256
 of what it wrote to stdout, of its --out file ("-" when it was given none)
@@ -32,6 +36,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 try:
@@ -65,6 +71,29 @@ INVALID = [
 FF_CSV = b"1+0j,0+0j\n0+0j,1\xff+0j\n"
 # the channel CSV of csv_rows.yaml: 2 rows, where the file says 3 antennas
 H_CSV = "1+0j,0+0j\n0+0j,1+0j\n"
+# the seeded channel's antennas, users and seed
+CHANNEL_M, CHANNEL_N, CHANNEL_SEED = 160, 130, 160130
+
+
+def _channel_files(tmp):
+    """Write the seeded channel in both CSV layouts, with a scenario file
+    for each; returns the scenario file names."""
+    rng = np.random.default_rng(CHANNEL_SEED)
+    shape = (CHANNEL_M, CHANNEL_N)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    w = ", ".join(repr(float(x)) for x in rng.uniform(0.0, 1.0, CHANNEL_N))
+    layouts = {
+        "channel-complex": [[f"{z.real:.17g}{z.imag:+.17g}j" for z in row] for row in h],
+        "channel-re-im": [[f"{x:.17g}" for z in row for x in (z.real, z.imag)] for row in h],
+    }
+    for label, rows in layouts.items():
+        Path(tmp, f"{label}.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        Path(tmp, f"{label}.yaml").write_text(
+            f"n_users: {CHANNEL_N}\nreceive_antennas: {CHANNEL_M}\nchannel_csv: {label}.csv\n"
+            f"sigma2_watts: 1.0\nw: [{w}]\np_max_individual_watts: 1.0\np_circuit_watts: 0.1\n"
+            f"p_sum_max_watts: {0.2 * CHANNEL_N!r}\n"
+        )
+    return [f"{label}.yaml" for label in layouts]
 
 
 def _sha256(data: bytes) -> str:
@@ -82,6 +111,8 @@ def main() -> int:
         for name, old, new in INVALID:
             assert old in fig2, old
             Path(tmp, name).write_text(fig2.replace(old, new))
+            runs.append(("solve", name, os.path.join(tmp, name), [], False))
+        for name in _channel_files(tmp):
             runs.append(("solve", name, os.path.join(tmp, name), [], False))
         for i, (command, label, scenario, extra, with_out) in enumerate(runs):
             argv = [command, "--scenario", scenario, *extra]

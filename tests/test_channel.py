@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import mupower
 from mupower import Scenario, SingularGramError, compute_effective_gains, gains_from_db, load_channel_csv
+from mupower.channel import _lower_inv
 
 
 def random_rayleigh_channel(n_antennas, n_users, seed):
@@ -167,10 +169,16 @@ def test_channel_csv_blank_lines_and_bad_rows(tmp_path):
 
 
 def test_channel_csv_round_trips_17_digits(tmp_path):
+    # in both layouts, to the same matrix and the same bits of delta
     h = random_rayleigh_channel(6, 3, seed=5)
     path = tmp_path / "h.csv"
     path.write_text("".join(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n" for row in h))
     assert np.array_equal(load_channel_csv(path, n_users=3), h)
+    delta = compute_effective_gains(load_channel_csv(path, n_users=3), 1.0)
+    path.write_text("".join(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n" for row in h))
+    assert np.array_equal(load_channel_csv(path, n_users=3), h)
+    pairs_delta = compute_effective_gains(load_channel_csv(path, n_users=3), 1.0)
+    assert np.array_equal(pairs_delta.view(np.uint64), delta.view(np.uint64))
 
 
 def test_effective_gains_typed_error_on_singular_gram(monkeypatch):
@@ -181,8 +189,76 @@ def test_effective_gains_typed_error_on_singular_gram(monkeypatch):
         compute_effective_gains(np.array([[1.0, 0.0], [0.0, 0.0]]), sigma2=1.0)
 
 
+def full_product_gains(h, sigma2):
+    """The gains from the full product G = H^H H, formed before G was built
+    in blocks, with the same factor and triangular inverse; and G."""
+    gram = h.conj().T @ h
+    diag = np.sum(np.abs(_lower_inv(np.linalg.cholesky(gram))) ** 2, axis=0)
+    return 1.0 / (sigma2 * diag), gram
+
+
+def test_blocked_gram_gives_the_full_products_gains():
+    # N straddles one and two 64-column blocks; M = N is square. Where the
+    # full product is exactly Hermitian the blocks repeat its bits. Elsewhere
+    # G's entries may differ in the last bit, which the inverse amplifies up
+    # to kappa_2(G) times (about 3e6 for the square 130-user draw)
+    for n in (1, 63, 64, 65, 128, 130):
+        for m in (n, 2 * n + 3):
+            h = random_rayleigh_channel(m, n, seed=1000 * n + m)
+            expected, gram = full_product_gains(h, 0.7)
+            delta = compute_effective_gains(h, 0.7)
+            if np.array_equal(gram, gram.conj().T):
+                assert np.array_equal(delta.view(np.uint64), expected.view(np.uint64)), (m, n)
+            else:
+                rtol = max(1e-14, np.finfo(float).eps * np.linalg.cond(gram))
+                np.testing.assert_allclose(delta, expected, rtol=rtol, atol=0, err_msg=f"{(m, n)}")
+
+
+def test_effective_gains_allocate_less_than_the_channel():
+    # G and one 64-column block, then G, its factor and the inverse; the
+    # full product's conjugate copy of H alone took H.nbytes
+    box = [random_rayleigh_channel(1024, 256, seed=919)]
+    nbytes = box[0].nbytes
+    tracemalloc.start()
+    try:
+        compute_effective_gains(box.pop(), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes, f"peak {peak / nbytes:.2f} x H.nbytes"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a temporary argument alive in its caller")
+@pytest.mark.parametrize("layout", ["complex", "re-im"])
+def test_build_scenario_frees_the_channel_before_the_factorisation(tmp_path, monkeypatch, layout):
+    h = random_rayleigh_channel(96, 80, seed=920)
+    cells = [[f"{z.real:.17g}{z.imag:+.17g}j" for z in row] for row in h]
+    if layout == "re-im":
+        cells = [[f"{x:.17g}" for z in row for x in (z.real, z.imag)] for row in h]
+    (tmp_path / "h.csv").write_text("".join(",".join(row) + "\n" for row in cells))
+    refs, alive = [], []
+    load, cholesky = mupower.scenario.load_channel_csv, np.linalg.cholesky
+
+    def load_spy(*args):
+        matrix = load(*args)
+        refs.append(weakref.ref(matrix))
+        return matrix
+
+    def cholesky_spy(a, *args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(mupower.scenario, "load_channel_csv", load_spy)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+    doc = {"n_users": 80, "receive_antennas": 96, "channel_csv": "h.csv", "sigma2_watts": 1.0,
+           "w": 0.5, "p_max_individual_watts": 1.0, "p_circuit_watts": 0.1, "p_sum_max_watts": 16.0}
+    loaded = mupower.scenario.build_scenario(doc, base_dir=str(tmp_path))
+    assert alive == [False]
+    assert np.array_equal(loaded.scenario.delta, compute_effective_gains(h, 1.0))
+
+
 def test_effective_gains_peak_memory_is_twice_the_channel():
-    # the h.conj() temporary and the Gram matrix; no copy of h itself
+    # the Gram matrix, its factor and their temporaries; no copy of h itself
     h = random_rayleigh_channel(512, 256, seed=918)
     tracemalloc.start()
     try:

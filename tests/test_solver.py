@@ -19,7 +19,7 @@ from mupower import (
     solve_centralized,
     utility,
 )
-from mupower.solver import P_FLOOR, TOL_KKT, Allocation, solve_batch
+from mupower.solver import P_FLOOR, TOL_KKT, Allocation, _row, solve_batch
 from mupower.utility import utility_grad
 
 from oracles import beta
@@ -296,6 +296,25 @@ def test_batch_rows_equal_their_single_solves():
             np.testing.assert_array_equal(batch.p[i], one.p)
             np.testing.assert_array_equal(batch.p_u[i], one.p_u)
             assert batch.lam[i] == one.lam and batch.case[i] is one.case
+
+
+def test_batch_max_residual_is_each_rows_including_nan():
+    sc = Scenario(w=0.5, p_circuit=0.1, p_max=1.0, delta=gains_from_db([20.0, 10.0, 0.0]), p_sum_max=1.0)
+    kkt = solve_batch(sc, w=[[0.0, 0.5, 1.0], [0.3, 0.3, 0.3], [1.0, 0.0, 0.2]]).diagnostics.kkt
+    comp_upper = kkt.comp_upper.copy()
+    comp_upper[1, 2] = np.nan
+    with_nan = replace(kkt, comp_upper=comp_upper)
+    for report in (kkt, with_nan):
+        worst = report.max_residual
+        assert isinstance(worst, np.ndarray) and worst.shape == (3,) and worst.dtype == float
+        for i in range(3):
+            row = _row(report, i)
+            one = row.max_residual
+            assert isinstance(one, np.float64)
+            terms = [row.stationarity, row.comp_lower, row.comp_upper, row.box_gap, [row.comp_sum, row.sum_gap]]
+            np.testing.assert_array_equal(one, np.max(np.concatenate(terms)))
+            np.testing.assert_array_equal(worst[i], one)
+    assert np.isnan(with_nan.max_residual).tolist() == [False, True, False]
 
 
 def test_batch_names_the_first_row_that_fails_the_gate():
