@@ -80,14 +80,14 @@ def cmd_solve(loaded: LoadedScenario, out=None) -> int:
     users = np.arange(1, sc.n_users + 1)
     rows = [users, p, alloc.p_u, se(p, sc.delta), ee(p, sc.p_circuit, sc.delta), u]
     table = _csv(["user", "P_watts", "P_u_watts", "SE", "EE", "U"], np.column_stack(rows))
+    if out is not None:
+        _write(out, table)
     sys.stdout.write(
         f"case: {case}\nlambda: {alloc.lam:.12g}\n"
         f"sum_p_watts: {np.sum(p):.12g} (budget {sc.p_sum_max:.12g})\n{table}"
         f"total_utility: {np.sum(u):.12g}\njain: {jain_index(u):.12g}\n"
         f"max_kkt_residual: {alloc.diagnostics.kkt.max_residual:.12g}\n",
     )
-    if out is not None:
-        _write(out, table)
     return 0
 
 

@@ -25,16 +25,19 @@ bit; a NaN U_i'(p_u_i) fails the test and takes the full update. A parked
 user still reports its unchanged power, so the uplink count stays N per
 step. The floor is not skipped: U_i' is large there.
 
-The Euler loop is a kernel generated for the scenario's N users: its
+The Euler loop is a kernel generated for the scenario's N users from one
+U_i' fragment: its prologue puts U_i' at each cap, for the skip, and its
 step holds N straight-line user blocks, each the same template with only
 the user index put in, so no scenario data enters the source. Updating
 each power in place is exact since user i's update reads only P_i and
-lambda. Every float operation keeps its expression and its order (U_i'
+lambda. Each block keeps its step d_i (0.0 when parked), and one chained
+comparison stops the loop once the price's step and every d_i lie within
+TOL_EQ. Every float operation keeps its expression and its order (U_i'
 with libm's log1p, the floor clamp before the cap clamp, sum(P) as one
 addition per user in index order), so the kernel computes what a loop
 over the users computes, bit for bit, without the interpreter's per-user
-loop work. Building it costs about 0.25 ms and 60 KB of compiler memory
-per user.
+loop work. Building it costs about 0.2-0.3 ms and 60 KiB of compiler
+memory per user.
 
 The quadratic distance to the centralized optimum,
 
@@ -87,49 +90,47 @@ def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
     return 0.5 * dist_p + (lam - lam_star) ** 2 / (2.0 * settings.g)
 
 
-# U_i' is utility_grad's expression with libm's log1p; the two ifs are
-# min(max(., P_FLOOR), p_u_i) without the calls: a NaN passes both and makes
-# p_sum NaN, so the isfinite test of p_sum and lam finds any non-finite state.
-_CONSTS = "k{i}, p_u{i}, delta{i}, p_c{i}, c{i}, u_cap{i}, "
+# U_i' at x, written once for the step (at x_i) and the prologue (at p_u_i,
+# into u_cap_i): utility_grad's expression with libm's log1p.
+_GRAD = ("{pad}total, dp = {x} + p_c{i}, delta{i} * {x}\n"
+         "{pad}{u} = (delta{i} * total / ((1.0 + dp) * log1p(dp)) - c{i}) / total\n")
+# The two ifs are min(max(., P_FLOOR), p_u_i) without the calls: a NaN passes
+# both and makes p_sum NaN, which the isfinite test of p_sum and lam finds.
 _USER = """\
         if x{i} == p_u{i} and lam <= u_cap{i}:
             p_sum += x{i}
+            d{i} = 0.0
         else:
-            total, dp = x{i} + p_c{i}, delta{i} * x{i}
-            u = (delta{i} * total / ((1.0 + dp) * log1p(dp)) - c{i}) / total
-            x_next = x{i} + k{i} * (u - lam)
+{grad}            x_next = x{i} + k{i} * (u - lam)
             if x_next < floor:
                 x_next = floor
             if x_next > p_u{i}:
                 x_next = p_u{i}
             p_sum += x_next
-            move = x_next - x{i}
+            d{i} = x_next - x{i}
             x{i} = x_next
-            if move > motion:
-                motion = move
-            elif -move > motion:
-                motion = -move
 """
 _LOOP = """\
 def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records):
     log1p, isfinite, floor, array = math.log1p, math.isfinite, P_FLOOR, np.array
     {consts}= users
     {xs}, = x
-    for t in range(1, max_steps + 1):
+{caps}    for t in range(1, max_steps + 1):
         lam_next = lam + g * (p_sum - p_sum_max)
         lam_next = lam_next if lam_next > 0.0 else 0.0  # max(0.0, .), NaN to 0.0 too
-        p_sum, motion = 0.0, abs(lam_next - lam)
+        p_sum = 0.0
 {users}
         if not (isfinite(p_sum) and isfinite(lam_next)):
             raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
+        stop = -TOL_EQ <= lam_next - lam <= TOL_EQ{stops}
         lam = lam_next
         if t % RECORD_EVERY == 0:
             records.append((t, array([{xs}]), lam))
-        if motion <= TOL_EQ:
+        if stop:
             break
     if t % RECORD_EVERY != 0:  # t is bound: PdSettings makes max_steps >= 1
         records.append((t, array([{xs}]), lam))
-    return t, motion
+    return t, stop
 """
 # Kernels kept built, one per user count.
 KERNEL_CACHE_SIZE = 8
@@ -141,8 +142,11 @@ def _kernel(n: int):
     # one unpacking statement each for the constants and the powers: it
     # compiles in less memory than a statement per user
     src = _LOOP.format(
-        consts="".join(_CONSTS.format(i=i) for i in range(n)),
-        users="".join(_USER.format(i=i) for i in range(n)),
+        consts="".join(f"k{i}, p_u{i}, delta{i}, p_c{i}, c{i}, " for i in range(n)),
+        caps="".join(_GRAD.format(i=i, x=f"p_u{i}", u=f"u_cap{i}", pad=" " * 4) for i in range(n)),
+        users="".join(_USER.format(i=i, grad=_GRAD.format(i=i, x=f"x{i}", u="u", pad=" " * 12))
+                      for i in range(n)),
+        stops="".join(f" and -TOL_EQ <= d{i} <= TOL_EQ" for i in range(n)),
         xs=", ".join(f"x{i}" for i in range(n)),
     )
     namespace = {}
@@ -174,20 +178,15 @@ def integrate(
         p = 0.5 * p_u
     else:
         p = _checked("init_p", settings.init_p, (n,))
-        if not np.all(p <= p_u):
-            raise ValueError("init_p must lie in (0, p_u]")
+        i = np.argmax(p > p_u)  # the first user above its cap, else user 0
+        if p[i] > p_u[i]:
+            raise ValueError(f"init_p must lie in (0, p_u], got {p[i]} > p_u {p_u[i]} at user {i + 1}")
     p = np.clip(p, P_FLOOR, p_u)
 
-    # u_cap_i is U_i'(p_u_i) by the step's own expression, for the parked skip
-    users = []
-    for k_i, p_u_i, delta_i, p_c_i, c_i in np.column_stack(
-            np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w)).tolist():
-        total, dp = p_u_i + p_c_i, delta_i * p_u_i
-        u_cap_i = (delta_i * total / ((1.0 + dp) * math.log1p(dp)) - c_i) / total
-        users += k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i
+    users = np.column_stack(np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w)).ravel().tolist()
     records = [(0, p, lam)]
-    t, motion = _kernel(n)(users, p.tolist(), lam, float(p.sum()), g, p_sum_max,
-                           settings.max_steps, records)
+    t, stopped = _kernel(n)(users, p.tolist(), lam, float(p.sum()), g, p_sum_max,
+                            settings.max_steps, records)
 
     t_rec, p_rec, lam_rec = (np.array(col) for col in zip(*records))
     return Trajectory(
@@ -197,6 +196,6 @@ def integrate(
         total_utility=np.sum(utility(p_rec, w, p_circuit, delta), axis=1),
         v=lyapunov(p_rec, lam_rec, p_star, lam_star, settings),
         messages_uplink=n * t,
-        converged=motion <= TOL_EQ,
+        converged=stopped,
         steps_taken=t,
     )

@@ -17,12 +17,14 @@ prints:
                (time.perf_counter) divided by its steps, in microseconds
     first_us   the first run's integrate time divided by its steps, in
                microseconds: the one run that also builds the Euler kernel
+    build_ms   the time of one uncached build of the Euler kernel at N = 4
+               and at N = 512 users (_kernel.__wrapped__), in milliseconds
 
 Two checkouts whose first two lines match ran the same Euler steps on
 the same states to the last bit; a matching csv line also means they
-wrote the same trajectory CSV bytes. step_us and first_us are timings, not
-digests: they move with the host's load, so compare two checkouts by
-alternating their runs on one machine. With --expect the run also
+wrote the same trajectory CSV bytes. step_us, first_us and build_ms are
+timings, not digests: they move with the host's load, so compare two
+checkouts by alternating their runs on one machine. With --expect the run also
 compares steps and records with the given values (STEPS with or without
 thousands commas) and exits 1, naming each mismatch, when either
 differs; csv and the timings are never compared. The digests hold for
@@ -54,6 +56,7 @@ except ImportError:
 
 from mupower import compute_pu, integrate, solve_centralized
 from mupower.cli import write_trajectory_csv
+from mupower.primal_dual import _kernel
 from mupower.scenario import load_scenario
 
 
@@ -67,6 +70,13 @@ def settings_of_runs(loaded):
         init_p = rng.uniform(0.02, 1.0, sc.n_users) * p_u
         runs.append(replace(loaded.pd, init_p=init_p, init_lambda=float(rng.uniform(0.0, 1.0))))
     return runs
+
+
+def build_ms(n):
+    """One build of the n-user Euler kernel, bypassing the kernel cache."""
+    start = time.perf_counter()
+    _kernel.__wrapped__(n)
+    return (time.perf_counter() - start) * 1e3
 
 
 def main(argv=None):
@@ -94,6 +104,7 @@ def main(argv=None):
     print(f"csv: {csv.hexdigest()}")
     print(f"step_us: {statistics.median(step_us):.3f}")
     print(f"first_us: {step_us[0]:.3f}")
+    print("build_ms:", ", ".join(f"N={n} {build_ms(n):.2f}" for n in (4, 512)))
     if args.expect is None:
         return 0
     mismatched = [(name, want) for name, want in zip(got, args.expect)

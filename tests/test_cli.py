@@ -223,6 +223,17 @@ def test_solve_fig4(tmp_path):
     assert len(lines) == 5
 
 
+def test_solve_out_failure_prints_no_report(tmp_path, capsys):
+    # the --out file is written before the report, so a failing --out leaves stdout empty
+    code = main(["solve", "--scenario", str(SCENARIOS / "fig2.yaml"), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+    assert str(tmp_path) in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_solve_reports_the_utilities_of_its_powers():
     # U, total_utility and jain are those of the P_watts column as printed
     sc = load_scenario(SCENARIOS / "fig4.yaml").scenario

@@ -211,6 +211,19 @@ def test_integrate_records_derived_after_the_run():
     assert traj.t[-3:].tolist() == [400, 500, 555]
 
 
+def test_integrate_stops_on_the_last_allowed_step():
+    # fig4's default start stops at step 24,980: a budget of exactly that many
+    # steps converges, one step less runs out
+    sc = fig4_scenario()
+    ref = solve_centralized(sc)
+    traj = integrate(sc, PdSettings(max_steps=24_980), reference=ref)
+    assert traj.converged is True
+    assert traj.steps_taken == 24_980
+    traj = integrate(sc, PdSettings(max_steps=24_979), reference=ref)
+    assert traj.converged is False
+    assert traj.t[-1] == traj.steps_taken == 24_979
+
+
 def test_integrate_same_limit_from_random_starts():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
@@ -452,6 +465,15 @@ def test_init_p_validation():
     for k in (np.full((4, 1), 1e-3), np.full(3, 1e-3)):
         with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
             integrate(sc, PdSettings(k=k))
+
+
+def test_init_p_above_its_cap_names_the_first_such_user():
+    sc = fig4_scenario()
+    p_u = caps_for(sc)
+    init_p = np.array([0.5 * p_u[0], 5.0, 7.0, 0.01])
+    want = f"init_p must lie in (0, p_u], got 5.0 > p_u {p_u[1]} at user 2"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        integrate(sc, PdSettings(init_p=init_p))
 
 
 def test_k_is_checked_before_the_reference_solve(monkeypatch):
