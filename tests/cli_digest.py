@@ -18,7 +18,9 @@ receive_antennas: 3 beside a 2-row channel CSV. Last, it runs `solve` on
 one seeded channel of M = 160 antennas and N = 130 users, so that the ZF
 gains form the Gram matrix in three blocks, under a budget of 0.2 W per
 user that binds: first from a CSV of complex literals, then from the same
-channel as (re, im) pairs. The two lines print the same stdout digest.
+channel as (re, im) pairs, then both once more, "cached", when each load
+reads the matrix the first parse left in __pycache__/ beside its CSV. The
+four lines print the same stdout digest.
 
 It prints one line per run: the command, its exit code, and the SHA-256
 of what it wrote to stdout, of its --out file ("-" when it was given none)
@@ -112,8 +114,9 @@ def main() -> int:
             assert old in fig2, old
             Path(tmp, name).write_text(fig2.replace(old, new))
             runs.append(("solve", name, os.path.join(tmp, name), [], False))
-        for name in _channel_files(tmp):
-            runs.append(("solve", name, os.path.join(tmp, name), [], False))
+        channels = _channel_files(tmp)
+        for name in channels + [f"{name} cached" for name in channels]:
+            runs.append(("solve", name, os.path.join(tmp, name.split()[0]), [], False))
         for i, (command, label, scenario, extra, with_out) in enumerate(runs):
             argv = [command, "--scenario", scenario, *extra]
             out = os.path.join(tmp, f"{i}.csv")

@@ -1,3 +1,6 @@
+import io
+import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +11,14 @@ import numpy as np
 import pytest
 
 import mupower
-from mupower import Scenario, SingularGramError, compute_effective_gains, gains_from_db, load_channel_csv
+from mupower import (
+    Scenario,
+    SingularGramError,
+    build_scenario,
+    compute_effective_gains,
+    gains_from_db,
+    load_channel_csv,
+)
 from mupower.channel import _lower_inv
 
 
@@ -19,6 +29,21 @@ def random_rayleigh_channel(n_antennas, n_users, seed):
         rng.standard_normal((n_antennas, n_users))
         + 1j * rng.standard_normal((n_antennas, n_users))
     ) / np.sqrt(2.0)
+
+
+def channel_text(h, layout):
+    """H as CSV text at 17 digits: complex literals, or (re, im) pairs."""
+    if layout == "complex":
+        cells = [[f"{z.real:.17g}{z.imag:+.17g}j" for z in row] for row in h]
+    else:
+        cells = [[f"{x:.17g}" for z in row for x in (z.real, z.imag)] for row in h]
+    return "".join(",".join(row) + "\n" for row in cells)
+
+
+def channel_doc(m, n):
+    """A scenario mapping on the channel CSV h.csv with M = m antennas and N = n users."""
+    return {"n_users": n, "receive_antennas": m, "channel_csv": "h.csv", "sigma2_watts": 1.0,
+            "w": 0.5, "p_max_individual_watts": 1.0, "p_circuit_watts": 0.1, "p_sum_max_watts": 0.2 * n}
 
 
 def pinv_row_norm_gains(h, sigma2):
@@ -168,6 +193,151 @@ def test_channel_csv_blank_lines_and_bad_rows(tmp_path):
             load_channel_csv(path, n_users=2)
 
 
+@pytest.mark.parametrize("layout", ["complex", "re-im"])
+def test_channel_csv_with_a_byte_order_mark(tmp_path, layout):
+    # as Excel's "CSV UTF-8" export writes it
+    h = random_rayleigh_channel(4, 2, seed=31)
+    path = tmp_path / "h.csv"
+    path.write_text("\ufeff" + channel_text(h, layout), encoding="utf-8")
+    assert np.array_equal(load_channel_csv(path, n_users=2), h)
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the channel CSV was parsed, not read from its cache")
+
+
+@pytest.mark.parametrize("layout", ["complex", "re-im"])
+def test_warm_channel_load_reads_the_cache_bit_for_bit(tmp_path, monkeypatch, layout):
+    h = random_rayleigh_channel(12, 5, seed=32)
+    (tmp_path / "h.csv").write_text(channel_text(h, layout))
+    cold_delta = build_scenario(channel_doc(12, 5), base_dir=str(tmp_path)).scenario.delta
+    (tmp_path / "__pycache__" / "h.csv.npy").unlink()
+    cold = load_channel_csv(tmp_path / "h.csv", 5)
+    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    warm = load_channel_csv(tmp_path / "h.csv", 5, 12)
+    assert (warm.dtype, warm.shape) == (cold.dtype, cold.shape)
+    assert warm.tobytes() == cold.tobytes() == h.tobytes()
+    warm_delta = build_scenario(channel_doc(12, 5), base_dir=str(tmp_path)).scenario.delta
+    assert warm_delta.tobytes() == cold_delta.tobytes()
+    # the receive_antennas check holds on a cached load too
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'h.csv'))}: channel CSV has 12 rows, "
+                                         "expected receive_antennas 13$"):
+        load_channel_csv(tmp_path / "h.csv", 5, 13)
+
+
+def test_same_size_edit_of_the_csv_is_parsed_again(tmp_path):
+    # the cache is keyed by the CSV's bytes, not by its size or its time
+    path = tmp_path / "h.csv"
+    path.write_text("1+2j,3+4j\n5+6j,7+8j\n")
+    assert load_channel_csv(path, 2)[1, 1] == 7 + 8j
+    before = path.stat()
+    path.write_text("1+2j,3+4j\n5+6j,7+9j\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert load_channel_csv(path, 2)[1, 1] == 7 + 9j
+
+
+def test_a_csv_that_fails_to_parse_writes_no_cache(tmp_path):
+    path = tmp_path / "h.csv"
+    for text in (b"1+2j,abc\n", b"1,2,3\n", b"", b"1+0j,1\xff+0j\n", b"1+2j,0+0j\n3+1j\n"):
+        path.write_bytes(text)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                load_channel_csv(path, 2)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and messages[0].startswith(f"{path}: "), text
+        assert not (tmp_path / "__pycache__").exists(), text
+
+
+def _npy(*arrays):
+    out = io.BytesIO()
+    for a in arrays:
+        np.save(out, a, allow_pickle=True)
+    return out.getvalue()
+
+
+def test_a_garbage_or_truncated_cache_is_ignored_then_replaced(tmp_path):
+    h = random_rayleigh_channel(6, 3, seed=34)
+    path = tmp_path / "h.csv"
+    path.write_text(channel_text(h, "complex"))
+    load_channel_csv(path, 3)
+    cache = tmp_path / "__pycache__" / "h.csv.npy"
+    good = cache.read_bytes()
+    key = np.lib.format.read_array(io.BytesIO(good))
+    for bad in (
+        b"", b"garbage", b"PK\x03\x04" + good, good[:10], good[:len(good) // 2], good[:-1],
+        _npy(key), _npy(key, h[:, :2]), _npy(key, h.real), _npy(key, np.array([None, 1])),
+        _npy(key + [0, 0, 1, 0], 2 * h),
+    ):
+        cache.write_bytes(bad)
+        assert load_channel_csv(path, 3).tobytes() == h.tobytes()
+        assert cache.read_bytes() == good
+    assert [p.name for p in cache.parent.iterdir()] == ["h.csv.npy"]
+
+
+def test_a_cache_of_another_format_is_parsed_again(tmp_path, monkeypatch):
+    # the key starts with the cache format: a cache written by another
+    # version of the parse is not read, though the CSV and n_users match
+    h = random_rayleigh_channel(6, 3, seed=38)
+    path = tmp_path / "h.csv"
+    path.write_text(channel_text(h, "complex"))
+    load_channel_csv(path, 3)
+    cache = tmp_path / "__pycache__" / "h.csv.npy"
+    good = cache.read_bytes()
+    key = np.lib.format.read_array(io.BytesIO(good))
+    loadtxt, parses = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: parses.append(1) or loadtxt(*a, **kw))
+    for other in (key[0] - 1, key[0] + 1):
+        cache.write_bytes(_npy(np.concatenate([[other], key[1:]]), 2 * h))
+        assert load_channel_csv(path, 3).tobytes() == h.tobytes()
+        assert cache.read_bytes() == good
+    assert len(parses) == 2
+    assert load_channel_csv(path, 3).tobytes() == h.tobytes() and len(parses) == 2
+
+
+def test_a_file_named_pycache_leaves_the_load_working(tmp_path):
+    # a regular file where the cache's directory would go stops the write
+    # even for root, whom a read-only mode would not stop
+    (tmp_path / "__pycache__").write_text("not a directory\n")
+    h = random_rayleigh_channel(6, 3, seed=35)
+    (tmp_path / "h.csv").write_text(channel_text(h, "re-im"))
+    for _ in range(2):
+        assert np.array_equal(load_channel_csv(tmp_path / "h.csv", 3), h)
+    assert (tmp_path / "__pycache__").read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["__pycache__", "h.csv"]
+
+
+def test_a_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    # as a full disk would fail it: after the key, in the matrix
+    save, saves = np.save, []
+
+    def failing_save(file, arr, *args, **kwargs):
+        saves.append(arr)
+        if len(saves) == 2:
+            raise OSError(28, "No space left on device")
+        return save(file, arr, *args, **kwargs)
+
+    monkeypatch.setattr(np, "save", failing_save)
+    h = random_rayleigh_channel(6, 3, seed=37)
+    (tmp_path / "h.csv").write_text(channel_text(h, "complex"))
+    assert np.array_equal(load_channel_csv(tmp_path / "h.csv", 3), h)
+    assert len(saves) == 2 and list((tmp_path / "__pycache__").iterdir()) == []
+
+
+def test_one_cache_file_per_csv(tmp_path):
+    # four real columns: 4 users of complex literals or 2 users of (re, im) pairs
+    path = tmp_path / "h.csv"
+    path.write_text("1,2,3,4\n")
+    assert np.array_equal(load_channel_csv(path, 4), [[1, 2, 3, 4]])
+    assert np.array_equal(load_channel_csv(path, 2), [[1 + 2j, 3 + 4j]])
+    path.write_text("5,6,7,8\n")
+    assert np.array_equal(load_channel_csv(path, 2), [[5 + 6j, 7 + 8j]])
+    assert np.array_equal(load_channel_csv(path, 4), [[5, 6, 7, 8]])
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == ["h.csv.npy"]
+
+
 def test_channel_csv_round_trips_17_digits(tmp_path):
     # in both layouts, to the same matrix and the same bits of delta
     h = random_rayleigh_channel(6, 3, seed=5)
@@ -231,11 +401,9 @@ def test_effective_gains_allocate_less_than_the_channel():
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a temporary argument alive in its caller")
 @pytest.mark.parametrize("layout", ["complex", "re-im"])
 def test_build_scenario_frees_the_channel_before_the_factorisation(tmp_path, monkeypatch, layout):
+    # twice: from the parse, then from the parse's cache
     h = random_rayleigh_channel(96, 80, seed=920)
-    cells = [[f"{z.real:.17g}{z.imag:+.17g}j" for z in row] for row in h]
-    if layout == "re-im":
-        cells = [[f"{x:.17g}" for z in row for x in (z.real, z.imag)] for row in h]
-    (tmp_path / "h.csv").write_text("".join(",".join(row) + "\n" for row in cells))
+    (tmp_path / "h.csv").write_text(channel_text(h, layout))
     refs, alive = [], []
     load, cholesky = mupower.scenario.load_channel_csv, np.linalg.cholesky
 
@@ -245,16 +413,19 @@ def test_build_scenario_frees_the_channel_before_the_factorisation(tmp_path, mon
         return matrix
 
     def cholesky_spy(a, *args, **kwargs):
-        alive.append(refs[0]() is not None)
+        alive.append(refs[-1]() is not None)
         return cholesky(a, *args, **kwargs)
 
     monkeypatch.setattr(mupower.scenario, "load_channel_csv", load_spy)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
-    doc = {"n_users": 80, "receive_antennas": 96, "channel_csv": "h.csv", "sigma2_watts": 1.0,
-           "w": 0.5, "p_max_individual_watts": 1.0, "p_circuit_watts": 0.1, "p_sum_max_watts": 16.0}
+    doc = channel_doc(96, 80)
     loaded = mupower.scenario.build_scenario(doc, base_dir=str(tmp_path))
-    assert alive == [False]
+    assert (tmp_path / "__pycache__" / "h.csv.npy").is_file()
+    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    warm = mupower.scenario.build_scenario(doc, base_dir=str(tmp_path))
+    assert alive == [False, False]
     assert np.array_equal(loaded.scenario.delta, compute_effective_gains(h, 1.0))
+    assert warm.scenario.delta.tobytes() == loaded.scenario.delta.tobytes()
 
 
 def test_effective_gains_peak_memory_is_twice_the_channel():
@@ -275,3 +446,18 @@ def test_import_leaves_scipy_unloaded():
     code = f"import sys; sys.path.insert(0, {src!r}); import mupower; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_loading_a_channel_scenario_leaves_openssl_unloaded(tmp_path):
+    # the cache is keyed by zlib's CRC-32, which numpy has loaded already;
+    # hashlib would load OpenSSL, about 3.5 MB of resident memory
+    (tmp_path / "h.csv").write_text(channel_text(random_rayleigh_channel(4, 2, seed=36), "complex"))
+    doc = "".join(f"{key}: {value}\n" for key, value in channel_doc(4, 2).items())
+    (tmp_path / "s.yaml").write_text(doc)
+    src = str(Path(mupower.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import mupower; "
+            f"[mupower.load_scenario({str(tmp_path / 's.yaml')!r}) for _ in range(2)]; "
+            "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False False"
+    assert (tmp_path / "__pycache__" / "h.csv.npy").is_file()

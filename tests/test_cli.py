@@ -9,7 +9,7 @@ import pytest
 
 from mupower import SingularGramError, cli, jain_index, load_channel_csv, utility
 from mupower.cli import cmd_primal_dual, cmd_solve, cmd_sweep_diversity, cmd_sweep_fairness, main
-from mupower.scenario import _FIELDS, build_scenario, load_scenario
+from mupower.scenario import _FIELDS, P_FLOOR, build_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -351,6 +351,21 @@ def test_sweep_diversity_small_grid(tmp_path):
         vals = [float(v) for v in line.split(",")]
         if vals[0] == vals[1]:
             assert vals[2] == pytest.approx(vals[3], abs=1e-9)
+
+
+def test_sweep_rows_are_feasible_and_their_jain_in_range(tmp_path):
+    # every row of the bundled scenarios' sweeps has its powers in the box and
+    # under the budget, and a Jain index in [1/N, 1], as printed to 12 digits
+    sc = load_scenario(SCENARIOS / "fig2.yaml").scenario
+    cmd_sweep_diversity(load_scenario(SCENARIOS / "fig2.yaml"), out=tmp_path / "div.csv", grid=41)
+    p = np.loadtxt(tmp_path / "div.csv", delimiter=",", skiprows=1)[:, 2:4]
+    assert p.shape == (41 * 41, 2)
+    assert np.all(p >= P_FLOOR) and np.all(p <= sc.p_max + 1e-12)
+    assert np.all(p.sum(axis=1) <= sc.p_sum_max + 1e-9)
+    cmd_sweep_fairness(load_scenario(SCENARIOS / "fig3.yaml"), out=tmp_path / "fair.csv", grid=41)
+    jain = np.loadtxt(tmp_path / "fair.csv", delimiter=",", skiprows=1)[:, 2]
+    assert jain.shape == (3 * 41,)
+    assert np.all((0.5 - 1e-12 <= jain) & (jain <= 1.0 + 1e-12))
 
 
 def test_sweep_diversity_rejects_other_sizes(tmp_path, capsys):
