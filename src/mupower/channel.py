@@ -8,7 +8,9 @@ where the effective gain is
 
 Experiments usually specify delta directly in dB, which gains_from_db
 converts; compute_effective_gains takes H and sigma2 instead. Both return
-delta as a plain float vector.
+delta as a plain float vector. A hit on scenario.py's cache of _gram_diag's
+d = diag((H^H H)^-1) returns its writer's bits: zpotrf factors one G into
+d's with different last bits at 1 and 2 OpenBLAS threads.
 
 G = H^H H is formed _INV_LEAF columns at a time, lower triangle only, each
 block G[j:e, :e] = H[:, j:e]^H H[:, :e] mirrored into the upper triangle:
@@ -46,11 +48,14 @@ def compute_effective_gains(h, sigma2: float) -> np.ndarray:
     requires M >= N and full column rank. The Gram matrix H^H H is
     inverted through its Cholesky factor L: (H^H H)^-1 = L^-H L^-1, so its
     diagonal holds the squared column norms of L^-1.
-
-    H is dropped once G is formed: a caller that passes its only reference
-    (a temporary, on CPython 3.11+) has it freed before the factorisation;
-    on 3.10, or when the caller keeps H, H lives on with the same results.
     """
+    h = [h]  # boxed, then popped: _gram_diag holds the caller's temporary H alone
+    return _zf_gains(_gram_diag(h.pop()), sigma2)
+
+
+def _gram_diag(h) -> np.ndarray:
+    """diag((H^H H)^-1): compute_effective_gains up to sigma2. H is dropped once G is
+    formed: a caller's temporary H (CPython 3.11+) is freed before the factorisation."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
@@ -61,11 +66,8 @@ def compute_effective_gains(h, sigma2: float) -> np.ndarray:
         )
     if not np.all(np.isfinite(h)):
         raise ValueError("channel matrix has non-finite entries")
-    if not (np.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(f"noise power must be positive, got {sigma2}")
     # an overflowing Gram matrix or inverse shows up as an inf or nan
-    # condition estimate and a tiny sigma2 as inf gains; the check below and
-    # Scenario report them, not RuntimeWarnings
+    # condition estimate, which the check below reports, not RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gram = np.empty((n, n), dtype=complex)
         for j in range(0, n, _INV_LEAF):
@@ -91,6 +93,14 @@ def compute_effective_gains(h, sigma2: float) -> np.ndarray:
                 f"Gram matrix condition estimate {bound:.3e} exceeds "
                 f"{GRAM_CONDITION_LIMIT:.0e}; channel columns are not independent"
             )
+        return diag
+
+
+def _zf_gains(diag, sigma2: float) -> np.ndarray:
+    """delta = 1 / (sigma2 * diag) after sigma2's rule; a tiny sigma2 gives inf, which Scenario reports."""
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"noise power must be positive, got {sigma2}")
+    with np.errstate(over="ignore", divide="ignore"):
         return 1.0 / (float(sigma2) * diag)
 
 

@@ -20,11 +20,13 @@ when that key is given. pd_* keys override primal-dual settings; the
 solver's tolerances and the record cadence are fixed and have no keys.
 Unknown keys are rejected.
 
-A channel CSV's parsed matrix is cached in __pycache__/<CSV name>.npy
-beside it, 16 B per entry (8.4 MB for a 21.6 MB CSV of 1024 x 512 cells),
-keyed by a format number, the CSV's byte count and CRC-32, and n_users; a
-cache of another format is parsed again, like a stale .pyc. The cache is
-skipped silently where it cannot be read or written, and is safe to delete.
+A channel CSV's M and d = diag((H^H H)^-1), all of H that delta needs, are
+cached in __pycache__/<CSV name>.npy beside it: 8 B a user and a header,
+4,272 B for 512 users (H took 8,388,896 B). The key is a format number, to
+be bumped with any change to the parse or to channel.py's Gram arithmetic,
+numpy's version, the CSV's byte count and CRC-32, and n_users; a cache that
+misses is rebuilt, like a stale .pyc. It is skipped silently where it cannot
+be read or written, safe to delete, and holds its writer's bits (channel.py).
 
 Errors name their source, all through _naming: every ValueError raised
 while reading or building a scenario is re-raised as "<file>: <message>",
@@ -45,7 +47,7 @@ from itertools import chain
 import numpy as np
 import yaml
 
-from .channel import SingularGramError, compute_effective_gains, gains_from_db
+from .channel import SingularGramError, _gram_diag, _zf_gains, gains_from_db
 
 # Arithmetic floor standing in for p = 0 (W); the lower bound of every power.
 P_FLOOR = 1e-9
@@ -174,53 +176,55 @@ def load_channel_csv(path, n_users: int, antennas: int | None = None) -> np.ndar
       * 2N real columns as (re, im) pairs per user.
     The layout is inferred from the column count of the first non-blank
     row; blank lines and a UTF-8 byte-order mark are skipped. Every
-    ValueError names the file. The parsed matrix is cached in __pycache__/
-    beside the CSV, keyed by its bytes and n_users (see the module docstring).
+    ValueError names the file.
     """
-    import zlib  # only a channel load needs it: sweep and pd, which read no CSV, never run this
-    cache = os.path.join(os.path.dirname(path), "__pycache__", os.path.basename(path) + ".npy")
-    with _naming(path):
-        # in 64 KiB blocks: never the whole file; 1 MiB blocks cost 0.3 MB of peak RSS
-        with open(path, "rb") as f:
-            # the cache format, to be bumped with any change to the parse below
-            # (its layouts, encoding or dtypes), then byte count, CRC-32, n_users
-            key = [1, 0, 0, n_users]
-            while block := f.read(1 << 16):
-                key[1:3] = key[1] + len(block), zlib.crc32(block, key[2])
-        h = None
-        # the key, then H, as .npy arrays: not np.load, which also opens a zip or a pickle
-        with suppress(OSError, ValueError), open(cache, "rb") as f:
-            if np.lib.format.read_array(f, allow_pickle=False).tolist() == key:
-                h = np.lib.format.read_array(f, allow_pickle=False)
-        if h is None or h.dtype != complex or h.shape[1:] != (n_users,):
-            with open(path, encoding="utf-8-sig") as f:
-                # rows are parsed as they are read: a list of every line would put
-                # the whole file's text on the heap at once
-                rows = (line for line in f if line.strip())
-                first = next(rows, None)
-                if first is None:
-                    raise ValueError("empty channel CSV")
-                width = first.count(",") + 1
-                if width not in (n_users, 2 * n_users):
-                    raise ValueError(
-                        f"channel CSV has {width} columns; expected {n_users} complex "
-                        f"or {2 * n_users} (re, im) columns"
-                    )
-                dtype = complex if width == n_users else float
-                h = np.loadtxt(chain([first], rows), delimiter=",", dtype=dtype, comments=None, ndmin=2)
-            h = h if dtype is complex else h.view(complex)  # (re, im) pairs: no copy
-            tmp = f"{cache}.{os.getpid()}"  # written whole, then renamed: no reader sees half a file
-            with suppress(OSError):
-                os.makedirs(os.path.dirname(cache), exist_ok=True)
-                with open(tmp, "wb") as f:
-                    np.save(f, key)
-                    np.save(f, h)
-                os.replace(tmp, cache)
-            with suppress(OSError):
-                os.remove(tmp)  # there only if the write failed
+    with _naming(path), open(path, encoding="utf-8-sig") as f:
+        # rows are parsed as they are read: a list of every line would put
+        # the whole file's text on the heap at once
+        rows = (line for line in f if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError("empty channel CSV")
+        width = first.count(",") + 1
+        if width not in (n_users, 2 * n_users):
+            raise ValueError(
+                f"channel CSV has {width} columns; expected {n_users} complex "
+                f"or {2 * n_users} (re, im) columns"
+            )
+        dtype = complex if width == n_users else float
+        h = np.loadtxt(chain([first], rows), delimiter=",", dtype=dtype, comments=None, ndmin=2)
+        h = h if dtype is complex else h.view(complex)  # (re, im) pairs: no copy
         if antennas is not None and len(h) != antennas:
             raise ValueError(f"channel CSV has {len(h)} rows, expected receive_antennas {antennas}")
     return h
+
+
+def _channel_gram_diag(path, n_users, antennas):
+    """diag((H^H H)^-1) of the channel CSV at path: from its cache when that matches, else from H."""
+    import zlib  # only a channel load needs it: sweep and pd, which read no CSV, never run this
+    cache = os.path.join(os.path.dirname(path), "__pycache__", os.path.basename(path) + ".npy")
+    # the format, bumped with any change to the parse or to channel._gram_diag; numpy's version;
+    # the CSV's byte count and CRC-32, in 64 KiB blocks (1 MiB blocks cost 0.3 MB of RSS); n_users
+    key = [2, zlib.crc32(np.__version__.encode()), 0, 0, n_users]
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16):
+            key[2:4] = key[2] + len(block), zlib.crc32(block, key[3])
+    # the key, M, then d as one .npy array: not np.load, which also opens a zip or a pickle;
+    # another M is parsed again, for the parse's own message
+    with suppress(OSError, ValueError), open(cache, "rb") as f:
+        d = np.lib.format.read_array(f, allow_pickle=False)
+        if d.dtype == float and d.shape == (6 + n_users,) and d[:5].tolist() == key and antennas in (None, d[5]):
+            return d[6:]
+    h = [load_channel_csv(path, n_users, antennas)]  # popped: _gram_diag frees H before the factorisation
+    d = np.concatenate([key, [len(h[0])], _gram_diag(h.pop())])
+    tmp = f"{cache}.{os.getpid()}.npy"  # written whole, then renamed: no reader sees half a file
+    with suppress(OSError):
+        os.makedirs(os.path.dirname(cache), exist_ok=True)
+        np.save(tmp, d)
+        os.replace(tmp, cache)
+    with suppress(OSError):
+        os.remove(tmp)  # there only if the write failed
+    return d[6:]
 
 
 # libyaml's parser where PyYAML was built with it, else the pure-Python one;
@@ -304,9 +308,7 @@ def build_scenario(doc: dict, base_dir: str = ".", source: str = "<dict>") -> Lo
             if "sigma2_watts" not in doc:
                 raise ValueError("channel_csv requires sigma2_watts")
             csv = os.path.join(base_dir, str(doc["channel_csv"]))
-            sigma2 = doc["sigma2_watts"]
-            # H is passed as a temporary: on CPython 3.11+ the gains free it before the factorisation
-            delta = compute_effective_gains(load_channel_csv(csv, n, antennas), _number("sigma2_watts", sigma2))
+            delta = _zf_gains(_channel_gram_diag(csv, n, antennas), _number("sigma2_watts", doc["sigma2_watts"]))
 
         kwargs = {Scenario: {"delta": delta}, PdSettings: {}}
         for key, (cls, field, read) in _FIELDS.items():

@@ -19,8 +19,12 @@ one seeded channel of M = 160 antennas and N = 130 users, so that the ZF
 gains form the Gram matrix in three blocks, under a budget of 0.2 W per
 user that binds: first from a CSV of complex literals, then from the same
 channel as (re, im) pairs, then both once more, "cached", when each load
-reads the matrix the first parse left in __pycache__/ beside its CSV. The
-four lines print the same stdout digest.
+reads the Gram diagonal diag((H^H H)^-1) the first load left in
+__pycache__/ beside its CSV. The four lines print the same stdout digest.
+Then it solves the channel at sigma2_watts: 0.5, first from a copy of the
+complex CSV, which has no cache yet, then "cached" from the complex CSV,
+whose cache the load at sigma2_watts: 1.0 wrote. These two lines print the
+same stdout digest as each other.
 
 It prints one line per run: the command, its exit code, and the SHA-256
 of what it wrote to stdout, of its --out file ("-" when it was given none)
@@ -78,8 +82,8 @@ CHANNEL_M, CHANNEL_N, CHANNEL_SEED = 160, 130, 160130
 
 
 def _channel_files(tmp):
-    """Write the seeded channel in both CSV layouts, with a scenario file
-    for each; returns the scenario file names."""
+    """Write the seeded channel in both CSV layouts and as a copy of the
+    complex one, and the four scenario files on them; returns their names."""
     rng = np.random.default_rng(CHANNEL_SEED)
     shape = (CHANNEL_M, CHANNEL_N)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -88,14 +92,20 @@ def _channel_files(tmp):
         "channel-complex": [[f"{z.real:.17g}{z.imag:+.17g}j" for z in row] for row in h],
         "channel-re-im": [[f"{x:.17g}" for z in row for x in (z.real, z.imag)] for row in h],
     }
+    layouts["channel-half-noise"] = layouts["channel-complex"]
+    # scenario file -> (its CSV, its noise power)
+    files = {label: (label, "1.0") for label in layouts}
+    files["channel-half-noise"] = ("channel-half-noise", "0.5")
+    files["channel-complex-half-noise"] = ("channel-complex", "0.5")
     for label, rows in layouts.items():
         Path(tmp, f"{label}.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+    for label, (csv, sigma2) in files.items():
         Path(tmp, f"{label}.yaml").write_text(
-            f"n_users: {CHANNEL_N}\nreceive_antennas: {CHANNEL_M}\nchannel_csv: {label}.csv\n"
-            f"sigma2_watts: 1.0\nw: [{w}]\np_max_individual_watts: 1.0\np_circuit_watts: 0.1\n"
+            f"n_users: {CHANNEL_N}\nreceive_antennas: {CHANNEL_M}\nchannel_csv: {csv}.csv\n"
+            f"sigma2_watts: {sigma2}\nw: [{w}]\np_max_individual_watts: 1.0\np_circuit_watts: 0.1\n"
             f"p_sum_max_watts: {0.2 * CHANNEL_N!r}\n"
         )
-    return [f"{label}.yaml" for label in layouts]
+    return [f"{label}.yaml" for label in files]
 
 
 def _sha256(data: bytes) -> str:
@@ -114,8 +124,9 @@ def main() -> int:
             assert old in fig2, old
             Path(tmp, name).write_text(fig2.replace(old, new))
             runs.append(("solve", name, os.path.join(tmp, name), [], False))
-        channels = _channel_files(tmp)
-        for name in channels + [f"{name} cached" for name in channels]:
+        complex_csv, re_im, half_noise, complex_half_noise = _channel_files(tmp)
+        for name in [complex_csv, re_im, f"{complex_csv} cached", f"{re_im} cached",
+                     half_noise, f"{complex_half_noise} cached"]:
             runs.append(("solve", name, os.path.join(tmp, name.split()[0]), [], False))
         for i, (command, label, scenario, extra, with_out) in enumerate(runs):
             argv = [command, "--scenario", scenario, *extra]

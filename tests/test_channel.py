@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -203,51 +204,71 @@ def test_channel_csv_with_a_byte_order_mark(tmp_path, layout):
 
 
 def _no_parse(*args, **kwargs):
-    raise AssertionError("the channel CSV was parsed, not read from its cache")
+    raise AssertionError("the channel CSV was parsed or factored, not read from its cache")
+
+
+def _warm(monkeypatch):
+    """Make every later parse and factorisation fail: a load must read the cache."""
+    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    monkeypatch.setattr(np.linalg, "cholesky", _no_parse)
+
+
+def gains(tmp_path, m, n, **doc):
+    """delta of channel_doc(m, n) on tmp_path/h.csv, with doc's keys replaced."""
+    return build_scenario({**channel_doc(m, n), **doc}, base_dir=str(tmp_path)).scenario.delta
 
 
 @pytest.mark.parametrize("layout", ["complex", "re-im"])
 def test_warm_channel_load_reads_the_cache_bit_for_bit(tmp_path, monkeypatch, layout):
     h = random_rayleigh_channel(12, 5, seed=32)
     (tmp_path / "h.csv").write_text(channel_text(h, layout))
-    cold_delta = build_scenario(channel_doc(12, 5), base_dir=str(tmp_path)).scenario.delta
-    (tmp_path / "__pycache__" / "h.csv.npy").unlink()
-    cold = load_channel_csv(tmp_path / "h.csv", 5)
-    monkeypatch.setattr(np, "loadtxt", _no_parse)
-    warm = load_channel_csv(tmp_path / "h.csv", 5, 12)
-    assert (warm.dtype, warm.shape) == (cold.dtype, cold.shape)
-    assert warm.tobytes() == cold.tobytes() == h.tobytes()
-    warm_delta = build_scenario(channel_doc(12, 5), base_dir=str(tmp_path)).scenario.delta
-    assert warm_delta.tobytes() == cold_delta.tobytes()
-    # the receive_antennas check holds on a cached load too
-    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'h.csv'))}: channel CSV has 12 rows, "
-                                         "expected receive_antennas 13$"):
-        load_channel_csv(tmp_path / "h.csv", 5, 13)
+    assert load_channel_csv(tmp_path / "h.csv", 5).tobytes() == h.tobytes()
+    assert not (tmp_path / "__pycache__").exists()  # the parse alone caches nothing
+    cold = gains(tmp_path, 12, 5)
+    assert cold.tobytes() == compute_effective_gains(h, 1.0).tobytes()
+    _warm(monkeypatch)
+    assert gains(tmp_path, 12, 5).tobytes() == cold.tobytes()
+    assert gains(tmp_path, 12, 5, receive_antennas=None).tobytes() == cold.tobytes()
+    # the receive_antennas check holds on a cached load too: a mismatched M
+    # is parsed again, for the parse's own message
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=f"^<dict>: {re.escape(str(tmp_path / 'h.csv'))}: channel CSV has 12 "
+                                         "rows, expected receive_antennas 13$"):
+        gains(tmp_path, 13, 5)
 
 
 def test_same_size_edit_of_the_csv_is_parsed_again(tmp_path):
     # the cache is keyed by the CSV's bytes, not by its size or its time
     path = tmp_path / "h.csv"
     path.write_text("1+2j,3+4j\n5+6j,7+8j\n")
-    assert load_channel_csv(path, 2)[1, 1] == 7 + 8j
+    before_edit = gains(tmp_path, 2, 2)
+    assert np.array_equal(before_edit, compute_effective_gains([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]], 1.0))
     before = path.stat()
     path.write_text("1+2j,3+4j\n5+6j,7+9j\n")
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     after = path.stat()
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-    assert load_channel_csv(path, 2)[1, 1] == 7 + 9j
+    after_edit = gains(tmp_path, 2, 2)
+    assert np.array_equal(after_edit, compute_effective_gains([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 9j]], 1.0))
+    assert not np.array_equal(after_edit, before_edit)
 
 
 def test_a_csv_that_fails_to_parse_writes_no_cache(tmp_path):
+    # nor does a channel that fails the finite or the rank check
     path = tmp_path / "h.csv"
-    for text in (b"1+2j,abc\n", b"1,2,3\n", b"", b"1+0j,1\xff+0j\n", b"1+2j,0+0j\n3+1j\n"):
+    for text, prefix in (
+        (b"1+2j,abc\n", f"<dict>: {path}: "), (b"1,2,3\n", f"<dict>: {path}: "), (b"", f"<dict>: {path}: "),
+        (b"1+0j,1\xff+0j\n", f"<dict>: {path}: "), (b"1+2j,0+0j\n3+1j\n", f"<dict>: {path}: "),
+        (b"1+0j,nan+0j\n0+0j,1+0j\n", "<dict>: channel matrix has non-finite entries"),
+        (b"1+0j,2+0j\n2+0j,4+0j\n", "<dict>: Gram matrix "),
+    ):
         path.write_bytes(text)
         messages = []
         for _ in range(2):
             with pytest.raises(ValueError) as info:
-                load_channel_csv(path, 2)
+                gains(tmp_path, 2, 2, receive_antennas=None)
             messages.append(str(info.value))
-        assert messages[0] == messages[1] and messages[0].startswith(f"{path}: "), text
+        assert messages[0] == messages[1] and messages[0].startswith(prefix), text
         assert not (tmp_path / "__pycache__").exists(), text
 
 
@@ -260,41 +281,108 @@ def _npy(*arrays):
 
 def test_a_garbage_or_truncated_cache_is_ignored_then_replaced(tmp_path):
     h = random_rayleigh_channel(6, 3, seed=34)
-    path = tmp_path / "h.csv"
-    path.write_text(channel_text(h, "complex"))
-    load_channel_csv(path, 3)
+    (tmp_path / "h.csv").write_text(channel_text(h, "complex"))
+    cold = gains(tmp_path, 6, 3)
     cache = tmp_path / "__pycache__" / "h.csv.npy"
     good = cache.read_bytes()
-    key = np.lib.format.read_array(io.BytesIO(good))
+    saved = np.lib.format.read_array(io.BytesIO(good))
+    assert saved.shape == (6 + 3,)  # the key, M, then d
+    other_csv = saved.copy()
+    other_csv[3] += 1  # the CRC-32
+    other_csv[6:] *= 2
     for bad in (
         b"", b"garbage", b"PK\x03\x04" + good, good[:10], good[:len(good) // 2], good[:-1],
-        _npy(key), _npy(key, h[:, :2]), _npy(key, h.real), _npy(key, np.array([None, 1])),
-        _npy(key + [0, 0, 1, 0], 2 * h),
+        _npy(saved[:5]), _npy(saved[:-1]), _npy(saved[None]), _npy(saved.astype(complex)),
+        _npy(np.array([None, 1])), _npy(other_csv),
     ):
         cache.write_bytes(bad)
-        assert load_channel_csv(path, 3).tobytes() == h.tobytes()
+        assert gains(tmp_path, 6, 3).tobytes() == cold.tobytes()
         assert cache.read_bytes() == good
     assert [p.name for p in cache.parent.iterdir()] == ["h.csv.npy"]
 
 
 def test_a_cache_of_another_format_is_parsed_again(tmp_path, monkeypatch):
     # the key starts with the cache format: a cache written by another
-    # version of the parse is not read, though the CSV and n_users match
+    # version of the parse or the Gram arithmetic is not read, though the
+    # CSV and n_users match
     h = random_rayleigh_channel(6, 3, seed=38)
-    path = tmp_path / "h.csv"
-    path.write_text(channel_text(h, "complex"))
-    load_channel_csv(path, 3)
+    (tmp_path / "h.csv").write_text(channel_text(h, "complex"))
+    cold = gains(tmp_path, 6, 3)
     cache = tmp_path / "__pycache__" / "h.csv.npy"
     good = cache.read_bytes()
-    key = np.lib.format.read_array(io.BytesIO(good))
+    saved = np.lib.format.read_array(io.BytesIO(good))
     loadtxt, parses = np.loadtxt, []
     monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: parses.append(1) or loadtxt(*a, **kw))
-    for other in (key[0] - 1, key[0] + 1):
-        cache.write_bytes(_npy(np.concatenate([[other], key[1:]]), 2 * h))
-        assert load_channel_csv(path, 3).tobytes() == h.tobytes()
+    for other in (saved[0] - 1, saved[0] + 1):
+        cache.write_bytes(_npy(np.concatenate([[other], saved[1:6], 2 * saved[6:]])))
+        assert gains(tmp_path, 6, 3).tobytes() == cold.tobytes()
         assert cache.read_bytes() == good
     assert len(parses) == 2
-    assert load_channel_csv(path, 3).tobytes() == h.tobytes() and len(parses) == 2
+    assert gains(tmp_path, 6, 3).tobytes() == cold.tobytes() and len(parses) == 2
+
+
+def test_a_cache_written_under_another_numpy_is_parsed_again(tmp_path, monkeypatch):
+    h = random_rayleigh_channel(6, 3, seed=39)
+    (tmp_path / "h.csv").write_text(channel_text(h, "complex"))
+    cold = gains(tmp_path, 6, 3)
+    cache = tmp_path / "__pycache__" / "h.csv.npy"
+    good = cache.read_bytes()
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    assert gains(tmp_path, 6, 3).tobytes() == cold.tobytes()
+    assert cache.read_bytes() != good
+    monkeypatch.undo()
+    loadtxt, parses = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: parses.append(1) or loadtxt(*a, **kw))
+    assert gains(tmp_path, 6, 3).tobytes() == cold.tobytes()
+    assert len(parses) == 1 and cache.read_bytes() == good
+
+
+def test_a_cache_of_the_channel_matrix_is_replaced_by_its_gram_diagonal(tmp_path):
+    # the format that held H: the key [1, byte count, CRC-32, n_users], then H
+    h = random_rayleigh_channel(6, 3, seed=40)
+    text = channel_text(h, "complex").encode()
+    (tmp_path / "h.csv").write_bytes(text)
+    cache = tmp_path / "__pycache__" / "h.csv.npy"
+    cache.parent.mkdir()
+    cache.write_bytes(_npy(np.array([1, len(text), zlib.crc32(text), 3]), h))
+    assert gains(tmp_path, 6, 3).tobytes() == compute_effective_gains(h, 1.0).tobytes()
+    saved = np.lib.format.read_array(io.BytesIO(cache.read_bytes()))
+    assert (saved.dtype, saved.shape) == (np.float64, (6 + 3,)) and saved[5] == 6
+
+
+def test_a_warm_load_at_another_noise_power_reads_the_cache(tmp_path, monkeypatch):
+    # sigma2 is not keyed: the cache holds diag((H^H H)^-1), which has no sigma2
+    h = random_rayleigh_channel(12, 5, seed=41)
+    (tmp_path / "h.csv").write_text(channel_text(h, "re-im"))
+    cold = gains(tmp_path, 12, 5, sigma2_watts=0.37)
+    (tmp_path / "__pycache__" / "h.csv.npy").unlink()
+    assert gains(tmp_path, 12, 5).tobytes() != cold.tobytes()  # the cache, written at sigma2 = 1
+    _warm(monkeypatch)
+    assert gains(tmp_path, 12, 5, sigma2_watts=0.37).tobytes() == cold.tobytes()
+
+
+def test_the_noise_power_rule_holds_on_a_warm_load(tmp_path, monkeypatch):
+    (tmp_path / "h.csv").write_text(channel_text(random_rayleigh_channel(12, 5, seed=42), "complex"))
+    message = r"^<dict>: noise power must be positive, got -1\.0$"
+    with pytest.raises(ValueError, match=message):
+        gains(tmp_path, 12, 5, sigma2_watts=-1)
+    assert (tmp_path / "__pycache__" / "h.csv.npy").is_file()
+    _warm(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        gains(tmp_path, 12, 5, sigma2_watts=-1)
+
+
+def test_a_receive_antennas_mismatch_on_a_warm_cache_gives_the_cold_message(tmp_path):
+    (tmp_path / "h.csv").write_text(channel_text(random_rayleigh_channel(12, 5, seed=43), "complex"))
+    messages = []
+    for warm in (False, True):
+        if warm:
+            gains(tmp_path, 12, 5)
+        with pytest.raises(ValueError) as info:
+            gains(tmp_path, 13, 5)
+        messages.append(str(info.value))
+        assert (tmp_path / "__pycache__" / "h.csv.npy").is_file() == warm
+    assert messages == [f"<dict>: {tmp_path / 'h.csv'}: channel CSV has 12 rows, expected receive_antennas 13"] * 2
 
 
 def test_a_file_named_pycache_leaves_the_load_working(tmp_path):
@@ -304,37 +392,39 @@ def test_a_file_named_pycache_leaves_the_load_working(tmp_path):
     h = random_rayleigh_channel(6, 3, seed=35)
     (tmp_path / "h.csv").write_text(channel_text(h, "re-im"))
     for _ in range(2):
-        assert np.array_equal(load_channel_csv(tmp_path / "h.csv", 3), h)
+        assert gains(tmp_path, 6, 3).tobytes() == compute_effective_gains(h, 1.0).tobytes()
     assert (tmp_path / "__pycache__").read_text() == "not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["__pycache__", "h.csv"]
 
 
 def test_a_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
-    # as a full disk would fail it: after the key, in the matrix
+    # as a full disk would fail it: partway through the array
     save, saves = np.save, []
 
     def failing_save(file, arr, *args, **kwargs):
         saves.append(arr)
-        if len(saves) == 2:
-            raise OSError(28, "No space left on device")
-        return save(file, arr, *args, **kwargs)
+        out = io.BytesIO()
+        save(out, arr, *args, **kwargs)
+        with open(file, "wb") as f:
+            f.write(out.getvalue()[:len(out.getvalue()) // 2])
+        raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(np, "save", failing_save)
     h = random_rayleigh_channel(6, 3, seed=37)
     (tmp_path / "h.csv").write_text(channel_text(h, "complex"))
-    assert np.array_equal(load_channel_csv(tmp_path / "h.csv", 3), h)
-    assert len(saves) == 2 and list((tmp_path / "__pycache__").iterdir()) == []
+    assert gains(tmp_path, 6, 3).tobytes() == compute_effective_gains(h, 1.0).tobytes()
+    assert len(saves) == 1 and list((tmp_path / "__pycache__").iterdir()) == []
 
 
 def test_one_cache_file_per_csv(tmp_path):
     # four real columns: 4 users of complex literals or 2 users of (re, im) pairs
     path = tmp_path / "h.csv"
-    path.write_text("1,2,3,4\n")
-    assert np.array_equal(load_channel_csv(path, 4), [[1, 2, 3, 4]])
-    assert np.array_equal(load_channel_csv(path, 2), [[1 + 2j, 3 + 4j]])
-    path.write_text("5,6,7,8\n")
-    assert np.array_equal(load_channel_csv(path, 2), [[5 + 6j, 7 + 8j]])
-    assert np.array_equal(load_channel_csv(path, 4), [[5, 6, 7, 8]])
+    for seed, counts in ((44, (4, 2, 4)), (45, (2, 4))):
+        a = np.random.default_rng(seed).standard_normal((4, 4))
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in a.tolist()))
+        for n in counts:
+            h = a if n == 4 else a.view(complex)
+            assert gains(tmp_path, 4, n).tobytes() == compute_effective_gains(h, 1.0).tobytes(), (seed, n)
     assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == ["h.csv.npy"]
 
 
@@ -401,9 +491,11 @@ def test_effective_gains_allocate_less_than_the_channel():
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a temporary argument alive in its caller")
 @pytest.mark.parametrize("layout", ["complex", "re-im"])
 def test_build_scenario_frees_the_channel_before_the_factorisation(tmp_path, monkeypatch, layout):
-    # twice: from the parse, then from the parse's cache
+    # from the parse, then through compute_effective_gains; the warm build
+    # reads the cache, and neither parses nor factors
     h = random_rayleigh_channel(96, 80, seed=920)
     (tmp_path / "h.csv").write_text(channel_text(h, layout))
+    expected = compute_effective_gains(h, 1.0)
     refs, alive = [], []
     load, cholesky = mupower.scenario.load_channel_csv, np.linalg.cholesky
 
@@ -421,11 +513,29 @@ def test_build_scenario_frees_the_channel_before_the_factorisation(tmp_path, mon
     doc = channel_doc(96, 80)
     loaded = mupower.scenario.build_scenario(doc, base_dir=str(tmp_path))
     assert (tmp_path / "__pycache__" / "h.csv.npy").is_file()
-    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    # the public function frees a temporary H too (not inside an assert, whose rewrite keeps it)
+    public = compute_effective_gains(load_spy(tmp_path / "h.csv", 80), 1.0)
+    assert public.tobytes() == expected.tobytes()
+    _warm(monkeypatch)
     warm = mupower.scenario.build_scenario(doc, base_dir=str(tmp_path))
-    assert alive == [False, False]
-    assert np.array_equal(loaded.scenario.delta, compute_effective_gains(h, 1.0))
+    assert alive == [False, False] and len(refs) == 2
+    assert np.array_equal(loaded.scenario.delta, expected)
     assert warm.scenario.delta.tobytes() == loaded.scenario.delta.tobytes()
+
+
+def test_warm_build_scenario_allocates_an_eighth_of_the_channel(tmp_path):
+    # a hit reads M and d, 8 B per user, and never H
+    h = random_rayleigh_channel(1024, 256, seed=921)
+    (tmp_path / "h.csv").write_text(channel_text(h, "re-im"))
+    cold = gains(tmp_path, 1024, 256)
+    tracemalloc.start()
+    try:
+        warm = gains(tmp_path, 1024, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < h.nbytes / 8, f"peak {peak / h.nbytes:.3f} x H.nbytes"
+    assert warm.tobytes() == cold.tobytes()
 
 
 def test_effective_gains_peak_memory_is_twice_the_channel():

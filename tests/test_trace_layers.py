@@ -35,6 +35,8 @@ class _Recorder:
 DROPPED = {
     "mupower.primal_dual.utility_grad": "integrate computes U' on floats and calls no utility_grad",
     "mupower.cli.summarize": "cmd_solve calls utility and jain_index directly",
+    "mupower.scenario.compute_effective_gains": "build_scenario takes diag((H^H H)^-1) from its cache or "
+                                                "channel._gram_diag, and divides by sigma2 itself",
 }
 
 
