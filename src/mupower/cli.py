@@ -5,7 +5,7 @@ Subcommands (all read a scenario file, see scenario.py for the format):
     solve            one centralized solve, report to stdout (+ CSV via --out)
     sweep-diversity  2-user (w1, w2) grid; CSV of powers, SE and EE per user
     sweep-fairness   2-user channel-asymmetry sweep; CSV of Jain index
-    primal-dual      distributed run; trajectory CSV via --out, summary to stdout
+    primal-dual      distributed run; trajectory CSV via --out, summary and max_kkt_residual to stdout
 
 Each sweep is one batched solve (solver.solve_batch), and the first row
 that fails its certificate aborts the sweep. The solver returns powers;
@@ -15,7 +15,7 @@ is jain_index of the users' utility.
 Every CSV is built by _csv, deterministic for a fixed scenario file. Each
 command writes stdout in one call, as a reader may close the pipe early
 (| head). Exit codes: 0 success, 1 input or usage error, 2 solver
-non-convergence (primal-dual only fails so under --strict).
+non-convergence (primal-dual only under --strict: its end state fails the KKT gate).
 """
 from __future__ import annotations
 
@@ -141,7 +141,8 @@ def cmd_primal_dual(loaded: LoadedScenario, out=None, strict: bool = False) -> i
         f"converged: {traj.converged}\nsteps: {traj.steps_taken}\n"
         f"final_gap_vs_centralized: {gap:.12g}\n"
         f"final_lambda: {traj.lam[-1]:.12g} (centralized {reference.lam:.12g})\n"
-        f"messages_broadcast: {traj.steps_taken}\nmessages_uplink: {traj.messages_uplink}\n",
+        f"messages_broadcast: {traj.steps_taken}\nmessages_uplink: {traj.messages_uplink}\n"
+        f"max_kkt_residual: {traj.kkt.max_residual:.12g}\n",
     )
     if strict and not traj.converged:
         print("error: primal-dual integration did not converge", file=sys.stderr)
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
         if name.startswith("sweep-"):
             p.add_argument("--grid", type=int, default=41, help="sweep points per axis")
         if name == "primal-dual":
-            p.add_argument("--strict", action="store_true", help="nonzero exit on non-convergence")
+            p.add_argument("--strict", action="store_true", help="exit 2 when the end state fails the KKT gate")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # a usage error exits 2, which means non-convergence here

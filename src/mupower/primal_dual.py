@@ -30,22 +30,24 @@ U_i' fragment: its prologue puts U_i' at each cap, for the skip, and its
 step holds N straight-line user blocks, each the same template with only
 the user index put in, so no scenario data enters the source. Updating
 each power in place is exact since user i's update reads only P_i and
-lambda. Each block keeps its step d_i (0.0 when parked), and one chained
-comparison stops the loop once the price's step and every d_i lie within
-TOL_EQ. Every float operation keeps its expression and its order (U_i'
-with libm's log1p, the floor clamp before the cap clamp, sum(P) as one
-addition per user in index order), so the kernel computes what a loop
-over the users computes, bit for bit, without the interpreter's per-user
-loop work. Building it costs about 0.2-0.3 ms and 60 KiB of compiler
-memory per user.
+lambda. Each block keeps its step d_i (0.0 when parked). A step with
+every |d_i| <= TOL_KKT k_i (d_i = k_i (U_i' - lambda) inside the box) and
+|lambda's step| max(1, lambda) <= TOL_KKT g (lambda |sum(P) - p_sum_max|
+is a KKT term) runs the solver's certificate on the state, and the run
+stops if the state passes. Every float operation keeps its expression and
+its order (U_i' with libm's log1p, the floor clamp before the cap clamp,
+sum(P) as one addition per user in index order), so the kernel computes
+what a loop over the users computes, bit for bit, without the
+interpreter's per-user loop work. Building it costs about 0.2-0.3 ms and
+60 KiB of compiler memory per user.
 
 The quadratic distance to the centralized optimum,
 
     V = 1/2 sum_i (P_i - P_i*)^2 / k_i + (lambda - lambda*)^2 / (2 g),
 
-is non-increasing along the continuous flow, a convergence certificate
-(up to explicit-Euler slack). A run records only its state (t, p, lambda);
-the records' utility and V are computed once the run ends.
+is non-increasing along the continuous flow (up to explicit-Euler slack):
+a monitor of the run, not its stop test. A run records only its state
+(t, p, lambda); the records' utility and V are computed once it ends.
 """
 from __future__ import annotations
 
@@ -56,18 +58,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import P_FLOOR, PdSettings, Scenario, _checked
-from .solver import Allocation, solve_centralized
+from .solver import TOL_KKT, Allocation, KktReport, _certificate, solve_centralized
 from .utility import utility
 
-# A run has converged once neither a power nor the price moves more than this in a step.
-TOL_EQ = 1e-10
 # Steps between two recorded states of a run.
 RECORD_EVERY = 100
 
 
 @dataclass
 class Trajectory:
-    """Decimated time series of the integration plus overhead counters.
+    """Decimated time series of a run, its counters and its end state's KKT report.
 
     The last record is always the final state: p[-1], lam[-1] at t[-1] = steps_taken.
     """
@@ -78,8 +78,9 @@ class Trajectory:
     total_utility: np.ndarray
     v: np.ndarray               # Lyapunov distance to the centralized optimum
     messages_uplink: int        # power reports = n_users * steps taken
-    converged: bool
+    converged: bool             # exactly: kkt passes TOL_KKT
     steps_taken: int            # also the number of price broadcasts
+    kkt: KktReport              # the solver's certificate of the final state
 
 
 def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
@@ -111,8 +112,8 @@ _USER = """\
             x{i} = x_next
 """
 _LOOP = """\
-def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records):
-    log1p, isfinite, floor, array = math.log1p, math.isfinite, P_FLOOR, np.array
+def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records, certificate):
+    log1p, isfinite, floor, array, tol_g = math.log1p, math.isfinite, P_FLOOR, np.array, TOL_KKT * g
     {consts}= users
     {xs}, = x
 {caps}    for t in range(1, max_steps + 1):
@@ -122,15 +123,17 @@ def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records):
 {users}
         if not (isfinite(p_sum) and isfinite(lam_next)):
             raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
-        stop = -TOL_EQ <= lam_next - lam <= TOL_EQ{stops}
+        stop = -tol_g <= (lam_next - lam) * (lam_next if lam_next > 1.0 else 1.0) <= tol_g{stops}
         lam = lam_next
         if t % RECORD_EVERY == 0:
             records.append((t, array([{xs}]), lam))
-        if stop:
+        if stop and (kkt := certificate(array([{xs}]), lam)).max_residual <= TOL_KKT:
             break
+    else:
+        kkt = certificate(array([{xs}]), lam)
     if t % RECORD_EVERY != 0:  # t is bound: PdSettings makes max_steps >= 1
         records.append((t, array([{xs}]), lam))
-    return t, stop
+    return t, kkt
 """
 # Kernels kept built, one per user count.
 KERNEL_CACHE_SIZE = 8
@@ -142,11 +145,11 @@ def _kernel(n: int):
     # one unpacking statement each for the constants and the powers: it
     # compiles in less memory than a statement per user
     src = _LOOP.format(
-        consts="".join(f"k{i}, p_u{i}, delta{i}, p_c{i}, c{i}, " for i in range(n)),
+        consts="".join(f"k{i}, p_u{i}, delta{i}, p_c{i}, c{i}, tol{i}, " for i in range(n)),
         caps="".join(_GRAD.format(i=i, x=f"p_u{i}", u=f"u_cap{i}", pad=" " * 4) for i in range(n)),
         users="".join(_USER.format(i=i, grad=_GRAD.format(i=i, x=f"x{i}", u="u", pad=" " * 12))
                       for i in range(n)),
-        stops="".join(f" and -TOL_EQ <= d{i} <= TOL_EQ" for i in range(n)),
+        stops="".join(f" and -tol{i} <= d{i} <= tol{i}" for i in range(n)),
         xs=", ".join(f"x{i}" for i in range(n)),
     )
     namespace = {}
@@ -159,7 +162,7 @@ def integrate(
     settings: PdSettings | None = None,
     reference: Allocation | None = None,
 ) -> Trajectory:
-    """Run the primal-dual dynamics until motion dies out; return the Trajectory.
+    """Run the primal-dual dynamics until the state is certified; return the Trajectory.
 
     settings defaults to PdSettings(); reference, which holds the caps and
     the optimum V measures from, is solved here when None. Raises ValueError
@@ -169,8 +172,7 @@ def integrate(
     settings = settings or PdSettings()
     n, g, lam = sc.n_users, settings.g, settings.init_lambda
     k = _checked("k", settings.k, (n,))
-    if reference is None:
-        reference = solve_centralized(sc)
+    reference = reference or solve_centralized(sc)
     p_u, p_star, lam_star = reference.p_u, reference.p, reference.lam
     w, p_circuit, delta, p_sum_max = sc.w, sc.p_circuit, sc.delta, sc.p_sum_max
 
@@ -183,10 +185,10 @@ def integrate(
             raise ValueError(f"init_p must lie in (0, p_u], got {p[i]} > p_u {p_u[i]} at user {i + 1}")
     p = np.clip(p, P_FLOOR, p_u)
 
-    users = np.column_stack(np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w)).ravel().tolist()
+    users = np.column_stack(np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w, TOL_KKT * k)).ravel().tolist()
     records = [(0, p, lam)]
-    t, stopped = _kernel(n)(users, p.tolist(), lam, float(p.sum()), g, p_sum_max,
-                            settings.max_steps, records)
+    t, kkt = _kernel(n)(users, p.tolist(), lam, float(p.sum()), g, p_sum_max, settings.max_steps, records,
+                        lambda x, lam: _certificate(w, p_circuit, delta, p_sum_max, x, p_u, lam))
 
     t_rec, p_rec, lam_rec = (np.array(col) for col in zip(*records))
     return Trajectory(
@@ -196,6 +198,7 @@ def integrate(
         total_utility=np.sum(utility(p_rec, w, p_circuit, delta), axis=1),
         v=lyapunov(p_rec, lam_rec, p_star, lam_star, settings),
         messages_uplink=n * t,
-        converged=stopped,
+        converged=bool(kkt.max_residual <= TOL_KKT),
         steps_taken=t,
+        kkt=kkt,
     )

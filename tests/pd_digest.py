@@ -2,6 +2,12 @@
 
     python tests/pd_digest.py [--expect STEPS RECORDS]
 
+For example, the runs' current digests, which any change to the Euler
+steps or to the stop rule moves:
+
+    python tests/pd_digest.py --expect 314,874 \
+        7c4b23c903c05b5680379becf22620abfefb9d7c7822efb138f44de7f545a547
+
 This runs fig4's default start and the 10 starts of acceptance
 criterion 9 (np.random.default_rng(99), each start drawn in this order:
 init_p = uniform(0.02, 1, N) * compute_pu(sc), init_lambda = uniform(0, 1)),
@@ -11,6 +17,8 @@ prints:
     steps      the steps taken over all 11 runs
     records    SHA-256 of each trajectory's t, p, lam, total_utility and v
                bytes, in that order, run after run
+    max_kkt    the largest max_residual of the runs' end-state KKT reports
+               (Trajectory.kkt), which TOL_KKT bounds for a converged run
     csv        SHA-256 of each trajectory's CSV text as write_trajectory_csv
                writes it (the CLI's primal-dual --out), run after run
     step_us    the median over the 11 runs of each run's integrate time
@@ -22,17 +30,19 @@ prints:
 
 Two checkouts whose first two lines match ran the same Euler steps on
 the same states to the last bit; a matching csv line also means they
-wrote the same trajectory CSV bytes. step_us, first_us and build_ms are
+wrote the same trajectory CSV bytes. All the lines are written in one
+call once the last is known, so a reader that closes the pipe early
+(| head -2) ends the run quietly. step_us, first_us and build_ms are
 timings, not digests: they move with the host's load, so compare two
-checkouts by alternating their runs on one machine. With --expect the run also
-compares steps and records with the given values (STEPS with or without
-thousands commas) and exits 1, naming each mismatch, when either
-differs; csv and the timings are never compared. The digests hold for
-one numpy build and libm on one CPU: the step's U' takes libm's log1p,
-while the records' total_utility takes numpy's SIMD log1p, which differs
-from libm's in the last bit on some inputs, and which SIMD path runs
-depends on the CPU. The package is imported from PYTHONPATH when it is
-there (so another checkout's src/ can be measured), else from this
+checkouts by alternating their runs on one machine. With --expect the
+run also compares steps and records with the given values (STEPS with or
+without thousands commas) and exits 1, naming each mismatch, when either
+differs; max_kkt, csv and the timings are never compared. The digests
+hold for one numpy build and libm on one CPU: the step's U' takes libm's
+log1p, while the records' total_utility takes numpy's SIMD log1p, which
+differs from libm's in the last bit on some inputs, and which SIMD path
+runs depends on the CPU. The package is imported from PYTHONPATH when it
+is there (so another checkout's src/ can be measured), else from this
 checkout's src/. Pytest does not collect this file.
 """
 import argparse
@@ -87,12 +97,13 @@ def main(argv=None):
     sc = loaded.scenario
     reference = solve_centralized(sc)
     records, csv = hashlib.sha256(), hashlib.sha256()
-    steps, step_us = 0, []
+    steps, step_us, max_kkt = 0, [], 0.0
     for pd in settings_of_runs(loaded):
         start = time.perf_counter()
         traj = integrate(sc, pd, reference=reference)
         step_us.append((time.perf_counter() - start) / traj.steps_taken * 1e6)
         steps += traj.steps_taken
+        max_kkt = max(max_kkt, float(traj.kkt.max_residual))
         for col in (traj.t, traj.p, traj.lam, traj.total_utility, traj.v):
             records.update(np.ascontiguousarray(col).tobytes())
         text = io.StringIO()
@@ -100,11 +111,14 @@ def main(argv=None):
             write_trajectory_csv(traj, None)
         csv.update(text.getvalue().encode())
     got = {"steps": f"{steps:,}", "records": records.hexdigest()}
-    print("\n".join(f"{name}: {value}" for name, value in got.items()))
-    print(f"csv: {csv.hexdigest()}")
-    print(f"step_us: {statistics.median(step_us):.3f}")
-    print(f"first_us: {step_us[0]:.3f}")
-    print("build_ms:", ", ".join(f"N={n} {build_ms(n):.2f}" for n in (4, 512)))
+    lines = [f"{name}: {value}" for name, value in got.items()] + [
+        f"max_kkt: {max_kkt:.12g}",
+        f"csv: {csv.hexdigest()}",
+        f"step_us: {statistics.median(step_us):.3f}",
+        f"first_us: {step_us[0]:.3f}",
+        "build_ms: " + ", ".join(f"N={n} {build_ms(n):.2f}" for n in (4, 512)),
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
     if args.expect is None:
         return 0
     mismatched = [(name, want) for name, want in zip(got, args.expect)

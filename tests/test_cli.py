@@ -445,6 +445,8 @@ def test_primal_dual_fig4(tmp_path):
     assert "converged: True" in text
     gap = float(next(l for l in text.splitlines() if l.startswith("final_gap")).split(": ")[1])
     assert gap <= 1e-3
+    kkt = float(next(l for l in text.splitlines() if l.startswith("max_kkt_residual")).split(": ")[1])
+    assert kkt <= 1e-8
     header = out.read_text().splitlines()[0]
     assert header == "t,P_1,P_2,P_3,P_4,lambda,total_utility,V"
 

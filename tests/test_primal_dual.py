@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -7,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mupower import PdSettings, Scenario, compute_pu, gains_from_db, integrate, load_scenario, solve_centralized
+from mupower import (Allocation, PdSettings, Scenario, compute_pu, gains_from_db, integrate, kkt_residuals,
+                     load_scenario, solve_centralized)
 from mupower.cli import write_trajectory_csv
-from mupower.primal_dual import RECORD_EVERY, TOL_EQ, lyapunov
-from mupower.solver import P_FLOOR
+from mupower.primal_dual import RECORD_EVERY, lyapunov
+from mupower.solver import P_FLOOR, TOL_KKT, _certificate
 from mupower.utility import _beta, utility, utility_grad
+
+FIG4 = Path(__file__).resolve().parent.parent / "scenarios" / "fig4.yaml"
 
 
 def fig4_scenario() -> Scenario:
@@ -26,6 +30,11 @@ def fig4_scenario() -> Scenario:
 
 def caps_for(sc: Scenario) -> np.ndarray:
     return compute_pu(sc)
+
+
+def kkt_of(sc, p, p_u, lam):
+    """The solver's KKT report of a primal-dual state (p, lam) under the caps p_u."""
+    return kkt_residuals(sc, Allocation(p=p, p_u=p_u, lam=lam, case=None))
 
 
 # --------------------------------------------------------------------- step
@@ -74,8 +83,8 @@ def test_step_fixed_at_centralized_optimum():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
     p_new, lam_new = one_step(sc, ref.p, ref.lam, ref)
-    assert np.max(np.abs(p_new - ref.p)) <= TOL_EQ
-    assert abs(lam_new - ref.lam) <= TOL_EQ
+    assert np.max(np.abs(p_new - ref.p)) <= 1e-10
+    assert abs(lam_new - ref.lam) <= 1e-10
 
 
 def test_step_lambda_parked_at_zero_under_slack():
@@ -196,12 +205,15 @@ def test_integrate_restart_is_fixed_point():
 
 
 def test_integrate_records_derived_after_the_run():
-    # the utility and V of the stacked records equal the per-record values
+    # the utility and V of the stacked records equal the per-record values,
+    # and the run's KKT report is the solver's report of its last record
     sc = fig4_scenario()
     ref = solve_centralized(sc)
     for pd, converged in ((PdSettings(k=0.1, g=0.1), True), (PdSettings(max_steps=555), False)):
         traj = integrate(sc, pd, reference=ref)
         assert traj.converged is converged
+        assert traj.kkt.max_residual == kkt_of(sc, traj.p[-1], ref.p_u, traj.lam[-1]).max_residual
+        assert bool(traj.kkt.max_residual <= TOL_KKT) is converged
         assert traj.t[-1] == traj.steps_taken
         assert traj.t.tolist() == list(range(0, traj.steps_taken, RECORD_EVERY)) + [traj.steps_taken]
         u = [float(np.sum(utility(p, sc.w, sc.p_circuit, sc.delta))) for p in traj.p]
@@ -212,16 +224,18 @@ def test_integrate_records_derived_after_the_run():
 
 
 def test_integrate_stops_on_the_last_allowed_step():
-    # fig4's default start stops at step 24,980: a budget of exactly that many
-    # steps converges, one step less runs out
+    # fig4's default start stops at step 29,310, where its steps first pass
+    # the stop rule and its state the certificate: a budget of exactly that
+    # many steps stops there too, and one step less runs out. converged is
+    # the end state's certificate, which step 29,309's state passes as well
+    # and step 28,000's does not
     sc = fig4_scenario()
     ref = solve_centralized(sc)
-    traj = integrate(sc, PdSettings(max_steps=24_980), reference=ref)
-    assert traj.converged is True
-    assert traj.steps_taken == 24_980
-    traj = integrate(sc, PdSettings(max_steps=24_979), reference=ref)
-    assert traj.converged is False
-    assert traj.t[-1] == traj.steps_taken == 24_979
+    for max_steps, steps, converged in ((10**7, 29_310, True), (29_310, 29_310, True),
+                                        (29_309, 29_309, True), (28_000, 28_000, False)):
+        traj = integrate(sc, PdSettings(max_steps=max_steps), reference=ref)
+        assert traj.converged is converged
+        assert traj.t[-1] == traj.steps_taken == steps
 
 
 def test_integrate_same_limit_from_random_starts():
@@ -242,6 +256,72 @@ def test_integrate_same_limit_from_random_starts():
         assert np.max(np.abs(p - ref.p)) <= 1e-3
 
 
+def criterion_9_starts(sc, gain):
+    """Acceptance criterion 9's 10 seeded starts of fig4, at k = g = gain."""
+    p_u = caps_for(sc)
+    rng = np.random.default_rng(99)
+    return [PdSettings(k=gain, g=gain, init_p=rng.uniform(0.02, 1.0, 4) * p_u,
+                       init_lambda=float(rng.uniform(0.0, 1.0))) for _ in range(10)]
+
+
+def seeded_draw(seed, n, share):
+    """n users, w from U(0, 1) and delta from -10 to 20 dB drawn from seed,
+    under a budget of share times the sum of their caps (slack above 1)."""
+    rng = np.random.default_rng(seed)
+    sc = Scenario(w=rng.uniform(0.0, 1.0, n), p_circuit=0.1, p_max=1.0,
+                  delta=gains_from_db(rng.uniform(-10.0, 20.0, n)), p_sum_max=float(n))
+    return dataclasses.replace(sc, p_sum_max=share * float(caps_for(sc).sum()))
+
+
+def test_every_converged_run_passes_the_kkt_gate():
+    # converged is the solver's certificate of the end state, recomputed
+    # here from the last record: fig4's default start, criterion 9's starts
+    # at four gains, and seeded draws of 2 to 16 users, slack and tight (the
+    # seed-2 and seed-4 budgets price the power above 1)
+    loaded = load_scenario(FIG4)
+    runs = [(loaded.scenario, loaded.pd)]
+    runs += [(loaded.scenario, pd) for gain in (1e-3, 1e-2, 0.1, 0.3)
+             for pd in criterion_9_starts(loaded.scenario, gain)]
+    for seed, n, share in ((1, 2, 0.7), (2, 3, 0.3), (3, 9, 1.5), (4, 13, 0.3), (5, 16, 0.7), (6, 5, 1.5)):
+        runs += [(seeded_draw(seed, n, share), PdSettings(k=gain, g=gain)) for gain in (1e-3, 1e-2)]
+    prices = []
+    for sc, pd in runs:
+        ref = solve_centralized(sc)
+        traj = integrate(sc, pd, reference=ref)
+        assert traj.converged
+        assert kkt_of(sc, traj.p[-1], ref.p_u, traj.lam[-1]).max_residual <= TOL_KKT
+        prices.append(ref.lam)
+    assert max(prices) > 1.0
+
+
+def test_stop_rule_scales_the_price_and_runs_on_past_a_failed_certificate(monkeypatch):
+    reports = []
+
+    def counted(*args):
+        reports.append(_certificate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr("mupower.primal_dual._certificate", counted)
+    # at a price of about 1.45 an unscaled price test passes while
+    # lambda |sum(p) - p_sum_max| still fails the gate, and the certificate
+    # then runs on most steps for hundreds of steps
+    sc = seeded_draw(2, 3, 0.3)
+    ref = solve_centralized(sc)
+    assert ref.lam > 1.0
+    for gain in (1e-3, 1e-2):
+        reports.clear()
+        assert integrate(sc, PdSettings(k=gain, g=gain), reference=ref).converged
+        assert len(reports) <= 2
+    # criterion 9's first start at k = g = 0.3 passes the stop rule once before
+    # its state passes the certificate, runs on and is certified at step 132
+    sc = fig4_scenario()
+    reports.clear()
+    traj = integrate(sc, criterion_9_starts(sc, 0.3)[0])
+    assert [bool(r.max_residual <= TOL_KKT) for r in reports] == [False, True]
+    assert traj.kkt is reports[-1] and traj.converged
+    assert traj.steps_taken == 132
+
+
 def numpy_euler(sc, pd, ref):
     """The Euler loop written on arrays (np.minimum/np.maximum, p.sum()),
     returning the recorded t, p and lam as integrate records them."""
@@ -253,11 +333,12 @@ def numpy_euler(sc, pd, ref):
         drive = libm_grad(p, sc.w, sc.p_circuit, sc.delta) - lam
         p_next = np.minimum(np.maximum(p + k * drive, P_FLOOR), p_u)
         lam_next = max(0.0, lam + g * (float(p.sum()) - sc.p_sum_max))
-        motion = max(float(abs(p_next - p).max()), abs(lam_next - lam))
+        still = bool(np.all(np.abs(p_next - p) <= TOL_KKT * k)) and \
+            abs(lam_next - lam) * max(1.0, lam_next) <= TOL_KKT * g
         p, lam = p_next, lam_next
         if t % RECORD_EVERY == 0:
             records.append((t, p, lam))
-        if motion <= TOL_EQ:
+        if still and kkt_of(sc, p, p_u, lam).max_residual <= TOL_KKT:
             break
     if t % RECORD_EVERY != 0:
         records.append((t, p, lam))
@@ -284,7 +365,8 @@ def float_euler(sc, pd, ref):
     for t in range(1, pd.max_steps + 1):
         lam_next = lam + g * (p_sum - p_sum_max)
         lam_next = lam_next if lam_next > 0.0 else 0.0  # max(0.0, .), NaN to 0.0 too
-        x_next, p_sum, motion = [], 0.0, abs(lam_next - lam)
+        x_next, p_sum = [], 0.0
+        still = abs(lam_next - lam) * max(1.0, lam_next) <= TOL_KKT * g
         for x_i, (k_i, p_u_i, delta_i, p_c_i, c_i, u_cap_i) in zip(x, users):
             if x_i == p_u_i and lam <= u_cap_i:
                 x_next.append(x_i)
@@ -299,17 +381,13 @@ def float_euler(sc, pd, ref):
                 x_i_next = p_u_i
             x_next.append(x_i_next)
             p_sum += x_i_next
-            move = x_i_next - x_i
-            if move > motion:
-                motion = move
-            elif -move > motion:
-                motion = -move
+            still = still and abs(x_i_next - x_i) <= TOL_KKT * k_i
         if not (isfinite(p_sum) and isfinite(lam_next)):
             raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
         x, lam = x_next, lam_next
         if t % RECORD_EVERY == 0:
             records.append((t, np.array(x), lam))
-        if motion <= TOL_EQ:
+        if still and kkt_of(sc, np.array(x), p_u, lam).max_residual <= TOL_KKT:
             break
     if t % RECORD_EVERY != 0:
         records.append((t, np.array(x), lam))
@@ -391,7 +469,8 @@ def test_integrate_matches_the_numpy_euler_loop_to_convergence():
     # two fig4 runs to convergence: the default start, and 0.99 p_u at
     # lam = 0, where user 3 parks at its cap, is released while the price
     # overshoots U_3'(p_u), and parks again. integrate skips a parked
-    # user's update; the oracle never skips, and every bit must agree
+    # user's update; the oracle never skips, and every bit must agree, the
+    # step on which the oracle's stop rule and certificate end the run too
     sc = fig4_scenario()
     ref = solve_centralized(sc)
     for pd in (PdSettings(), PdSettings(init_p=0.99 * ref.p_u)):
@@ -508,8 +587,7 @@ def test_pd_settings_validation():
 
 def test_pd_settings_compare_by_identity():
     # the loader passes k as a per-user array, which an element-wise __eq__ could not compare
-    fig4 = Path(__file__).resolve().parent.parent / "scenarios" / "fig4.yaml"
-    a, b = (load_scenario(fig4).pd for _ in range(2))
+    a, b = (load_scenario(FIG4).pd for _ in range(2))
     assert isinstance(a.k, np.ndarray)
     assert a == a and a != b
     assert {a} == {a} and len({a, b}) == 2
