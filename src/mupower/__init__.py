@@ -7,7 +7,7 @@ primal-dual integration, both with full KKT / Lyapunov verification
 instrumentation.
 """
 
-from .channel import SingularGramError, compute_effective_gains, gains_from_db
+from .channel import SingularGramError, gains_from_db
 from .primal_dual import Trajectory, integrate
 from .scenario import LoadedScenario, PdSettings, Scenario, build_scenario, load_channel_csv, load_scenario
 from .solver import (
@@ -32,7 +32,6 @@ __all__ = [
     "SingularGramError",
     "Trajectory",
     "build_scenario",
-    "compute_effective_gains",
     "compute_pu",
     "ee",
     "gains_from_db",

@@ -7,10 +7,10 @@ where the effective gain is
     delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii)        [1/W]
 
 Experiments usually specify delta directly in dB, which gains_from_db
-converts; compute_effective_gains takes H and sigma2 instead. Both return
-delta as a plain float vector. A hit on scenario.py's cache of _gram_diag's
-d = diag((H^H H)^-1) returns its writer's bits: zpotrf factors one G into
-d's with different last bits at 1 and 2 OpenBLAS threads.
+converts; from H and sigma2 it is _zf_gains(_gram_diag(H), sigma2). Both
+give delta as a plain float vector. A hit on scenario.py's cache of
+_gram_diag's d = diag((H^H H)^-1) returns its writer's bits: zpotrf factors
+one G into d's with different last bits at 1 and 2 OpenBLAS threads.
 
 G = H^H H is formed _INV_LEAF columns at a time, lower triangle only, each
 block G[j:e, :e] = H[:, j:e]^H H[:, :e] mirrored into the upper triangle:
@@ -40,22 +40,11 @@ class SingularGramError(ValueError):
     """Channel Gram matrix H^H H is singular or too ill-conditioned to invert."""
 
 
-def compute_effective_gains(h, sigma2: float) -> np.ndarray:
-    """Effective ZF gains delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii).
-
-    h is the complex M x N channel matrix (rows index receive antennas,
-    columns index users) and sigma2 the receiver noise power in W. It
-    requires M >= N and full column rank. The Gram matrix H^H H is
-    inverted through its Cholesky factor L: (H^H H)^-1 = L^-H L^-1, so its
-    diagonal holds the squared column norms of L^-1.
-    """
-    h = [h]  # boxed, then popped: _gram_diag holds the caller's temporary H alone
-    return _zf_gains(_gram_diag(h.pop()), sigma2)
-
-
 def _gram_diag(h) -> np.ndarray:
-    """diag((H^H H)^-1): compute_effective_gains up to sigma2. H is dropped once G is
-    formed: a caller's temporary H (CPython 3.11+) is freed before the factorisation."""
+    """diag((H^H H)^-1) for the complex M x N channel h (antennas x users), M >= N, full
+    column rank: with G = H^H H = L L^H, diag(L^-H L^-1), the squared column norms of
+    L^-1. H is dropped once G is formed: a caller's temporary H (CPython 3.11+) is
+    freed before the factorisation."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")

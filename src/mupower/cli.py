@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from .channel import gains_from_db
-from .primal_dual import Trajectory, integrate
-from .scenario import P_FLOOR, LoadedScenario, load_scenario
+from .primal_dual import Trajectory, integrate, lyapunov
+from .scenario import _KEYS, P_FLOOR, LoadedScenario, _naming, load_scenario
 from .solver import BudgetCase, ConvergenceError, solve_batch, solve_centralized
 from .utility import ee, jain_index, se, utility
 
@@ -65,10 +65,10 @@ def _write(path, text) -> None:
             f.write(text)
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV: t, P_1..P_N, lambda, total_utility, V."""
+def write_trajectory_csv(traj: Trajectory, v, path) -> None:
+    """Write a trajectory and its records' V as CSV: t, P_1..P_N, lambda, total_utility, V."""
     header = ["t"] + [f"P_{i + 1}" for i in range(traj.p.shape[1])] + ["lambda", "total_utility", "V"]
-    _write(path, _csv(header, np.column_stack([traj.t, traj.p, traj.lam, traj.total_utility, traj.v])))
+    _write(path, _csv(header, np.column_stack([traj.t, traj.p, traj.lam, traj.total_utility, v])))
 
 
 def cmd_solve(loaded: LoadedScenario, out=None) -> int:
@@ -133,9 +133,9 @@ def cmd_sweep_fairness(loaded: LoadedScenario, out=None, grid: int = 41) -> int:
 def cmd_primal_dual(loaded: LoadedScenario, out=None, strict: bool = False) -> int:
     sc = loaded.scenario
     reference = solve_centralized(sc)
-    traj = integrate(sc, loaded.pd, reference=reference)
+    traj = integrate(sc, loaded.pd)
     if out is not None:
-        write_trajectory_csv(traj, out)
+        write_trajectory_csv(traj, lyapunov(traj.p, traj.lam, reference.p, reference.lam, loaded.pd), out)
     gap = float(np.max(np.abs(traj.p[-1] - reference.p)))
     sys.stdout.write(
         f"converged: {traj.converged}\nsteps: {traj.steps_taken}\n"
@@ -184,7 +184,8 @@ def main(argv=None) -> int:
             return cmd_sweep_diversity(loaded, out=args.out, grid=args.grid)
         if args.command == "sweep-fairness":
             return cmd_sweep_fairness(loaded, out=args.out, grid=args.grid)
-        return cmd_primal_dual(loaded, out=args.out, strict=args.strict)
+        with _naming(args.scenario, _KEYS):  # integrate checks init_p against the caps
+            return cmd_primal_dual(loaded, out=args.out, strict=args.strict)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,13 +41,16 @@ what a loop over the users computes, bit for bit, without the
 interpreter's per-user loop work. Building it costs about 0.2-0.3 ms and
 60 KiB of compiler memory per user.
 
-The quadratic distance to the centralized optimum,
+The run needs no global information: each cap p_u_i is compute_pu's
+closed form. A run records only its state (t, p, lambda), and the records'
+utility is computed once it ends. The quadratic distance to the
+centralized optimum (P*, lambda*),
 
     V = 1/2 sum_i (P_i - P_i*)^2 / k_i + (lambda - lambda*)^2 / (2 g),
 
 is non-increasing along the continuous flow (up to explicit-Euler slack):
-a monitor of the run, not its stop test. A run records only its state
-(t, p, lambda); the records' utility and V are computed once it ends.
+a monitor of the run, not its stop test, which lyapunov computes for a
+caller that has solved for the optimum.
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import P_FLOOR, PdSettings, Scenario, _checked
-from .solver import TOL_KKT, Allocation, KktReport, _certificate, solve_centralized
+from .solver import TOL_KKT, KktReport, _certificate, compute_pu
 from .utility import utility
 
 # Steps between two recorded states of a run.
@@ -76,7 +79,6 @@ class Trajectory:
     p: np.ndarray               # shape (n_records, n_users)
     lam: np.ndarray
     total_utility: np.ndarray
-    v: np.ndarray               # Lyapunov distance to the centralized optimum
     messages_uplink: int        # power reports = n_users * steps taken
     converged: bool             # exactly: kkt passes TOL_KKT
     steps_taken: int            # also the number of price broadcasts
@@ -135,11 +137,7 @@ def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records, certificate):
         records.append((t, array([{xs}]), lam))
     return t, kkt
 """
-# Kernels kept built, one per user count.
-KERNEL_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+@functools.lru_cache(maxsize=8)  # kernels kept built, one per user count
 def _kernel(n: int):
     """The Euler loop for n users, compiled at the first run with n users."""
     # one unpacking statement each for the constants and the powers: it
@@ -157,23 +155,17 @@ def _kernel(n: int):
     return namespace["euler"]
 
 
-def integrate(
-    sc: Scenario,
-    settings: PdSettings | None = None,
-    reference: Allocation | None = None,
-) -> Trajectory:
+def integrate(sc: Scenario, settings: PdSettings | None = None) -> Trajectory:
     """Run the primal-dual dynamics until the state is certified; return the Trajectory.
 
-    settings defaults to PdSettings(); reference, which holds the caps and
-    the optimum V measures from, is solved here when None. Raises ValueError
-    for a k neither scalar nor per user or an init_p of another shape or
-    outside (0, p_u], and FloatingPointError once the state is non-finite.
+    settings defaults to PdSettings(). Raises ValueError for a k neither
+    scalar nor per user or an init_p of another shape or outside (0, p_u],
+    and FloatingPointError once the state is non-finite.
     """
     settings = settings or PdSettings()
     n, g, lam = sc.n_users, settings.g, settings.init_lambda
     k = _checked("k", settings.k, (n,))
-    reference = reference or solve_centralized(sc)
-    p_u, p_star, lam_star = reference.p_u, reference.p, reference.lam
+    p_u = compute_pu(sc)
     w, p_circuit, delta, p_sum_max = sc.w, sc.p_circuit, sc.delta, sc.p_sum_max
 
     if settings.init_p is None:
@@ -196,7 +188,6 @@ def integrate(
         p=p_rec,
         lam=lam_rec,
         total_utility=np.sum(utility(p_rec, w, p_circuit, delta), axis=1),
-        v=lyapunov(p_rec, lam_rec, p_star, lam_star, settings),
         messages_uplink=n * t,
         converged=bool(kkt.max_residual <= TOL_KKT),
         steps_taken=t,

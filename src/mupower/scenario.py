@@ -58,7 +58,7 @@ P_FLOOR = 1e-9
 _IN_RANGE = ("be > 0 and in [1e-30, 1e30]", lambda v: (v >= 1e-30) & (v <= 1e30))
 
 # The rule of every number Scenario and PdSettings hold: what it must satisfy,
-# and the test, besides being finite; integrate tests init_p <= p_u itself.
+# and the test, besides being finite; integrate tests init_p <= p_u, under cli.main's _naming.
 _RULES = {
     "w": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "p_circuit": _IN_RANGE,

@@ -69,13 +69,12 @@ class KktReport:
     batch; the budget terms are one value per allocation.
     """
 
-    stationarity: np.ndarray         # |U' + mu - nu - lambda| per user
-    scaled_stationarity: np.ndarray  # stationarity / max(1, lambda)
-    comp_lower: np.ndarray           # |mu * (p - P_FLOOR)|
-    comp_upper: np.ndarray           # |nu * (p - p_u)|
-    comp_sum: float                  # |lambda * (sum p - p_sum_max)|
-    box_gap: np.ndarray              # violation of 0 <= p <= p_u
-    sum_gap: float                   # violation of sum p <= p_sum_max
+    stationarity: np.ndarray  # |U' + mu - nu - lambda| per user
+    comp_lower: np.ndarray    # |mu * (p - P_FLOOR)|
+    comp_upper: np.ndarray    # |nu * (p - p_u)|
+    comp_sum: float           # |lambda * (sum p - p_sum_max)|
+    box_gap: np.ndarray       # violation of 0 <= p <= p_u
+    sum_gap: float            # violation of sum p <= p_sum_max
     mu: np.ndarray
     nu: np.ndarray
 
@@ -228,10 +227,8 @@ def _certificate(w, pc, delta, budget, p, p_u, lam) -> KktReport:
     mu = np.where(at_lower, np.maximum(0.0, lam_u - grad), 0.0)
     nu = np.where(at_upper, np.maximum(0.0, grad - lam_u), 0.0)
     total = np.sum(p, axis=-1)
-    stationarity = np.abs(grad + mu - nu - lam_u)
     return KktReport(
-        stationarity=stationarity,
-        scaled_stationarity=stationarity / np.maximum(1.0, lam_u),
+        stationarity=np.abs(grad + mu - nu - lam_u),
         comp_lower=np.abs(mu * (p - P_FLOOR)),
         comp_upper=np.abs(nu * (p - p_u)),
         comp_sum=np.abs(lam * (total - budget)),
@@ -281,7 +278,7 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
         raise ConvergenceError(
             f"row {i}: KKT residual {worst[i]:.3e} exceeds TOL_KKT {TOL_KKT:.1e} "
             f"(stationarity {kkt.stationarity[i].max():.3e}, "
-            f"scaled {kkt.scaled_stationarity[i].max():.3e})"
+            f"scaled {kkt.stationarity[i].max() / max(1.0, lam[i]):.3e})"
         )
     case = np.where(tight, BudgetCase.SUM_TIGHT, BudgetCase.SUM_SLACK)
     return Allocation(p=p, p_u=p_u, lam=lam, case=case, diagnostics=Diagnostics(kkt, iterations))

@@ -13,15 +13,15 @@ channels with np.random.default_rng(seed), each in this order:
 
 It prints, per size, how many draws the exact test accepts (eigvalsh of
 H^H H, accepting lambda_max / lambda_min <= GRAM_CONDITION_LIMIT, the check
-compute_effective_gains ran before it used the bound ||G||_1 * tr(G^-1)),
-how many compute_effective_gains accepts, how many only the bound accepts
+the ZF gains ran before they used the bound ||G||_1 * tr(G^-1)), how many
+channel._gram_diag accepts, how many only the bound accepts
 (none can: the bound is an upper bound), the kappa range of the draws only
 the exact test accepts, and over the draws both accept the largest
 relative difference between delta and the pinv oracle of test_channel.py,
 overall and for kappa <= 1e8 (the oracle inverts H^H H itself, so its own
 error grows like kappa times the float64 epsilon), and between delta and
-the gains from the general inverse of the Cholesky factor, which
-compute_effective_gains took before it inverted the factor blockwise.
+the gains from the general inverse of the Cholesky factor, which the ZF
+gains took before they inverted the factor blockwise.
 
 The package is imported from PYTHONPATH when it is there (so another
 checkout's src/ can be measured with the same draws), else from this
@@ -38,9 +38,9 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     import mupower  # noqa: F401
 
-from mupower import SingularGramError, compute_effective_gains
+from mupower import SingularGramError
 from mupower.channel import GRAM_CONDITION_LIMIT
-from test_channel import pinv_row_norm_gains
+from test_channel import effective_gains, pinv_row_norm_gains
 
 SIZES = ((4, 2), (16, 8), (64, 32), (128, 96), (256, 128))
 DRAWS = 100
@@ -70,7 +70,7 @@ def summarize_size(rng, m, n, draws=DRAWS):
         old = exact_accepts(h)
         exact += old
         try:
-            delta = compute_effective_gains(h, 1.0)
+            delta = effective_gains(h, 1.0)
         except SingularGramError:
             if old:
                 only_exact.append(kappa)

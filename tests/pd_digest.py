@@ -11,11 +11,11 @@ steps or to the stop rule moves:
 This runs fig4's default start and the 10 starts of acceptance
 criterion 9 (np.random.default_rng(99), each start drawn in this order:
 init_p = uniform(0.02, 1, N) * compute_pu(sc), init_lambda = uniform(0, 1)),
-all with the scenario's gains and reference=solve_centralized(sc). It
-prints:
+all with the scenario's gains, and measures V from solve_centralized(sc)'s
+optimum with primal_dual.lyapunov. It prints:
 
     steps      the steps taken over all 11 runs
-    records    SHA-256 of each trajectory's t, p, lam, total_utility and v
+    records    SHA-256 of each trajectory's t, p, lam, total_utility and V
                bytes, in that order, run after run
     max_kkt    the largest max_residual of the runs' end-state KKT reports
                (Trajectory.kkt), which TOL_KKT bounds for a converged run
@@ -66,7 +66,7 @@ except ImportError:
 
 from mupower import compute_pu, integrate, solve_centralized
 from mupower.cli import write_trajectory_csv
-from mupower.primal_dual import _kernel
+from mupower.primal_dual import _kernel, lyapunov
 from mupower.scenario import load_scenario
 
 
@@ -100,15 +100,16 @@ def main(argv=None):
     steps, step_us, max_kkt = 0, [], 0.0
     for pd in settings_of_runs(loaded):
         start = time.perf_counter()
-        traj = integrate(sc, pd, reference=reference)
+        traj = integrate(sc, pd)
         step_us.append((time.perf_counter() - start) / traj.steps_taken * 1e6)
         steps += traj.steps_taken
         max_kkt = max(max_kkt, float(traj.kkt.max_residual))
-        for col in (traj.t, traj.p, traj.lam, traj.total_utility, traj.v):
+        v = lyapunov(traj.p, traj.lam, reference.p, reference.lam, pd)
+        for col in (traj.t, traj.p, traj.lam, traj.total_utility, v):
             records.update(np.ascontiguousarray(col).tobytes())
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
-            write_trajectory_csv(traj, None)
+            write_trajectory_csv(traj, v, None)
         csv.update(text.getvalue().encode())
     got = {"steps": f"{steps:,}", "records": records.hexdigest()}
     lines = [f"{name}: {value}" for name, value in got.items()] + [

@@ -24,6 +24,7 @@ from mupower import (
     utility,
 )
 from mupower.cli import cmd_sweep_diversity
+from mupower.primal_dual import lyapunov
 from mupower.scenario import load_scenario
 from mupower.utility import _beta_prime, utility_grad
 
@@ -101,10 +102,10 @@ def test_criterion_4_centralized_distributed_agreement():
     sc = loaded.scenario
     assert np.allclose(sc.w, [0.0, 0.3, 0.7, 1.0]) and sc.p_sum_max == 3.0
     alloc = _solve_registered(sc)
-    traj = integrate(sc, loaded.pd, reference=alloc)
+    traj = integrate(sc, loaded.pd)
     assert traj.converged
     assert np.max(np.abs(traj.p[-1] - alloc.p)) <= 1e-3
-    v = traj.v
+    v = lyapunov(traj.p, traj.lam, alloc.p, alloc.lam, loaded.pd)
     assert np.all(v[1:] <= v[:-1] + 1e-6 * np.maximum(1.0, v[:-1]))
     _report(4, "primal-dual meets centralized optimum", t0, 60.0)
 
@@ -203,7 +204,7 @@ def test_criterion_9_basin_of_attraction():
             init_p=rng.uniform(0.02, 1.0, sc.n_users) * p_u,
             init_lambda=float(rng.uniform(0.0, 1.0)),
         )
-        traj = integrate(sc, pd, reference=alloc)
+        traj = integrate(sc, pd)
         assert traj.converged, f"trial {trial} did not converge"
         assert np.max(np.abs(traj.p[-1] - alloc.p)) <= 1e-3
     _report(9, "10 random starts reach the same optimum", t0, 300.0)

@@ -16,11 +16,10 @@ from mupower import (
     Scenario,
     SingularGramError,
     build_scenario,
-    compute_effective_gains,
     gains_from_db,
     load_channel_csv,
 )
-from mupower.channel import _lower_inv
+from mupower.channel import _gram_diag, _lower_inv, _zf_gains
 
 
 def random_rayleigh_channel(n_antennas, n_users, seed):
@@ -47,6 +46,12 @@ def channel_doc(m, n):
             "w": 0.5, "p_max_individual_watts": 1.0, "p_circuit_watts": 0.1, "p_sum_max_watts": 0.2 * n}
 
 
+def effective_gains(h, sigma2):
+    """The ZF gains delta_i = 1 / (sigma2 * [(H^H H)^-1]_ii) of H, as build_scenario forms them."""
+    h = [h]  # boxed, then popped: _gram_diag holds the caller's temporary H alone
+    return _zf_gains(_gram_diag(h.pop()), sigma2)
+
+
 def pinv_row_norm_gains(h, sigma2):
     """Oracle: delta_i = 1 / (sigma2 * ||row i of pinv(H)||^2)."""
     h_pinv = np.linalg.inv(h.conj().T @ h) @ h.conj().T
@@ -54,17 +59,17 @@ def pinv_row_norm_gains(h, sigma2):
 
 
 def test_identity_channel():
-    assert np.allclose(compute_effective_gains(np.eye(2, dtype=complex), sigma2=1.0), [1.0, 1.0])
+    assert np.allclose(effective_gains(np.eye(2, dtype=complex), sigma2=1.0), [1.0, 1.0])
 
 
 def test_orthogonal_scaled_columns():
     h = np.array([[2.0, 0.0], [0.0, 3.0]], dtype=complex)
-    assert np.allclose(compute_effective_gains(h, sigma2=1.0), [4.0, 9.0], rtol=1e-14)
+    assert np.allclose(effective_gains(h, sigma2=1.0), [4.0, 9.0], rtol=1e-14)
 
 
 def test_pinv_oracle_seeded_4x2():
     h = random_rayleigh_channel(4, 2, seed=7)
-    delta = compute_effective_gains(h, 0.5)
+    delta = effective_gains(h, 0.5)
     assert np.allclose(delta, pinv_row_norm_gains(h, 0.5), rtol=1e-10)
 
 
@@ -76,7 +81,7 @@ def test_pinv_oracle_sweep_sizes():
         for _ in range(20):
             h = random_rayleigh_channel(m, n, seed=seed)
             seed += 1
-            delta = compute_effective_gains(h, 1.3)
+            delta = effective_gains(h, 1.3)
             assert np.allclose(delta, pinv_row_norm_gains(h, 1.3), rtol=1e-8)
 
 
@@ -85,26 +90,26 @@ def test_pinv_oracle_blocked_inverse_sizes():
     # 65, 129 and 300 split into halves of unequal size
     for n in (63, 64, 65, 129, 300, 512):
         h = random_rayleigh_channel(2 * n, n, seed=n)
-        delta = compute_effective_gains(h, 0.7)
+        delta = effective_gains(h, 0.7)
         assert np.allclose(delta, pinv_row_norm_gains(h, 0.7), rtol=1e-10), n
 
 
 def test_unitary_invariance():
     rng = np.random.default_rng(11)
     h = random_rayleigh_channel(6, 3, seed=3)
-    base = compute_effective_gains(h, 1.0)
+    base = effective_gains(h, 1.0)
     for _ in range(10):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         q, _ = np.linalg.qr(a)
-        rotated = compute_effective_gains(q @ h, 1.0)
+        rotated = effective_gains(q @ h, 1.0)
         assert np.allclose(rotated, base, rtol=1e-10)
 
 
 def test_scaling_is_quadratic():
     h = random_rayleigh_channel(5, 3, seed=21)
-    base = compute_effective_gains(h, 1.0)
+    base = effective_gains(h, 1.0)
     for c in (0.25, 3.0, 17.5):
-        scaled = compute_effective_gains(c * h, 1.0)
+        scaled = effective_gains(c * h, 1.0)
         assert np.allclose(scaled, c**2 * base, rtol=1e-10)
 
 
@@ -117,7 +122,7 @@ def test_gains_from_db_examples():
 def test_rank_deficient_rejected():
     h = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(SingularGramError):
-        compute_effective_gains(h, sigma2=1.0)
+        effective_gains(h, sigma2=1.0)
 
 
 def test_gram_condition_limit_from_one_read_only_gram():
@@ -128,9 +133,9 @@ def test_gram_condition_limit_from_one_read_only_gram():
         h = q[:, :3] @ np.diag([1.0, 0.5, cond**-0.5])
         if rejected:
             with pytest.raises(SingularGramError, match="condition estimate"):
-                compute_effective_gains(h, sigma2=1.0)
+                effective_gains(h, sigma2=1.0)
             continue
-        assert np.all(compute_effective_gains(h, sigma2=1.0) > 0)
+        assert np.all(effective_gains(h, sigma2=1.0) > 0)
 
 
 def test_extreme_scales_raise_without_warnings():
@@ -139,8 +144,8 @@ def test_extreme_scales_raise_without_warnings():
     h = random_rayleigh_channel(6, 3, seed=13)
     for scale in (1e200, 1e-200):
         with pytest.raises(SingularGramError, match="condition estimate"):
-            compute_effective_gains(scale * h, sigma2=1.0)
-    delta = compute_effective_gains(h, sigma2=1e-320)
+            effective_gains(scale * h, sigma2=1.0)
+    delta = effective_gains(h, sigma2=1e-320)
     assert np.all(delta == np.inf)
     with pytest.raises(ValueError, match="delta must be > 0"):
         Scenario(w=0.5, p_circuit=0.1, p_max=1.0, delta=delta, p_sum_max=1.0)
@@ -148,12 +153,12 @@ def test_extreme_scales_raise_without_warnings():
 
 def test_wide_matrix_rejected():
     with pytest.raises(ValueError, match="receive antennas"):
-        compute_effective_gains(np.ones((2, 3), dtype=complex), sigma2=1.0)
+        effective_gains(np.ones((2, 3), dtype=complex), sigma2=1.0)
 
 
 def test_bad_noise_power_rejected():
     with pytest.raises(ValueError):
-        compute_effective_gains(np.eye(2, dtype=complex), sigma2=0.0)
+        effective_gains(np.eye(2, dtype=complex), sigma2=0.0)
 
 
 def test_gains_validation():
@@ -225,7 +230,7 @@ def test_warm_channel_load_reads_the_cache_bit_for_bit(tmp_path, monkeypatch, la
     assert load_channel_csv(tmp_path / "h.csv", 5).tobytes() == h.tobytes()
     assert not (tmp_path / "__pycache__").exists()  # the parse alone caches nothing
     cold = gains(tmp_path, 12, 5)
-    assert cold.tobytes() == compute_effective_gains(h, 1.0).tobytes()
+    assert cold.tobytes() == effective_gains(h, 1.0).tobytes()
     _warm(monkeypatch)
     assert gains(tmp_path, 12, 5).tobytes() == cold.tobytes()
     assert gains(tmp_path, 12, 5, receive_antennas=None).tobytes() == cold.tobytes()
@@ -242,14 +247,14 @@ def test_same_size_edit_of_the_csv_is_parsed_again(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("1+2j,3+4j\n5+6j,7+8j\n")
     before_edit = gains(tmp_path, 2, 2)
-    assert np.array_equal(before_edit, compute_effective_gains([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]], 1.0))
+    assert np.array_equal(before_edit, effective_gains([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]], 1.0))
     before = path.stat()
     path.write_text("1+2j,3+4j\n5+6j,7+9j\n")
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     after = path.stat()
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
     after_edit = gains(tmp_path, 2, 2)
-    assert np.array_equal(after_edit, compute_effective_gains([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 9j]], 1.0))
+    assert np.array_equal(after_edit, effective_gains([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 9j]], 1.0))
     assert not np.array_equal(after_edit, before_edit)
 
 
@@ -345,7 +350,7 @@ def test_a_cache_of_the_channel_matrix_is_replaced_by_its_gram_diagonal(tmp_path
     cache = tmp_path / "__pycache__" / "h.csv.npy"
     cache.parent.mkdir()
     cache.write_bytes(_npy(np.array([1, len(text), zlib.crc32(text), 3]), h))
-    assert gains(tmp_path, 6, 3).tobytes() == compute_effective_gains(h, 1.0).tobytes()
+    assert gains(tmp_path, 6, 3).tobytes() == effective_gains(h, 1.0).tobytes()
     saved = np.lib.format.read_array(io.BytesIO(cache.read_bytes()))
     assert (saved.dtype, saved.shape) == (np.float64, (6 + 3,)) and saved[5] == 6
 
@@ -392,7 +397,7 @@ def test_a_file_named_pycache_leaves_the_load_working(tmp_path):
     h = random_rayleigh_channel(6, 3, seed=35)
     (tmp_path / "h.csv").write_text(channel_text(h, "re-im"))
     for _ in range(2):
-        assert gains(tmp_path, 6, 3).tobytes() == compute_effective_gains(h, 1.0).tobytes()
+        assert gains(tmp_path, 6, 3).tobytes() == effective_gains(h, 1.0).tobytes()
     assert (tmp_path / "__pycache__").read_text() == "not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["__pycache__", "h.csv"]
 
@@ -412,7 +417,7 @@ def test_a_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "save", failing_save)
     h = random_rayleigh_channel(6, 3, seed=37)
     (tmp_path / "h.csv").write_text(channel_text(h, "complex"))
-    assert gains(tmp_path, 6, 3).tobytes() == compute_effective_gains(h, 1.0).tobytes()
+    assert gains(tmp_path, 6, 3).tobytes() == effective_gains(h, 1.0).tobytes()
     assert len(saves) == 1 and list((tmp_path / "__pycache__").iterdir()) == []
 
 
@@ -424,7 +429,7 @@ def test_one_cache_file_per_csv(tmp_path):
         path.write_text("".join(",".join(map(repr, row)) + "\n" for row in a.tolist()))
         for n in counts:
             h = a if n == 4 else a.view(complex)
-            assert gains(tmp_path, 4, n).tobytes() == compute_effective_gains(h, 1.0).tobytes(), (seed, n)
+            assert gains(tmp_path, 4, n).tobytes() == effective_gains(h, 1.0).tobytes(), (seed, n)
     assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == ["h.csv.npy"]
 
 
@@ -434,10 +439,10 @@ def test_channel_csv_round_trips_17_digits(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("".join(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n" for row in h))
     assert np.array_equal(load_channel_csv(path, n_users=3), h)
-    delta = compute_effective_gains(load_channel_csv(path, n_users=3), 1.0)
+    delta = effective_gains(load_channel_csv(path, n_users=3), 1.0)
     path.write_text("".join(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n" for row in h))
     assert np.array_equal(load_channel_csv(path, n_users=3), h)
-    pairs_delta = compute_effective_gains(load_channel_csv(path, n_users=3), 1.0)
+    pairs_delta = effective_gains(load_channel_csv(path, n_users=3), 1.0)
     assert np.array_equal(pairs_delta.view(np.uint64), delta.view(np.uint64))
 
 
@@ -446,7 +451,7 @@ def test_effective_gains_typed_error_on_singular_gram(monkeypatch):
     # whose LinAlgError must come out typed
     monkeypatch.setattr(mupower.channel, "GRAM_CONDITION_LIMIT", np.inf)
     with pytest.raises(SingularGramError, match="not positive definite"):
-        compute_effective_gains(np.array([[1.0, 0.0], [0.0, 0.0]]), sigma2=1.0)
+        effective_gains(np.array([[1.0, 0.0], [0.0, 0.0]]), sigma2=1.0)
 
 
 def full_product_gains(h, sigma2):
@@ -466,7 +471,7 @@ def test_blocked_gram_gives_the_full_products_gains():
         for m in (n, 2 * n + 3):
             h = random_rayleigh_channel(m, n, seed=1000 * n + m)
             expected, gram = full_product_gains(h, 0.7)
-            delta = compute_effective_gains(h, 0.7)
+            delta = effective_gains(h, 0.7)
             if np.array_equal(gram, gram.conj().T):
                 assert np.array_equal(delta.view(np.uint64), expected.view(np.uint64)), (m, n)
             else:
@@ -481,7 +486,7 @@ def test_effective_gains_allocate_less_than_the_channel():
     nbytes = box[0].nbytes
     tracemalloc.start()
     try:
-        compute_effective_gains(box.pop(), 1.0)
+        effective_gains(box.pop(), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -491,11 +496,11 @@ def test_effective_gains_allocate_less_than_the_channel():
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a temporary argument alive in its caller")
 @pytest.mark.parametrize("layout", ["complex", "re-im"])
 def test_build_scenario_frees_the_channel_before_the_factorisation(tmp_path, monkeypatch, layout):
-    # from the parse, then through compute_effective_gains; the warm build
+    # from the parse, then through _gram_diag; the warm build
     # reads the cache, and neither parses nor factors
     h = random_rayleigh_channel(96, 80, seed=920)
     (tmp_path / "h.csv").write_text(channel_text(h, layout))
-    expected = compute_effective_gains(h, 1.0)
+    expected = effective_gains(h, 1.0)
     refs, alive = [], []
     load, cholesky = mupower.scenario.load_channel_csv, np.linalg.cholesky
 
@@ -513,8 +518,8 @@ def test_build_scenario_frees_the_channel_before_the_factorisation(tmp_path, mon
     doc = channel_doc(96, 80)
     loaded = mupower.scenario.build_scenario(doc, base_dir=str(tmp_path))
     assert (tmp_path / "__pycache__" / "h.csv.npy").is_file()
-    # the public function frees a temporary H too (not inside an assert, whose rewrite keeps it)
-    public = compute_effective_gains(load_spy(tmp_path / "h.csv", 80), 1.0)
+    # the gains of a temporary H free it too (not inside an assert, whose rewrite keeps it)
+    public = effective_gains(load_spy(tmp_path / "h.csv", 80), 1.0)
     assert public.tobytes() == expected.tobytes()
     _warm(monkeypatch)
     warm = mupower.scenario.build_scenario(doc, base_dir=str(tmp_path))
@@ -543,7 +548,7 @@ def test_effective_gains_peak_memory_is_twice_the_channel():
     h = random_rayleigh_channel(512, 256, seed=918)
     tracemalloc.start()
     try:
-        compute_effective_gains(h, 1.0)
+        effective_gains(h, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

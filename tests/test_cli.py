@@ -201,6 +201,15 @@ def test_bad_value_error_names_the_file_and_key(tmp_path, capsys, key):
     assert len(err.splitlines()) == 1
 
 
+def test_init_p_above_its_cap_names_the_file_and_key(tmp_path, capsys):
+    # the caps are known only once integrate runs; the error still names its source
+    path = write_scenario(tmp_path, (SCENARIOS / "fig2.yaml").read_text() + "pd_init_p_watts: [5.0, 0.1]\n")
+    assert main(["primal-dual", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: pd_init_p_watts must lie in \(0, p_u\], "
+                        r"got 5\.0 > p_u 0\.18\d* at user 1\n", err)
+
+
 # -------------------------------------------------------------------- solve
 
 def run_main(argv):

@@ -45,5 +45,6 @@ def test_import_graph():
 
 
 def test_moved_names_left_no_alias():
-    for module, name in (("channel", "_naming"), ("channel", "load_channel_csv"), ("primal_dual", "integer")):
+    for module, name in (("channel", "_naming"), ("channel", "load_channel_csv"), ("primal_dual", "integer"),
+                         ("primal_dual", "solve_centralized")):
         assert not hasattr(importlib.import_module(f"mupower.{module}"), name), f"mupower.{module}.{name}"

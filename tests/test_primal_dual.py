@@ -47,10 +47,10 @@ def libm_grad(p, w, p_circuit, delta):
     return (delta * total / ((1.0 + dp) * log1p) - (1.0 - w)) / total
 
 
-def one_step(sc, p, lam, ref=None, **gains):
+def one_step(sc, p, lam, **gains):
     """The state after integrate's first Euler step from (p, lam)."""
     pd = PdSettings(init_p=p, init_lambda=lam, max_steps=1, **gains)
-    traj = integrate(sc, pd, reference=ref or solve_centralized(sc))
+    traj = integrate(sc, pd)
     return traj.p[-1], traj.lam[-1]
 
 
@@ -82,7 +82,7 @@ def test_libm_grad_is_utility_grad_to_a_few_ulps():
 def test_step_fixed_at_centralized_optimum():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
-    p_new, lam_new = one_step(sc, ref.p, ref.lam, ref)
+    p_new, lam_new = one_step(sc, ref.p, ref.lam)
     assert np.max(np.abs(p_new - ref.p)) <= 1e-10
     assert abs(lam_new - ref.lam) <= 1e-10
 
@@ -148,7 +148,7 @@ def test_lyapunov_reference_values():
 def test_integrate_converges_to_centralized():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
-    traj = integrate(sc, PdSettings(), reference=ref)
+    traj = integrate(sc, PdSettings())
     assert traj.converged
     assert np.max(np.abs(traj.p[-1] - ref.p)) <= 1e-3
     # box invariance and nonnegative price on every recorded point
@@ -160,15 +160,15 @@ def test_integrate_converges_to_centralized():
 
 def test_integrate_lyapunov_descends():
     sc = fig4_scenario()
-    traj = integrate(sc, PdSettings())
-    v = traj.v
+    traj, ref = integrate(sc, PdSettings()), solve_centralized(sc)
+    v = lyapunov(traj.p, traj.lam, ref.p, ref.lam, PdSettings())
     assert np.all(v[1:] <= v[:-1] + 1e-6 * np.maximum(1.0, v[:-1]))
     assert v[-1] < 1e-6 * v[0]
 
 
 def test_integrate_message_accounting():
     sc = fig4_scenario()
-    traj = integrate(sc, PdSettings(max_steps=777), reference=solve_centralized(sc))
+    traj = integrate(sc, PdSettings(max_steps=777))
     assert traj.messages_uplink == sc.n_users * traj.steps_taken
     if not traj.converged:
         assert traj.steps_taken == 777
@@ -193,13 +193,8 @@ def test_integrate_symmetry_preserved_along_trajectory():
 
 def test_integrate_restart_is_fixed_point():
     sc = fig4_scenario()
-    ref = solve_centralized(sc)
-    traj = integrate(sc, PdSettings(), reference=ref)
-    again = integrate(
-        sc,
-        PdSettings(init_p=traj.p[-1], init_lambda=traj.lam[-1]),
-        reference=ref,
-    )
+    traj = integrate(sc, PdSettings())
+    again = integrate(sc, PdSettings(init_p=traj.p[-1], init_lambda=traj.lam[-1]))
     assert again.converged
     assert again.steps_taken <= 10
 
@@ -210,7 +205,7 @@ def test_integrate_records_derived_after_the_run():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
     for pd, converged in ((PdSettings(k=0.1, g=0.1), True), (PdSettings(max_steps=555), False)):
-        traj = integrate(sc, pd, reference=ref)
+        traj = integrate(sc, pd)
         assert traj.converged is converged
         assert traj.kkt.max_residual == kkt_of(sc, traj.p[-1], ref.p_u, traj.lam[-1]).max_residual
         assert bool(traj.kkt.max_residual <= TOL_KKT) is converged
@@ -219,7 +214,7 @@ def test_integrate_records_derived_after_the_run():
         u = [float(np.sum(utility(p, sc.w, sc.p_circuit, sc.delta))) for p in traj.p]
         v = [lyapunov(p, lam, ref.p, ref.lam, pd) for p, lam in zip(traj.p, traj.lam)]
         np.testing.assert_array_equal(traj.total_utility, u)
-        np.testing.assert_array_equal(traj.v, v)
+        np.testing.assert_array_equal(lyapunov(traj.p, traj.lam, ref.p, ref.lam, pd), v)
     assert traj.t[-3:].tolist() == [400, 500, 555]
 
 
@@ -230,10 +225,9 @@ def test_integrate_stops_on_the_last_allowed_step():
     # the end state's certificate, which step 29,309's state passes as well
     # and step 28,000's does not
     sc = fig4_scenario()
-    ref = solve_centralized(sc)
     for max_steps, steps, converged in ((10**7, 29_310, True), (29_310, 29_310, True),
                                         (29_309, 29_309, True), (28_000, 28_000, False)):
-        traj = integrate(sc, PdSettings(max_steps=max_steps), reference=ref)
+        traj = integrate(sc, PdSettings(max_steps=max_steps))
         assert traj.converged is converged
         assert traj.t[-1] == traj.steps_taken == steps
 
@@ -249,7 +243,7 @@ def test_integrate_same_limit_from_random_starts():
             init_p=rng.uniform(0.05, 1.0, 4) * p_u,
             init_lambda=float(rng.uniform(0.0, 1.0)),
         )
-        traj = integrate(sc, pd, reference=ref)
+        traj = integrate(sc, pd)
         assert traj.converged
         finals.append(traj.p[-1])
     for p in finals:
@@ -287,7 +281,7 @@ def test_every_converged_run_passes_the_kkt_gate():
     prices = []
     for sc, pd in runs:
         ref = solve_centralized(sc)
-        traj = integrate(sc, pd, reference=ref)
+        traj = integrate(sc, pd)
         assert traj.converged
         assert kkt_of(sc, traj.p[-1], ref.p_u, traj.lam[-1]).max_residual <= TOL_KKT
         prices.append(ref.lam)
@@ -310,7 +304,7 @@ def test_stop_rule_scales_the_price_and_runs_on_past_a_failed_certificate(monkey
     assert ref.lam > 1.0
     for gain in (1e-3, 1e-2):
         reports.clear()
-        assert integrate(sc, PdSettings(k=gain, g=gain), reference=ref).converged
+        assert integrate(sc, PdSettings(k=gain, g=gain)).converged
         assert len(reports) <= 2
     # criterion 9's first start at k = g = 0.3 passes the stop rule once before
     # its state passes the certificate, runs on and is certified at step 132
@@ -419,7 +413,7 @@ def test_integrate_matches_the_float_euler_loop_for_any_user_count():
         at_floor = at_cap = False
         for start, k in itertools.product(starts, (1e-3, np.linspace(5e-4, 2e-3, n))):
             pd = PdSettings(k=k, max_steps=3000, **start)
-            traj = integrate(sc, pd, reference=ref)
+            traj = integrate(sc, pd)
             for got, want in zip((traj.t, traj.p, traj.lam), float_euler(sc, pd, ref)):
                 assert np.array_equal(got, want)
             at_floor |= bool(np.any(traj.p == P_FLOOR))
@@ -433,7 +427,7 @@ def test_integrate_builds_its_kernel_for_many_users():
     sc = spread_scenario(1024)
     ref = solve_centralized(sc)
     pd = PdSettings(k=np.linspace(5e-4, 2e-3, 1024), max_steps=2)
-    traj = integrate(sc, pd, reference=ref)
+    traj = integrate(sc, pd)
     assert traj.steps_taken == 2
     for got, want in zip((traj.t, traj.p, traj.lam), float_euler(sc, pd, ref)):
         assert np.array_equal(got, want)
@@ -448,7 +442,7 @@ def test_integrate_matches_the_numpy_euler_loop():
     # below 8 users numpy's sum adds left to right, as integrate does: every bit agrees
     for pd in (PdSettings(max_steps=3000), PdSettings(max_steps=3000, **start),
                PdSettings(k=k_vec, max_steps=1, **start)):
-        traj = integrate(sc, pd, reference=ref)
+        traj = integrate(sc, pd)
         for got, want in zip((traj.t, traj.p, traj.lam), numpy_euler(sc, pd, ref)):
             assert np.array_equal(got, want)
     # from 8 users on numpy sums pairwise, so the price may differ in its last bits
@@ -458,7 +452,7 @@ def test_integrate_matches_the_numpy_euler_loop():
     ref = solve_centralized(big)
     assert ref.p_u.sum() > big.p_sum_max
     pd = PdSettings(k=np.linspace(5e-4, 2e-3, n), max_steps=3000)
-    traj = integrate(big, pd, reference=ref)
+    traj = integrate(big, pd)
     t, p, lam = numpy_euler(big, pd, ref)
     assert np.array_equal(traj.t, t)
     np.testing.assert_allclose(traj.p, p, rtol=1e-12, atol=0)
@@ -474,7 +468,7 @@ def test_integrate_matches_the_numpy_euler_loop_to_convergence():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
     for pd in (PdSettings(), PdSettings(init_p=0.99 * ref.p_u)):
-        traj = integrate(sc, pd, reference=ref)
+        traj = integrate(sc, pd)
         assert traj.converged
         t, p, lam = numpy_euler(sc, pd, ref)
         for got, want in zip((traj.t, traj.p, traj.lam), (t, p, lam)):
@@ -501,7 +495,7 @@ def test_parked_skip_boundary_matches_the_numpy_step():
     for k in (1e-3, 1.0):
         for lam in (below, u_cap[0], above):
             pd = PdSettings(k=k, init_p=ref.p_u, init_lambda=float(lam), max_steps=1)
-            traj = integrate(at_max, pd, reference=ref)
+            traj = integrate(at_max, pd)
             for got, want in zip((traj.t, traj.p, traj.lam), numpy_euler(at_max, pd, ref)):
                 assert np.array_equal(got, want)
     # with k = 1 the price one ulp above U'(p_u) moves every power off its cap
@@ -524,7 +518,7 @@ def test_scalar_step_at_the_valid_domain_extremes():
             for init_p in (None, ref.p_u):
                 pd = PdSettings(k=gain, g=gain, init_p=init_p, max_steps=200)
                 try:
-                    traj = integrate(sc, pd, reference=ref)
+                    traj = integrate(sc, pd)
                 except FloatingPointError:
                     continue
                 assert np.all((traj.p >= P_FLOOR) & (traj.p <= ref.p_u))
@@ -555,15 +549,14 @@ def test_init_p_above_its_cap_names_the_first_such_user():
         integrate(sc, PdSettings(init_p=init_p))
 
 
-def test_k_is_checked_before_the_reference_solve(monkeypatch):
-    def no_solve(sc):
-        raise AssertionError("solved the reference before checking k")
+def test_integrate_runs_to_a_certified_state_without_a_centralized_solve(monkeypatch):
+    # each user's cap is its own closed form: no solve of the whole problem
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the distributed run solved the centralized problem")
 
-    monkeypatch.setattr("mupower.primal_dual.solve_centralized", no_solve)
-    sc = fig4_scenario()
-    for k in (np.full((4, 1), 1e-3), np.full(3, 1e-3)):
-        with pytest.raises(ValueError, match=re.escape(f"k has shape {k.shape}, expected a scalar or (4,)")):
-            integrate(sc, PdSettings(k=k))
+    monkeypatch.setattr("mupower.solver.solve_batch", no_solve)
+    traj = integrate(fig4_scenario())
+    assert traj.converged and traj.kkt.max_residual <= TOL_KKT
 
 
 def test_pd_settings_validation():
@@ -595,9 +588,9 @@ def test_pd_settings_compare_by_identity():
 
 def test_trajectory_csv_format(tmp_path):
     sc = fig4_scenario()
-    traj = integrate(sc, PdSettings(max_steps=500), reference=solve_centralized(sc))
+    traj, ref = integrate(sc, PdSettings(max_steps=500)), solve_centralized(sc)
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, out)
+    write_trajectory_csv(traj, lyapunov(traj.p, traj.lam, ref.p, ref.lam, PdSettings()), out)
     lines = out.read_text().splitlines()
     assert lines[0] == "t,P_1,P_2,P_3,P_4,lambda,total_utility,V"
     assert len(lines) == traj.t.size + 1

@@ -382,17 +382,6 @@ def test_kkt_reports_infeasibility_gap():
     assert report.sum_gap == pytest.approx(0.3, abs=1e-12)
 
 
-def test_kkt_scaled_stationarity():
-    sc = Scenario(w=(0.5, 0.5), p_circuit=0.1, p_max=1.0, delta=(100.0, 100.0), p_sum_max=0.5)
-    for lam in (0.5, 4.0):
-        alloc = Allocation(
-            p=np.array([0.2, 0.3]), p_u=np.array([1.0, 1.0]), lam=lam, case=BudgetCase.SUM_TIGHT
-        )
-        report = kkt_residuals(sc, alloc)
-        assert np.all(report.stationarity > 0)
-        np.testing.assert_array_equal(report.scaled_stationarity, report.stationarity / max(1.0, lam))
-
-
 def test_kkt_certified_on_random_scenarios():
     rng = np.random.default_rng(53)
     for _ in range(20):
