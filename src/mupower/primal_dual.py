@@ -31,15 +31,15 @@ step holds N straight-line user blocks, each the same template with only
 the user index put in, so no scenario data enters the source. Updating
 each power in place is exact since user i's update reads only P_i and
 lambda. Each block keeps its step d_i (0.0 when parked). A step with
-every |d_i| <= TOL_KKT k_i (d_i = k_i (U_i' - lambda) inside the box) and
-|lambda's step| max(1, lambda) <= TOL_KKT g (lambda |sum(P) - p_sum_max|
-is a KKT term) runs the solver's certificate on the state, and the run
-stops if the state passes. Every float operation keeps its expression and
-its order (U_i' with libm's log1p, the floor clamp before the cap clamp,
-sum(P) as one addition per user in index order), so the kernel computes
-what a loop over the users computes, bit for bit, without the
-interpreter's per-user loop work. Building it costs about 0.2-0.3 ms and
-60 KiB of compiler memory per user.
+every |d_i| <= TOL_KKT k_i (d_i = k_i (U_i' - lambda) inside the box),
+lambda |sum(P) - p_sum_max| <= TOL_KKT and sum(P) - p_sum_max <= TOL_KKT
+(the certificate's comp_sum and sum_gap) runs the solver's certificate on
+the state, and the run stops if the state passes. Every float operation
+keeps its expression and its order (U_i' with libm's log1p, the floor
+clamp before the cap clamp, sum(P) as one addition per user in index
+order), so the kernel computes what a loop over the users computes, bit
+for bit, without the interpreter's per-user loop work. Building it costs
+about 0.2-0.3 ms and 60 KiB of compiler memory per user.
 
 The run needs no global information: each cap p_u_i is compute_pu's
 closed form. A run records only its state (t, p, lambda), and the records'
@@ -115,7 +115,7 @@ _USER = """\
 """
 _LOOP = """\
 def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records, certificate):
-    log1p, isfinite, floor, array, tol_g = math.log1p, math.isfinite, P_FLOOR, np.array, TOL_KKT * g
+    log1p, isfinite, floor, array = math.log1p, math.isfinite, P_FLOOR, np.array
     {consts}= users
     {xs}, = x
 {caps}    for t in range(1, max_steps + 1):
@@ -125,7 +125,7 @@ def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records, certificate):
 {users}
         if not (isfinite(p_sum) and isfinite(lam_next)):
             raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
-        stop = -tol_g <= (lam_next - lam) * (lam_next if lam_next > 1.0 else 1.0) <= tol_g{stops}
+        stop = lam_next * abs(p_sum - p_sum_max) <= TOL_KKT and p_sum - p_sum_max <= TOL_KKT{stops}
         lam = lam_next
         if t % RECORD_EVERY == 0:
             records.append((t, array([{xs}]), lam))

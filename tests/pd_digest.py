@@ -5,8 +5,8 @@
 For example, the runs' current digests, which any change to the Euler
 steps or to the stop rule moves:
 
-    python tests/pd_digest.py --expect 314,874 \
-        7c4b23c903c05b5680379becf22620abfefb9d7c7822efb138f44de7f545a547
+    python tests/pd_digest.py --expect 311,866 \
+        9e288f426bb37e679a4d91c58126460aec55faee291df61c06dc9bf819df4013
 
 This runs fig4's default start and the 10 starts of acceptance
 criterion 9 (np.random.default_rng(99), each start drawn in this order:
