@@ -41,16 +41,13 @@ order), so the kernel computes what a loop over the users computes, bit
 for bit, without the interpreter's per-user loop work. Building it costs
 about 0.2-0.3 ms and 60 KiB of compiler memory per user.
 
-The run needs no global information: each cap p_u_i is compute_pu's
-closed form. A run records only its state (t, p, lambda), and the records'
-utility is computed once it ends. The quadratic distance to the
-centralized optimum (P*, lambda*),
+The quadratic distance to the centralized optimum,
 
     V = 1/2 sum_i (P_i - P_i*)^2 / k_i + (lambda - lambda*)^2 / (2 g),
 
 is non-increasing along the continuous flow (up to explicit-Euler slack):
-a monitor of the run, not its stop test, which lyapunov computes for a
-caller that has solved for the optimum.
+a monitor, not the stop test, which a caller holding the optimum computes
+with lyapunov. A run records only (t, p, lambda); utility is derived after.
 """
 from __future__ import annotations
 
@@ -137,6 +134,8 @@ def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records, certificate):
         records.append((t, array([{xs}]), lam))
     return t, kkt
 """
+
+
 @functools.lru_cache(maxsize=8)  # kernels kept built, one per user count
 def _kernel(n: int):
     """The Euler loop for n users, compiled at the first run with n users."""
@@ -158,9 +157,10 @@ def _kernel(n: int):
 def integrate(sc: Scenario, settings: PdSettings | None = None) -> Trajectory:
     """Run the primal-dual dynamics until the state is certified; return the Trajectory.
 
-    settings defaults to PdSettings(). Raises ValueError for a k neither
-    scalar nor per user or an init_p of another shape or outside (0, p_u],
-    and FloatingPointError once the state is non-finite.
+    settings defaults to PdSettings(). Each cap p_u is compute_pu's per-user
+    closed form, so the run solves no centralized problem. Raises ValueError
+    for a k neither scalar nor per user or an init_p of another shape or
+    outside (0, p_u], and FloatingPointError once the state is non-finite.
     """
     settings = settings or PdSettings()
     n, g, lam = sc.n_users, settings.g, settings.init_lambda
