@@ -12,7 +12,6 @@ from .primal_dual import Trajectory, integrate
 from .scenario import LoadedScenario, PdSettings, Scenario, build_scenario, load_channel_csv, load_scenario
 from .solver import (
     Allocation,
-    BudgetCase,
     ConvergenceError,
     compute_pu,
     kkt_residuals,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "BudgetCase",
     "ConvergenceError",
     "LoadedScenario",
     "PdSettings",

@@ -26,8 +26,8 @@ import numpy as np
 
 from .channel import gains_from_db
 from .primal_dual import Trajectory, integrate, lyapunov
-from .scenario import _KEYS, P_FLOOR, LoadedScenario, _naming, load_scenario
-from .solver import BudgetCase, ConvergenceError, solve_batch, solve_centralized
+from .scenario import _KEYS, P_FLOOR, LoadedScenario, Scenario, _naming, load_scenario
+from .solver import ConvergenceError, solve_batch, solve_centralized
 from .utility import ee, jain_index, se, utility
 
 _FAIRNESS_DELTA1_DB = (-20.0, 0.0, 20.0)
@@ -65,10 +65,11 @@ def _write(path, text) -> None:
             f.write(text)
 
 
-def write_trajectory_csv(traj: Trajectory, v, path) -> None:
-    """Write a trajectory and its records' V as CSV: t, P_1..P_N, lambda, total_utility, V."""
+def write_trajectory_csv(traj: Trajectory, sc: Scenario, v, path) -> None:
+    """Write a trajectory of sc and its records' V as CSV: t, P_1..P_N, lambda, total_utility, V."""
     header = ["t"] + [f"P_{i + 1}" for i in range(traj.p.shape[1])] + ["lambda", "total_utility", "V"]
-    _write(path, _csv(header, np.column_stack([traj.t, traj.p, traj.lam, traj.total_utility, v])))
+    total_utility = np.sum(utility(traj.p, sc.w, sc.p_circuit, sc.delta), axis=1)
+    _write(path, _csv(header, np.column_stack([traj.t, traj.p, traj.lam, total_utility, v])))
 
 
 def cmd_solve(loaded: LoadedScenario, out=None) -> int:
@@ -76,7 +77,7 @@ def cmd_solve(loaded: LoadedScenario, out=None) -> int:
     alloc = solve_centralized(sc)
     p = alloc.p
     u = utility(p, sc.w, sc.p_circuit, sc.delta)
-    case = "SumTight" if alloc.case is BudgetCase.SUM_TIGHT else "SumSlack"
+    case = "SumTight" if alloc.case == "sum_tight" else "SumSlack"
     users = np.arange(1, sc.n_users + 1)
     rows = [users, p, alloc.p_u, se(p, sc.delta), ee(p, sc.p_circuit, sc.delta), u]
     table = _csv(["user", "P_watts", "P_u_watts", "SE", "EE", "U"], np.column_stack(rows))
@@ -135,7 +136,7 @@ def cmd_primal_dual(loaded: LoadedScenario, out=None, strict: bool = False) -> i
     reference = solve_centralized(sc)
     traj = integrate(sc, loaded.pd)
     if out is not None:
-        write_trajectory_csv(traj, lyapunov(traj.p, traj.lam, reference.p, reference.lam, loaded.pd), out)
+        write_trajectory_csv(traj, sc, lyapunov(traj.p, traj.lam, reference.p, reference.lam, loaded.pd), out)
     gap = float(np.max(np.abs(traj.p[-1] - reference.p)))
     sys.stdout.write(
         f"converged: {traj.converged}\nsteps: {traj.steps_taken}\n"

@@ -47,7 +47,7 @@ The quadratic distance to the centralized optimum,
 
 is non-increasing along the continuous flow (up to explicit-Euler slack):
 a monitor, not the stop test, which a caller holding the optimum computes
-with lyapunov. A run records only (t, p, lambda); utility is derived after.
+with lyapunov. A run stores (t, p, lambda) and its certificate; counters and utility derive from them.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ import numpy as np
 
 from .scenario import P_FLOOR, PdSettings, Scenario, _checked
 from .solver import TOL_KKT, KktReport, _certificate, compute_pu
-from .utility import utility
 
 # Steps between two recorded states of a run.
 RECORD_EVERY = 100
@@ -67,7 +66,7 @@ RECORD_EVERY = 100
 
 @dataclass
 class Trajectory:
-    """Decimated time series of a run, its counters and its end state's KKT report.
+    """Decimated records of a run and its end state's KKT report; the read-only counters derive from them.
 
     The last record is always the final state: p[-1], lam[-1] at t[-1] = steps_taken.
     """
@@ -75,11 +74,10 @@ class Trajectory:
     t: np.ndarray               # recorded step indices
     p: np.ndarray               # shape (n_records, n_users)
     lam: np.ndarray
-    total_utility: np.ndarray
-    messages_uplink: int        # power reports = n_users * steps taken
-    converged: bool             # exactly: kkt passes TOL_KKT
-    steps_taken: int            # also the number of price broadcasts
     kkt: KktReport              # the solver's certificate of the final state
+    steps_taken = property(lambda self: int(self.t[-1]))  # also the number of price broadcasts
+    messages_uplink = property(lambda self: self.p.shape[1] * self.steps_taken)  # power reports, N per step
+    converged = property(lambda self: bool(self.kkt.max_residual <= TOL_KKT))
 
 
 def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
@@ -183,13 +181,4 @@ def integrate(sc: Scenario, settings: PdSettings | None = None) -> Trajectory:
                         lambda x, lam: _certificate(w, p_circuit, delta, p_sum_max, x, p_u, lam))
 
     t_rec, p_rec, lam_rec = (np.array(col) for col in zip(*records))
-    return Trajectory(
-        t=t_rec,
-        p=p_rec,
-        lam=lam_rec,
-        total_utility=np.sum(utility(p_rec, w, p_circuit, delta), axis=1),
-        messages_uplink=n * t,
-        converged=bool(kkt.max_residual <= TOL_KKT),
-        steps_taken=t,
-        kkt=kkt,
-    )
+    return Trajectory(t=t_rec, p=p_rec, lam=lam_rec, kkt=kkt)

@@ -32,7 +32,6 @@ result depends only on that row, so solve_centralized is the B = 1 case.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -50,13 +49,6 @@ _EPS = float(np.finfo(float).eps)
 
 class ConvergenceError(RuntimeError):
     """An iterative stage exhausted its budget or failed its certificate."""
-
-
-class BudgetCase(enum.Enum):
-    """Whether the system power budget binds at the optimum."""
-
-    SUM_SLACK = "sum_slack"
-    SUM_TIGHT = "sum_tight"
 
 
 @dataclass
@@ -107,17 +99,17 @@ class Allocation:
     """Solver output: powers, caps, budget price and diagnostics.
 
     Solver-produced instances satisfy P_FLOOR <= p <= p_u <= p_max and
-    sum(p) <= p_sum_max (tight in the SUM_TIGHT case). The container does
-    not enforce this so that hand-built points can be fed to the KKT
-    checker. solve_batch returns one allocation per row in one instance
-    whose fields are arrays with a leading row axis (lam: one price per
-    row; case: an array of BudgetCase).
+    sum(p) <= p_sum_max; case is "sum_tight" where the budget binds (the sum
+    is p_sum_max) and "sum_slack" where it does not. The container does not
+    enforce this so that hand-built points can be fed to the KKT checker.
+    solve_batch returns one allocation per row in one instance whose fields
+    are arrays with a leading row axis (lam: one price per row; case: a <U9 array).
     """
 
     p: np.ndarray
     p_u: np.ndarray
     lam: float
-    case: BudgetCase
+    case: str
     diagnostics: Diagnostics | None = None
 
 
@@ -280,7 +272,7 @@ def solve_batch(sc: Scenario, w=None, delta=None) -> Allocation:
             f"(stationarity {kkt.stationarity[i].max():.3e}, "
             f"scaled {kkt.stationarity[i].max() / max(1.0, lam[i]):.3e})"
         )
-    case = np.where(tight, BudgetCase.SUM_TIGHT, BudgetCase.SUM_SLACK)
+    case = np.where(tight, "sum_tight", "sum_slack")
     return Allocation(p=p, p_u=p_u, lam=lam, case=case, diagnostics=Diagnostics(kkt, iterations))
 
 

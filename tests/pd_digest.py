@@ -15,8 +15,9 @@ all with the scenario's gains, and measures V from solve_centralized(sc)'s
 optimum with primal_dual.lyapunov. It prints:
 
     steps      the steps taken over all 11 runs
-    records    SHA-256 of each trajectory's t, p, lam, total_utility and V
-               bytes, in that order, run after run
+    records    SHA-256 of each trajectory's t, p, lam, total utility (each
+               record's, by write_trajectory_csv's expression) and V bytes,
+               in that order, run after run
     max_kkt    the largest max_residual of the runs' end-state KKT reports
                (Trajectory.kkt), which TOL_KKT bounds for a converged run
     csv        SHA-256 of each trajectory's CSV text as write_trajectory_csv
@@ -39,7 +40,7 @@ run also compares steps and records with the given values (STEPS with or
 without thousands commas) and exits 1, naming each mismatch, when either
 differs; max_kkt, csv and the timings are never compared. The digests
 hold for one numpy build and libm on one CPU: the step's U' takes libm's
-log1p, while the records' total_utility takes numpy's SIMD log1p, which
+log1p, while the records' total utility takes numpy's SIMD log1p, which
 differs from libm's in the last bit on some inputs, and which SIMD path
 runs depends on the CPU. The package is imported from PYTHONPATH when it
 is there (so another checkout's src/ can be measured), else from this
@@ -64,7 +65,7 @@ except ImportError:
     sys.path.insert(0, str(ROOT / "src"))
     import mupower  # noqa: F401
 
-from mupower import compute_pu, integrate, solve_centralized
+from mupower import compute_pu, integrate, solve_centralized, utility
 from mupower.cli import write_trajectory_csv
 from mupower.primal_dual import _kernel, lyapunov
 from mupower.scenario import load_scenario
@@ -105,11 +106,12 @@ def main(argv=None):
         steps += traj.steps_taken
         max_kkt = max(max_kkt, float(traj.kkt.max_residual))
         v = lyapunov(traj.p, traj.lam, reference.p, reference.lam, pd)
-        for col in (traj.t, traj.p, traj.lam, traj.total_utility, v):
+        total_utility = np.sum(utility(traj.p, sc.w, sc.p_circuit, sc.delta), axis=1)
+        for col in (traj.t, traj.p, traj.lam, total_utility, v):
             records.update(np.ascontiguousarray(col).tobytes())
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
-            write_trajectory_csv(traj, v, None)
+            write_trajectory_csv(traj, sc, v, None)
         csv.update(text.getvalue().encode())
     got = {"steps": f"{steps:,}", "records": records.hexdigest()}
     lines = [f"{name}: {value}" for name, value in got.items()] + [

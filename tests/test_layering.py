@@ -16,7 +16,7 @@ LAYERS = {
     "channel": set(),
     "scenario": {"channel"},
     "solver": {"scenario", "utility"},
-    "primal_dual": {"scenario", "solver", "utility"},
+    "primal_dual": {"scenario", "solver"},
 }
 
 
@@ -46,5 +46,5 @@ def test_import_graph():
 
 def test_moved_names_left_no_alias():
     for module, name in (("channel", "_naming"), ("channel", "load_channel_csv"), ("primal_dual", "integer"),
-                         ("primal_dual", "solve_centralized")):
+                         ("primal_dual", "solve_centralized"), ("solver", "BudgetCase"), ("primal_dual", "utility")):
         assert not hasattr(importlib.import_module(f"mupower.{module}"), name), f"mupower.{module}.{name}"

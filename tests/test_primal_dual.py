@@ -11,7 +11,7 @@ import pytest
 from mupower import (Allocation, PdSettings, Scenario, compute_pu, gains_from_db, integrate, kkt_residuals,
                      load_scenario, solve_centralized)
 from mupower.cli import write_trajectory_csv
-from mupower.primal_dual import RECORD_EVERY, lyapunov
+from mupower.primal_dual import RECORD_EVERY, Trajectory, lyapunov
 from mupower.solver import P_FLOOR, TOL_KKT, _certificate
 from mupower.utility import _beta, utility, utility_grad
 
@@ -199,11 +199,13 @@ def test_integrate_restart_is_fixed_point():
     assert again.steps_taken <= 10
 
 
-def test_integrate_records_derived_after_the_run():
-    # the utility and V of the stacked records equal the per-record values,
-    # and the run's KKT report is the solver's report of its last record
+def test_integrate_records_derived_after_the_run(tmp_path):
+    # the written total utility and the V of the stacked records equal the
+    # per-record values, and the run's KKT report is the solver's report of
+    # its last record
     sc = fig4_scenario()
     ref = solve_centralized(sc)
+    out = tmp_path / "traj.csv"
     for pd, converged in ((PdSettings(k=0.1, g=0.1), True), (PdSettings(max_steps=555), False)):
         traj = integrate(sc, pd)
         assert traj.converged is converged
@@ -213,7 +215,9 @@ def test_integrate_records_derived_after_the_run():
         assert traj.t.tolist() == list(range(0, traj.steps_taken, RECORD_EVERY)) + [traj.steps_taken]
         u = [float(np.sum(utility(p, sc.w, sc.p_circuit, sc.delta))) for p in traj.p]
         v = [lyapunov(p, lam, ref.p, ref.lam, pd) for p, lam in zip(traj.p, traj.lam)]
-        np.testing.assert_array_equal(traj.total_utility, u)
+        write_trajectory_csv(traj, sc, np.array(v), out)
+        written = [line.split(",")[-2] for line in out.read_text().splitlines()[1:]]
+        assert written == [f"{x:.12g}" for x in u]
         np.testing.assert_array_equal(lyapunov(traj.p, traj.lam, ref.p, ref.lam, pd), v)
     assert traj.t[-3:].tolist() == [400, 500, 555]
 
@@ -286,6 +290,22 @@ def test_every_converged_run_passes_the_kkt_gate():
         assert kkt_of(sc, traj.p[-1], ref.p_u, traj.lam[-1]).max_residual <= TOL_KKT
         prices.append(ref.lam)
     assert max(prices) > 1.0
+
+
+def test_trajectory_stores_its_records_and_certificate_only():
+    # the counters derive from (t, p, lam, kkt), read-only: fig4's default
+    # start and criterion 9's starts at fig4's gains
+    assert tuple(f.name for f in dataclasses.fields(Trajectory)) == ("t", "p", "lam", "kkt")
+    loaded = load_scenario(FIG4)
+    for pd in [loaded.pd] + criterion_9_starts(loaded.scenario, 1e-3):
+        traj = integrate(loaded.scenario, pd)
+        assert type(traj.steps_taken) is int and traj.steps_taken == traj.t[-1]
+        assert type(traj.messages_uplink) is int and traj.messages_uplink == 4 * traj.t[-1]
+        assert traj.converged is bool(traj.kkt.max_residual <= TOL_KKT)
+        assert traj.converged
+    for name in ("steps_taken", "messages_uplink", "converged"):
+        with pytest.raises(AttributeError):
+            setattr(traj, name, 0)
 
 
 def test_stop_rule_scales_the_price_and_runs_on_past_a_failed_certificate(monkeypatch):
@@ -590,7 +610,7 @@ def test_trajectory_csv_format(tmp_path):
     sc = fig4_scenario()
     traj, ref = integrate(sc, PdSettings(max_steps=500)), solve_centralized(sc)
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, lyapunov(traj.p, traj.lam, ref.p, ref.lam, PdSettings()), out)
+    write_trajectory_csv(traj, sc, lyapunov(traj.p, traj.lam, ref.p, ref.lam, PdSettings()), out)
     lines = out.read_text().splitlines()
     assert lines[0] == "t,P_1,P_2,P_3,P_4,lambda,total_utility,V"
     assert len(lines) == traj.t.size + 1

@@ -74,3 +74,10 @@ def test_traced_counters(monkeypatch, tmp_path, capsys):
     # one solve by cmd_solve, one reference solve by cmd_primal_dual
     assert [(a["case"], a["newton"], a["refine"]) for a in solves] == [("sum_tight", 0, 8)] * 2
     assert [(a["steps"], a["uplink"]) for a in runs] == [(500, 2000)]
+
+    # the tracer reads converged through a default, so a name the package
+    # dropped would read False here instead of failing: run fig4 to its
+    # certified stop
+    cli.cmd_primal_dual(load_scenario(SCENARIOS / "fig4.yaml"))
+    full = [a for name, _, _, _, a in tracer.spans if name == "primal_dual.integrate"][-1]
+    assert (full["converged"], full["steps"]) == (True, 28_290)
