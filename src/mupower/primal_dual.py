@@ -30,16 +30,20 @@ U_i' fragment: its prologue puts U_i' at each cap, for the skip, and its
 step holds N straight-line user blocks, each the same template with only
 the user index put in, so no scenario data enters the source. Updating
 each power in place is exact since user i's update reads only P_i and
-lambda. Each block keeps its step d_i (0.0 when parked). A step with
-every |d_i| <= TOL_KKT k_i (d_i = k_i (U_i' - lambda) inside the box),
-lambda |sum(P) - p_sum_max| <= TOL_KKT and sum(P) - p_sum_max <= TOL_KKT
-(the certificate's comp_sum and sum_gap) runs the solver's certificate on
-the state, and the run stops if the state passes. Every float operation
-keeps its expression and its order (U_i' with libm's log1p, the floor
-clamp before the cap clamp, sum(P) as one addition per user in index
-order), so the kernel computes what a loop over the users computes, bit
-for bit, without the interpreter's per-user loop work. Building it costs
-about 0.2-0.3 ms and 60 KiB of compiler memory per user.
+lambda; each user block keeps its power from before the step. The budget
+gap sum(P) - p_sum_max is computed once per step, for the step's tests and
+the next step's price. A step that leaves sum(P) or lambda non-finite
+raises FloatingPointError. A step that moves every P_i by at most
+TOL_KKT k_i (k_i (U_i' - lambda) inside the box, 0 when parked), with
+|lambda (sum(P) - p_sum_max)| <= TOL_KKT and sum(P) - p_sum_max <= TOL_KKT
+(the certificate's comp_sum and sum_gap), runs the solver's certificate on
+the state, and the run stops if the state passes. The steps run in blocks
+of RECORD_EVERY, and a record ends each block and the run. Every
+float operation keeps its expression and its order (U_i' with libm's log1p,
+the floor clamp before the cap clamp, sum(P) as one addition per user in
+index order), so the kernel computes what a loop over the users computes,
+bit for bit, without the interpreter's per-user loop work. Building it
+costs about 0.15 ms and 60 KiB of compiler memory per user.
 
 The quadratic distance to the centralized optimum,
 
@@ -92,45 +96,37 @@ def lyapunov(p, lam, p_star, lam_star, settings: PdSettings):
 # into u_cap_i): utility_grad's expression with libm's log1p.
 _GRAD = ("{pad}total, dp = {x} + p_c{i}, delta{i} * {x}\n"
          "{pad}{u} = (delta{i} * total / ((1.0 + dp) * log1p(dp)) - c{i}) / total\n")
-# The two ifs are min(max(., P_FLOOR), p_u_i) without the calls: a NaN passes
-# both and makes p_sum NaN, which the isfinite test of p_sum and lam finds.
+# Each block keeps P_i in o_i and updates x_i in place; p_sum starts at user
+# 0's term (0.0 + x is x). The two ifs are min(max(., P_FLOOR), p_u_i) without
+# the calls: each x_i lies in the box or is NaN, so p_sum < inf fails only on a NaN.
 _USER = """\
-        if x{i} == p_u{i} and lam <= u_cap{i}:
-            p_sum += x{i}
-            d{i} = 0.0
-        else:
-{grad}            x_next = x{i} + k{i} * (u - lam)
-            if x_next < floor:
-                x_next = floor
-            if x_next > p_u{i}:
-                x_next = p_u{i}
-            p_sum += x_next
-            d{i} = x_next - x{i}
-            x{i} = x_next
+            o{i} = x{i}
+            if not (x{i} == p_u{i} and lam <= u_cap{i}):
+{grad}                x{i} = x{i} + k{i} * (u - lam)
+                if x{i} < floor:
+                    x{i} = floor
+                if x{i} > p_u{i}:
+                    x{i} = p_u{i}
+            p_sum {add}= x{i}
 """
 _LOOP = """\
-def euler(users, x, lam, p_sum, g, p_sum_max, max_steps, records, certificate):
-    log1p, isfinite, floor, array = math.log1p, math.isfinite, P_FLOOR, np.array
+def euler(users, x, lam, gap, g, p_sum_max, max_steps, records, certificate):
+    log1p, inf, floor, array = math.log1p, math.inf, P_FLOOR, np.array
     {consts}= users
     {xs}, = x
-{caps}    for t in range(1, max_steps + 1):
-        lam_next = lam + g * (p_sum - p_sum_max)
-        lam_next = lam_next if lam_next > 0.0 else 0.0  # max(0.0, .), NaN to 0.0 too
-        p_sum = 0.0
-{users}
-        if not (isfinite(p_sum) and isfinite(lam_next)):
-            raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
-        stop = lam_next * abs(p_sum - p_sum_max) <= TOL_KKT and p_sum - p_sum_max <= TOL_KKT{stops}
-        lam = lam_next
-        if t % RECORD_EVERY == 0:
-            records.append((t, array([{xs}]), lam))
-        if stop and (kkt := certificate(array([{xs}]), lam)).max_residual <= TOL_KKT:
-            break
-    else:
-        kkt = certificate(array([{xs}]), lam)
-    if t % RECORD_EVERY != 0:  # t is bound: PdSettings makes max_steps >= 1
+{caps}    for start in range(0, max_steps, RECORD_EVERY):
+        for t in range(start + 1, min(start + RECORD_EVERY, max_steps) + 1):
+{users}            lam = lam + g * gap  # after the users, who read the last price
+            lam = lam if lam > 0.0 else 0.0  # max(0.0, .), NaN to 0.0 too
+            gap = p_sum - p_sum_max
+            if not (p_sum < inf and lam < inf):
+                raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
+            if (gap <= TOL_KKT and -TOL_KKT <= lam * gap <= TOL_KKT{stops}
+                    and (kkt := certificate(array([{xs}]), lam)).max_residual <= TOL_KKT):
+                records.append((t, array([{xs}]), lam))
+                return t, kkt
         records.append((t, array([{xs}]), lam))
-    return t, kkt
+    return t, certificate(array([{xs}]), lam)
 """
 
 
@@ -142,9 +138,9 @@ def _kernel(n: int):
     src = _LOOP.format(
         consts="".join(f"k{i}, p_u{i}, delta{i}, p_c{i}, c{i}, tol{i}, " for i in range(n)),
         caps="".join(_GRAD.format(i=i, x=f"p_u{i}", u=f"u_cap{i}", pad=" " * 4) for i in range(n)),
-        users="".join(_USER.format(i=i, grad=_GRAD.format(i=i, x=f"x{i}", u="u", pad=" " * 12))
+        users="".join(_USER.format(i=i, add="+" if i else "", grad=_GRAD.format(i=i, x=f"x{i}", u="u", pad=" " * 16))
                       for i in range(n)),
-        stops="".join(f" and -tol{i} <= d{i} <= tol{i}" for i in range(n)),
+        stops="".join(f" and -tol{i} <= x{i} - o{i} <= tol{i}" for i in range(n)),
         xs=", ".join(f"x{i}" for i in range(n)),
     )
     namespace = {}
@@ -177,7 +173,7 @@ def integrate(sc: Scenario, settings: PdSettings | None = None) -> Trajectory:
 
     users = np.column_stack(np.broadcast_arrays(k, p_u, delta, p_circuit, 1.0 - w, TOL_KKT * k)).ravel().tolist()
     records = [(0, p, lam)]
-    t, kkt = _kernel(n)(users, p.tolist(), lam, float(p.sum()), g, p_sum_max, settings.max_steps, records,
+    t, kkt = _kernel(n)(users, p.tolist(), lam, float(p.sum()) - p_sum_max, g, p_sum_max, settings.max_steps, records,
                         lambda x, lam: _certificate(w, p_circuit, delta, p_sum_max, x, p_u, lam))
 
     t_rec, p_rec, lam_rec = (np.array(col) for col in zip(*records))

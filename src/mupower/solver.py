@@ -219,11 +219,13 @@ def _certificate(w, pc, delta, budget, p, p_u, lam) -> KktReport:
     mu = np.where(at_lower, np.maximum(0.0, lam_u - grad), 0.0)
     nu = np.where(at_upper, np.maximum(0.0, grad - lam_u), 0.0)
     total = np.sum(p, axis=-1)
+    with np.errstate(over="ignore"):  # a price near the float limit reads comp_sum inf, unconverged
+        comp_sum = np.abs(lam * (total - budget))
     return KktReport(
         stationarity=np.abs(grad + mu - nu - lam_u),
         comp_lower=np.abs(mu * (p - P_FLOOR)),
         comp_upper=np.abs(nu * (p - p_u)),
-        comp_sum=np.abs(lam * (total - budget)),
+        comp_sum=comp_sum,
         box_gap=np.maximum(np.maximum(p - p_u, -p), 0.0),
         sum_gap=np.maximum(0.0, total - budget),
         mu=mu,

@@ -453,6 +453,68 @@ def test_integrate_builds_its_kernel_for_many_users():
         assert np.array_equal(got, want)
 
 
+def test_integrate_records_each_block_edge_as_the_float_euler_loop():
+    # the kernel runs its steps in blocks of RECORD_EVERY: a budget one step
+    # short of, at, and one step past a block's end records as the per-user
+    # loop does, with scalar and per-user k
+    edges = (1, 99, 100, 101, 199, 200, 201)
+    for sc in (fig4_scenario(), spread_scenario(9)):
+        ref = solve_centralized(sc)
+        for k, max_steps in itertools.product((1e-3, np.linspace(5e-4, 2e-3, sc.n_users)), edges):
+            pd = PdSettings(k=k, max_steps=max_steps)
+            traj = integrate(sc, pd)
+            assert traj.t.tolist() == list(range(0, max_steps, RECORD_EVERY)) + [max_steps]
+            for got, want in zip((traj.t, traj.p, traj.lam), float_euler(sc, pd, ref)):
+                assert np.array_equal(got, want)
+    # a certified stop on a block's last step, and on the steps either side
+    # of it: fig4's default start is first certified at step 28,290, so a
+    # restart from its state `left` steps earlier stops after `left` steps
+    sc = fig4_scenario()
+    ref = solve_centralized(sc)
+    for left in (99, 100, 101, 200):
+        head = integrate(sc, PdSettings(max_steps=28_290 - left))
+        pd = PdSettings(init_p=head.p[-1], init_lambda=head.lam[-1])
+        traj = integrate(sc, pd)
+        assert not head.converged and traj.converged
+        assert traj.t.tolist() == list(range(0, left, RECORD_EVERY)) + [left]
+        for got, want in zip((traj.t, traj.p, traj.lam), float_euler(sc, pd, ref)):
+            assert np.array_equal(got, want)
+
+
+def overflow_run(max_steps):
+    """fig4 under a 1 W budget from its caps, with a price gain near the float
+    limit: the price doubles in about four steps, then overflows."""
+    sc = dataclasses.replace(fig4_scenario(), p_sum_max=1.0)
+    return sc, PdSettings(k=1e-320, g=1.6e307, init_p=compute_pu(sc), max_steps=max_steps)
+
+
+def test_certificate_reports_an_overflowing_price_term_as_inf_without_a_warning():
+    # from step 2 lambda (sum(P) - p_sum_max) exceeds the float range: the
+    # certificate reads its comp_sum as inf, the run as unconverged, and
+    # raises no RuntimeWarning (pytest makes one an error)
+    for max_steps in (2, 3, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = integrate(*overflow_run(max_steps))
+        assert np.isfinite(traj.lam).all() and traj.kkt.comp_sum == np.inf
+        assert not traj.converged
+
+
+def test_integrate_raises_on_the_overflow_step_of_the_float_euler_loop():
+    # four steps return the per-user loop's uncertified records; the fifth
+    # overflows the price, and both loops raise on it
+    sc, pd = overflow_run(4)
+    ref = solve_centralized(sc)
+    traj = integrate(sc, pd)
+    assert not traj.converged and traj.steps_taken == 4
+    for got, want in zip((traj.t, traj.p, traj.lam), float_euler(sc, pd, ref)):
+        assert np.array_equal(got, want)
+    sc, pd = overflow_run(5)
+    for run in (lambda: integrate(sc, pd), lambda: float_euler(sc, pd, ref)):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            run()
+
+
 def test_integrate_matches_the_numpy_euler_loop():
     sc = fig4_scenario()
     ref = solve_centralized(sc)
