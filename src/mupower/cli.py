@@ -19,7 +19,6 @@ non-convergence (primal-dual only under --strict: its end state fails the KKT ga
 """
 from __future__ import annotations
 
-import argparse
 import sys
 
 import numpy as np
@@ -46,11 +45,13 @@ def _csv(header, rows) -> str:
     bits = bits[order]
     new = np.ones(bits.size, bool)
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    group = np.empty_like(order)
-    group[order] = np.cumsum(new)  # from 1: texts[0] is the "" before the first "\n"
     values = tuple(bits[new].view(float).tolist())
+    np.cumsum(new, out=bits)  # the sorted cells' text indices, from 1: texts[0] is the "" before the first "\n"
+    cells = np.empty_like(order)
+    cells[order] = bits
+    del order, bits, new  # each as large as the table: gone before the text is built
     texts = np.array(("\n%.12g," * len(values) % values).split("\n"), dtype=object)
-    cells = texts[group].tolist()
+    cells = texts[cells].tolist()
     cells[k - 1::k] = [cell[:-1] + "\n" for cell in cells[k - 1::k]]
     cells.insert(0, ",".join(header) + "\n")
     return "".join(cells)
@@ -152,6 +153,7 @@ def cmd_primal_dual(loaded: LoadedScenario, out=None, strict: bool = False) -> i
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at module level: callers of the cmd_* functions never parse argv
     parser = argparse.ArgumentParser(
         prog="mupower",
         description="Utility-maximizing uplink MU-MIMO power allocation experiments",

@@ -121,12 +121,12 @@ def euler(users, x, lam, gap, g, p_sum_max, max_steps, records, certificate):
             gap = p_sum - p_sum_max
             if not (p_sum < inf and lam < inf):
                 raise FloatingPointError("primal-dual state became non-finite; gains are likely too large")
-            if (gap <= TOL_KKT and -TOL_KKT <= lam * gap <= TOL_KKT{stops}
+            if ({stop}
                     and (kkt := certificate(array([{xs}]), lam)).max_residual <= TOL_KKT):
                 records.append((t, array([{xs}]), lam))
                 return t, kkt
         records.append((t, array([{xs}]), lam))
-    return t, certificate(array([{xs}]), lam)
+    return t, kkt if {stop} else certificate(array([{xs}]), lam)  # the last step's report, if its stop rule made one
 """
 
 
@@ -140,7 +140,8 @@ def _kernel(n: int):
         caps="".join(_GRAD.format(i=i, x=f"p_u{i}", u=f"u_cap{i}", pad=" " * 4) for i in range(n)),
         users="".join(_USER.format(i=i, add="+" if i else "", grad=_GRAD.format(i=i, x=f"x{i}", u="u", pad=" " * 16))
                       for i in range(n)),
-        stops="".join(f" and -tol{i} <= x{i} - o{i} <= tol{i}" for i in range(n)),
+        stop="gap <= TOL_KKT and -TOL_KKT <= lam * gap <= TOL_KKT"
+             + "".join(f" and -tol{i} <= x{i} - o{i} <= tol{i}" for i in range(n)),
         xs=", ".join(f"x{i}" for i in range(n)),
     )
     namespace = {}

@@ -73,10 +73,9 @@ class KktReport:
     @property
     def max_residual(self):
         """The largest residual: a float, or one per row for a batch."""
-        worst = np.maximum(self.comp_sum, self.sum_gap)
-        for per_user in (self.stationarity, self.comp_lower, self.comp_upper, self.box_gap):
-            worst = np.maximum(worst, per_user.max(axis=-1))  # no (4, B, N) stack
-        return worst
+        worst = np.maximum(self.stationarity, self.comp_lower)  # per user, then one reduction over users
+        np.maximum(np.maximum(worst, self.comp_upper, out=worst), self.box_gap, out=worst)
+        return np.maximum(np.maximum(self.comp_sum, self.sum_gap), worst.max(axis=-1))
 
 
 @dataclass

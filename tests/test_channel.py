@@ -563,6 +563,14 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_argparse_unloaded():
+    # the cmd_* functions parse no argv; argparse and gettext load when main runs
+    src = str(Path(mupower.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import mupower.cli; print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_loading_a_channel_scenario_leaves_openssl_unloaded(tmp_path):
     # the cache is keyed by zlib's CRC-32, which numpy has loaded already;
     # hashlib would load OpenSSL, about 3.5 MB of resident memory

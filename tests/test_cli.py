@@ -1,6 +1,7 @@
 import io
 import re
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -551,6 +552,24 @@ def test_csv_matches_the_per_row_formatter_byte_for_byte():
     ]
     for head, rows in cases:
         assert cli._csv(head, rows) == per_row_csv(head, rows)
+
+
+def test_csv_of_a_sweep_sized_table_peaks_under_three_times_its_text():
+    # 1,681 x 8 cells of 400 bit patterns, both zeros and both NaN signs among
+    # them: the sort order and the sorted bits, 108 KB each, are freed before
+    # the text is built
+    rng = np.random.default_rng(34)
+    pool = np.concatenate([[0.0, -0.0, np.nan, np.copysign(np.nan, -1.0)], rng.uniform(-1.0, 1.0, 396)])
+    table = rng.choice(pool, (1681, 8))
+    header = [f"c{j}" for j in range(8)]
+    tracemalloc.start()
+    try:
+        text = cli._csv(header, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text), f"peak {peak / len(text):.2f} x the text"
+    assert text == per_row_csv(header, table)
 
 
 @pytest.mark.parametrize("command, scenario, options", [

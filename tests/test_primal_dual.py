@@ -336,6 +336,24 @@ def test_stop_rule_scales_the_price_and_runs_on_past_a_failed_certificate(monkey
     assert traj.steps_taken == 132
 
 
+def test_an_exhausted_run_reuses_the_certificate_of_its_last_step(monkeypatch):
+    reports = []
+
+    def counted(*args):
+        reports.append(_certificate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr("mupower.primal_dual._certificate", counted)
+    # criterion 9's third start at k = g = 0.3 first passes the stop rule at
+    # step 129, where its state fails the certificate: with 129 steps allowed
+    # that failed report is the run's own
+    sc = fig4_scenario()
+    traj = integrate(sc, dataclasses.replace(criterion_9_starts(sc, 0.3)[2], max_steps=129))
+    assert len(reports) == 1 and traj.kkt is reports[0]
+    assert traj.steps_taken == 129 and not traj.converged
+    assert traj.kkt.max_residual == pytest.approx(1.008e-8, rel=1e-3)
+
+
 def numpy_euler(sc, pd, ref):
     """The Euler loop written on arrays (np.minimum/np.maximum, p.sum()),
     returning the recorded t, p and lam as integrate records them."""
